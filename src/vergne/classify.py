@@ -1,25 +1,25 @@
-"""Exhaustive enumeration per dimension, labels, and the extension tree.
+"""Enumeration per dimension, labels, and the extension tree.
 
-A dimension-n algebra is determined by the n-4 free bits of its e_2 row,
-so enumeration walks all 2^(n-4) rows and keeps the Jacobi-consistent
-ones.  A forward search that extends algebras by their admissible
-cocycles is kept as an independent cross-check of the same node set.
+Every algebra of dimension n > 5 is a one-step central extension of its
+truncation, so enumeration is a forward search: start from the two
+dimension-5 models and extend every algebra of dimension n-1 by each of
+its admissible cocycles.  The brute-force walk over all 2^(n-4) e_2 rows
+lives in the tests as an oracle for this search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 from .cohomology import betti
-from .core import JacobiViolation, RowVector, VergneAlgebra, from_row
+from .core import MIN_DIMENSION, RowVector, VergneAlgebra, m0, m2
+from .exterior import MAX_AMBIENT
 from .extensions import admissible_cocycles, central_extension, reduce
 
 __all__ = [
     "ExtensionTree",
     "enumerate_algebras",
-    "enumerate_by_extension",
     "extension_tree",
     "label",
     "to_dot",
@@ -65,44 +65,40 @@ _LABELS: dict[tuple[int, tuple[int, ...]], str] = {
 def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
     """All Vergne-type algebras of dimension n, rows ascending.
 
-    Walks the 2^(n-4) candidate rows (free positions 3..n-2) in
-    lexicographic order and keeps those passing Jacobi completion.
+    The two models at dimension 5; above it, every algebra of dimension
+    n-1 extended by each of its admissible cocycles.
     """
-    if not 5 <= n <= 64:
-        raise ValueError(f"dimension must be in 5..64, got {n}")
-    out = []
-    for free in product((0, 1), repeat=n - 4):
-        row = RowVector((0,) + free + (0, 0))
-        try:
-            out.append(from_row(row))
-        except JacobiViolation:
-            continue
-    return tuple(out)
-
-
-def enumerate_by_extension(n: int) -> tuple[VergneAlgebra, ...]:
-    """Forward search: grow from the two dimension-5 roots by admissible
-    cocycles.  Must coincide with enumerate_algebras (cross-check path)."""
-    if not 5 <= n <= 64:
-        raise ValueError(f"dimension must be in 5..64, got {n}")
-    level = list(enumerate_algebras(5))
-    for _ in range(5, n):
-        level = [
-            central_extension(g, omega)
-            for g in level
-            for omega in admissible_cocycles(g)
-        ]
+    if not MIN_DIMENSION <= n <= MAX_AMBIENT:
+        raise ValueError(f"dimension must be in {MIN_DIMENSION}..{MAX_AMBIENT}, got {n}")
+    if n == MIN_DIMENSION:
+        return (m0(n), m2(n))
+    level = [
+        central_extension(g, omega)
+        for g in enumerate_algebras(n - 1)
+        for omega in admissible_cocycles(g)
+    ]
     return tuple(sorted(level, key=lambda g: g.row().bits))
+
+
+# Former name of the forward search, kept for callers that still use it.
+enumerate_by_extension = enumerate_algebras
 
 
 def label(g: VergneAlgebra) -> str:
     """m0(n)/m2(n), a table label for dimensions 7..12, else the row string."""
-    bits = g.row().bits
+    return _row_label(g.row())
+
+
+@lru_cache(maxsize=None)
+def _row_label(row: RowVector) -> str:
+    # Keyed by the row, not the algebra, so the cache keeps no algebra (and
+    # its cached Betti table) alive; each label string is built once.
+    n, bits = row.n, row.bits
     if not any(bits):
-        return f"m0({g.n})"
-    if bits == tuple(1 if 3 <= j <= g.n - 2 else 0 for j in range(2, g.n + 1)):
-        return f"m2({g.n})"
-    return _LABELS.get((g.n, bits), str(g.row()))
+        return f"m0({n})"
+    if bits == tuple(1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)):
+        return f"m2({n})"
+    return _LABELS.get((n, bits), str(row))
 
 
 @dataclass(frozen=True)
@@ -120,23 +116,19 @@ class ExtensionTree:
 
 
 def extension_tree(n_max: int) -> ExtensionTree:
-    if n_max < 5:
-        raise ValueError("n_max must be at least 5")
+    if n_max < MIN_DIMENSION:
+        raise ValueError(f"n_max must be at least {MIN_DIMENSION}")
     nodes: dict[tuple[int, tuple[int, ...]], int] = {}
     labels: dict[int, str] = {}
     edges: list[tuple[int, int]] = []
-    for n in range(5, n_max + 1):
+    for n in range(MIN_DIMENSION, n_max + 1):
         for g in enumerate_algebras(n):
             node_id = len(nodes)
             nodes[(n, g.row().bits)] = node_id
             labels[node_id] = label(g)
-    for n in range(6, n_max + 1):
-        for g in enumerate_algebras(n):
-            base, _ = reduce(g)
-            parent_key = (n - 1, base.row().bits)
-            if parent_key not in nodes:
-                raise AssertionError(f"truncation of {g!r} is not enumerated")
-            edges.append((nodes[(n, g.row().bits)], nodes[parent_key]))
+            if n > MIN_DIMENSION:
+                base, _ = reduce(g)
+                edges.append((node_id, nodes[(n - 1, base.row().bits)]))
     return ExtensionTree(nodes=nodes, edges=tuple(edges), labels=labels)
 
 

@@ -1,7 +1,8 @@
 """Command line surface: betti, enumerate, pair, tree, verify, reduce.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
-failure.  Output is deterministic for identical invocations.
+failure, 4 internal error.  Output is deterministic for identical
+invocations.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import sys
 
 from . import classify, extensions
 from .cohomology import betti, verify_commuting_square
-from .core import JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
+from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
 from .extensions import decompose, has_codim1_abelian_ideal, partner
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 def _algebra_from_arg(arg: str, n: int) -> VergneAlgebra:
@@ -32,13 +34,6 @@ def _algebra_from_arg(arg: str, n: int) -> VergneAlgebra:
             raise ValueError(f"row encodes dimension {row.n}, --dim says {n}")
         return from_row(row)
     raise ValueError(f"--algebra must be m0, m2 or row:<rowstring>, got {arg!r}")
-
-
-def _algebra_from_row_arg(text: str, n: int) -> VergneAlgebra:
-    row = parse_row(text)
-    if row.n != n:
-        raise ValueError(f"row encodes dimension {row.n}, --dim says {n}")
-    return from_row(row)
 
 
 def _cmd_betti(args: argparse.Namespace) -> int:
@@ -55,8 +50,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         print(f"n: {g.n}")
         print(f"algebra: {classify.label(g)}")
         print(f"row: {g.row()}")
-        print(f"betti: {table.b}")
-        print(f"cocycle_dims: {table.z}")
+        print(f"betti: {list(table.b)}")
+        print(f"cocycle_dims: {list(table.z)}")
         if args.graded:
             for k in range(g.n + 1):
                 cells = " ".join(
@@ -73,7 +68,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         print(f"dimension {args.dim}: {len(algebras)} algebras")
         for g in algebras:
-            print(f"{classify.label(g):10s} {g.row()}  betti={betti(g).b}")
+            print(f"{classify.label(g):10s} {g.row()}  betti={list(betti(g).b)}")
     if args.tree:
         return _emit_tree(args.max_dim or args.dim, args.dot)
     return EXIT_OK
@@ -99,17 +94,17 @@ def _emit_tree(max_dim: int, dot_path: str | None) -> int:
 
 
 def _cmd_pair(args: argparse.Namespace) -> int:
-    g = _algebra_from_row_arg(args.row, args.dim)
+    g = _algebra_from_arg(f"row:{args.row}", args.dim)
     p = partner(g)
     print(f"input:   {g.row()}  label {classify.label(g)}  root {classify.label(decompose(g).root)}")
     print(f"partner: {p.row()}  label {classify.label(p)}  root {classify.label(decompose(p).root)}")
-    print(f"betti(input):   {betti(g).b}")
-    print(f"betti(partner): {betti(p).b}")
+    print(f"betti(input):   {list(betti(g).b)}")
+    print(f"betti(partner): {list(betti(p).b)}")
     return EXIT_OK
 
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
-    g = _algebra_from_row_arg(args.row, args.dim)
+    g = _algebra_from_arg(f"row:{args.row}", args.dim)
     base, omega = extensions.reduce(g)
     print(f"base:  {base.row()}")
     print(f"omega: {omega}")
@@ -118,7 +113,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
     for n in range(5, max_dim + 1):
-        b0, b2_ = betti(m0(n)).b, betti(m2(n)).b
+        b0, b2_ = list(betti(m0(n)).b), list(betti(m2(n)).b)
         ok = b0 == b2_
         lines.append(f"thm1 n={n} {'ok' if ok else 'FAIL'} b={b0}")
         if not ok:
@@ -188,6 +183,8 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_dim < MIN_DIMENSION:
+        raise ValueError(f"--max-dim must be at least {MIN_DIMENSION}, got {args.max_dim}")
     lines: list[str] = []
     failures: list[str] = []
     if args.suite in ("thm1", "all"):
@@ -269,6 +266,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

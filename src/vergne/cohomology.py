@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
+from typing import Mapping
 
 from .core import VergneAlgebra, differential, involution
 from .exterior import Form, basis, graded_masks, matrix_of
@@ -26,18 +28,25 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BettiTable:
-    """Betti numbers b_0..b_n with their graded refinement.
+    """Betti numbers b_0..b_n with their graded refinement; read-only.
 
     ``graded`` maps (k, m) to dim H^k_m; zero entries are omitted.
-    ``z`` holds the cocycle-space dimensions dim Z_0..Z_n.
+    ``z`` holds the cocycle-space dimensions dim Z_0..Z_n.  The fields are
+    stored as tuples and a read-only mapping, so a table handed out from
+    the per-algebra cache cannot be changed by its caller.
     """
 
     n: int
-    b: list[int]
-    graded: dict[tuple[int, int], int]
-    z: list[int]
+    b: tuple[int, ...]
+    graded: Mapping[tuple[int, int], int]
+    z: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "b", tuple(self.b))
+        object.__setattr__(self, "graded", MappingProxyType(dict(self.graded)))
+        object.__setattr__(self, "z", tuple(self.z))
 
     def violations(self) -> list[str]:
         """Internal-consistency failures; empty when the table is sound."""

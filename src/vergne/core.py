@@ -11,6 +11,12 @@ collapse to the completion rule
 so the whole table is determined by the e_2 row.  That row is encoded as
 [0, c_{2,3}, ..., c_{2,n-2}, 0, 0] with forced zero padding at positions
 2, n-1 and n.
+
+An algebra is validated once, on construction, by d(d(e^k)) = 0 for the
+Chevalley-Eilenberg differential d.  That single identity is the whole
+Jacobi identity: the e^1^e^i^e^j coefficients of d(d(e^k)) are the
+completion identities (the derived diagonal when j = i+1) and the other
+coefficients are the cyclic triples.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .exterior import Derivation, Form, _from_masks, _mask_from_indices
+from .exterior import MAX_AMBIENT, Derivation, Form, _from_masks, _indices, _mask_from_indices
 
 __all__ = [
     "MIN_DIMENSION",
@@ -28,13 +34,11 @@ __all__ = [
     "m0",
     "m2",
     "from_row",
-    "row_of",
     "parse_row",
     "differential",
     "lowering_operator",
     "tail_operator",
     "involution",
-    "jacobi_holds",
 ]
 
 # The structure theory below (pairing, decomposition to the two
@@ -67,7 +71,10 @@ class RowVector:
     __slots__ = ("n", "bits")
 
     def __init__(self, bits: Iterable[int]):
-        bits = tuple(int(b) for b in bits)
+        # Built from a list so the tuple is allocated at its final size;
+        # tuple() of a generator grows by resizing, and in CPython the resized
+        # tuples pile up in the per-size free lists of a long-running process.
+        bits = tuple([int(b) for b in bits])
         if any(b not in (0, 1) for b in bits):
             raise ValueError("row entries must be 0 or 1")
         n = len(bits) + 1
@@ -100,10 +107,17 @@ class RowVector:
         return hash(self.bits)
 
     def __str__(self) -> str:
-        return "[" + ", ".join(str(b) for b in self.bits) + "]"
+        return _row_text(self.bits)
 
     def __repr__(self) -> str:
         return f"RowVector({self})"
+
+
+@lru_cache(maxsize=None)
+def _row_text(bits: tuple[int, ...]) -> str:
+    # Rows are printed and compared as text over and over (labels, JSON,
+    # transcripts); format each distinct row once and share the string.
+    return "[" + ", ".join(str(b) for b in bits) + "]"
 
 
 def parse_row(text: str) -> RowVector:
@@ -127,83 +141,39 @@ def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
     return c.get((i, j), 0)
 
 
-def _jacobi_failure(c: Mapping[tuple[int, int], int], n: int) -> JacobiViolation | None:
-    """First violated constraint among the e_1 identities and cyclic triples."""
-    # e_1 identities: c_{i,j} + c_{i+1,j} + c_{i,j+1} = 0 whenever e_{i+j+1}
-    # exists; with j = i+1 this forces the derived diagonal to vanish.
-    for i in range(2, n):
-        for j in range(i + 1, n - i):
-            if _symmetric_get(c, i, j) ^ _symmetric_get(c, i + 1, j) ^ _symmetric_get(c, i, j + 1):
-                if i + 1 == j:
-                    return JacobiViolation(
-                        f"derived diagonal entry c[{j},{j}] is nonzero", index=j
-                    )
-                return JacobiViolation(
-                    f"completion identity fails at c[{i},{j}]", triple=(1, i, j)
-                )
-    for i in range(2, n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n - i - j + 1):
-                total = (
-                    _symmetric_get(c, j, k) & _symmetric_get(c, i, j + k)
-                    ^ _symmetric_get(c, i, k) & _symmetric_get(c, j, i + k)
-                    ^ _symmetric_get(c, i, j) & _symmetric_get(c, k, i + j)
-                )
-                if total:
-                    return JacobiViolation(
-                        f"Jacobi identity fails on (e{i}, e{j}, e{k})", triple=(i, j, k)
-                    )
-    return None
-
-
-def jacobi_holds(c: Mapping[tuple[int, int], int], n: int) -> bool:
-    """Check a raw structure-constant table: completion identities,
-    vanishing derived diagonal, and all cyclic Jacobi triples."""
-    table = {}
-    for (i, j), v in c.items():
-        if v not in (0, 1):
-            raise ValueError("structure constants must be 0 or 1")
-        if i == j:
-            if v:
-                return False
-            continue
-        if i > j:
-            i, j = j, i
-        if v:
-            if not (2 <= i and i + j <= n):
-                raise ValueError(f"constant c[{i},{j}] out of range for dimension {n}")
-            table[(i, j)] = 1
-    return _jacobi_failure(table, n) is None
-
-
-def _raw_differential(n: int, c: Mapping[tuple[int, int], int]) -> Derivation:
-    """Chevalley-Eilenberg differential of a (possibly unvalidated) table."""
-    images: dict[int, set[int]] = {}
-    for k in range(3, n + 1):
-        masks = {_mask_from_indices((1, k - 1), n)}
-        for i in range(2, k):
-            j = k - i
-            if i < j and _symmetric_get(c, i, j):
-                masks.add(_mask_from_indices((i, j), n))
-        images[k] = masks
+def _raw_differential(n: int, pairs: Iterable[tuple[int, int]]) -> Derivation:
+    """Chevalley-Eilenberg differential of an unvalidated table of pairs i < j."""
+    images = {k: {_mask_from_indices((1, k - 1), n)} for k in range(3, n + 1)}
+    for i, j in pairs:
+        images[i + j].add(_mask_from_indices((i, j), n))
     return Derivation(n, images)
+
+
+def _violation(mask: int) -> JacobiViolation:
+    """The constraint read off a nonzero term e^a^e^b^e^c of d(d(e^k))."""
+    a, b, c = _indices(mask)
+    if a == 1 and c == b + 1:
+        return JacobiViolation(f"derived diagonal entry c[{c},{c}] is nonzero", index=c)
+    if a == 1:
+        return JacobiViolation(f"completion identity fails at c[{b},{c}]", triple=(1, b, c))
+    return JacobiViolation(f"Jacobi identity fails on (e{a}, e{b}, e{c})", triple=(a, b, c))
 
 
 class VergneAlgebra:
     """Immutable, validated Vergne-type algebra: dimension plus c-table.
 
-    Construction checks every bracket constraint (completion identities,
-    derived diagonal, Jacobi triples) and cross-checks d o d = 0 on the
-    generators, so any held instance is a genuine Lie algebra.
+    Construction checks d(d(e^k)) = 0 for every generator, so any held
+    instance is a genuine Lie algebra.  A failure reports the
+    lexicographically smallest nonzero term of d(d(e^k)) over all k, which
+    is the first failing constraint in the order completion identities,
+    then cyclic triples.
     """
 
     __slots__ = ("n", "c", "_diff", "_slice_ranks", "_betti")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
-        if n < MIN_DIMENSION:
-            raise ValueError(f"dimension must be at least {MIN_DIMENSION}, got {n}")
-        if n > 64:
-            raise ValueError("dimension capped at 64")
+        if not MIN_DIMENSION <= n <= MAX_AMBIENT:
+            raise ValueError(f"dimension must be in {MIN_DIMENSION}..{MAX_AMBIENT}, got {n}")
         table = set()
         for i, j in pairs:
             if i > j:
@@ -211,15 +181,14 @@ class VergneAlgebra:
             if not (2 <= i < j and i + j <= n):
                 raise ValueError(f"structure constant c[{i},{j}] out of range")
             table.add((i, j))
-        failure = _jacobi_failure({p: 1 for p in table}, n)
-        if failure is not None:
-            raise failure
+        d = _raw_differential(n, table)
+        bad: set[int] = set()
+        for k in range(3, n + 1):
+            bad |= d.apply_masks(d.apply_mask(1 << (k - 1)))
+        if bad:
+            raise _violation(min(bad, key=_indices))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", frozenset(table))
-        d = _raw_differential(n, {p: 1 for p in table})
-        for k in range(3, n + 1):
-            if d.apply_masks(d.apply_mask(_mask_from_indices((k,), n))):
-                raise JacobiViolation(f"d(d(e^{k})) != 0", index=k)
         object.__setattr__(self, "_diff", d)
         object.__setattr__(self, "_slice_ranks", {})
         object.__setattr__(self, "_betti", None)
@@ -248,9 +217,7 @@ class VergneAlgebra:
         return (0, 0)
 
     def row(self) -> RowVector:
-        return RowVector(
-            tuple(self.structure_constant(2, j) for j in range(2, self.n + 1))
-        )
+        return RowVector(self.structure_constant(2, j) for j in range(2, self.n + 1))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VergneAlgebra):
@@ -271,9 +238,7 @@ def m0(n: int) -> VergneAlgebra:
 
 def m2(n: int) -> VergneAlgebra:
     """The model algebra with the extra relations [e_2, e_j] = e_{j+2}."""
-    return from_row(RowVector(
-        tuple(1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1))
-    ))
+    return from_row(RowVector(1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)))
 
 
 def _complete_row(row: RowVector) -> dict[tuple[int, int], int]:
@@ -306,11 +271,6 @@ def from_row(row: RowVector | str) -> VergneAlgebra:
     if isinstance(row, str):
         row = parse_row(row)
     return VergneAlgebra(row.n, _complete_row(row).keys())
-
-
-def row_of(g: VergneAlgebra) -> RowVector:
-    """Inverse of from_row: extract the e_2 row."""
-    return g.row()
 
 
 def differential(g: VergneAlgebra) -> Derivation:

@@ -184,11 +184,7 @@ def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
     for (i, j) in g.c:
         if i + j == n:
             masks.add((1 << (i - 1)) | (1 << (j - 1)))
-    omega = Form(n - 1, masks)
-    rebuilt = central_extension(base, omega)
-    if rebuilt != g:
-        raise AssertionError("reduce/extension round trip failed")
-    return base, omega
+    return base, Form(n - 1, masks)
 
 
 def decompose(g: VergneAlgebra) -> Decomposition:
@@ -200,10 +196,7 @@ def decompose(g: VergneAlgebra) -> Decomposition:
         steps.append(ExtensionStep(base, omega))
         cur = base
     steps.reverse()
-    dec = Decomposition(root=cur, steps=tuple(steps))
-    if dec.replay() != g:
-        raise AssertionError("decomposition replay failed")
-    return dec
+    return Decomposition(root=cur, steps=tuple(steps))
 
 
 def partner(g: VergneAlgebra) -> VergneAlgebra:

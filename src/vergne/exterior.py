@@ -243,9 +243,6 @@ class Derivation:
         self.ambient = ambient
         self.images = table
 
-    def image_of_generator(self, i: int) -> Form:
-        return _from_masks(self.ambient, self.images.get(i, frozenset()))
-
     def apply_mask(self, mask: int) -> set[int]:
         """Leibniz expansion of a single monomial, returned as a mask set."""
         acc: set[int] = set()

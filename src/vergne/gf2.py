@@ -201,24 +201,14 @@ def kernel_basis(m: BitMatrix) -> list[int]:
 
     Deterministic: one vector per free column, free columns ascending.
     """
-    pivots = _rref_pivots(m.data)
-    basis = []
-    for free in range(m.cols):
-        if free in pivots:
-            continue
-        v = 1 << free
-        for pc, pr in pivots.items():
-            if (pr >> free) & 1:
-                v |= 1 << pc
-        basis.append(v)
-    return basis
+    return solve_affine(m, 0)[1]
 
 
 def solve_affine(m: BitMatrix, b: int) -> tuple[int, list[int]] | None:
     """All solutions of M x = b as (particular solution, kernel basis).
 
     ``b`` is a bitmask over row indices.  Returns None when inconsistent.
-    Internal helper for the cocycle solver; not a general-purpose API.
+    Serves the cocycle solver, and with b = 0 it is ``kernel_basis``.
     """
     if b < 0 or b >> m.rows:
         raise ValueError("right-hand side has bits outside the row range")

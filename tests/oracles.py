@@ -1,0 +1,86 @@
+"""Independent oracles for the library's single paths.
+
+``jacobi_failure`` checks a structure-constant table one identity at a
+time (completion identities, then cyclic Jacobi triples), independently of
+the d o d = 0 validation in ``VergneAlgebra``.  ``enumerate_rows`` walks all
+2^(n-4) e_2 rows and keeps those the table check accepts, independently of
+the forward search in ``enumerate_algebras``.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+from typing import Mapping
+
+from vergne.core import JacobiViolation, RowVector, _complete_row, from_row
+
+
+def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
+    if i == j:
+        return 0
+    if i > j:
+        i, j = j, i
+    return c.get((i, j), 0)
+
+
+def jacobi_failure(c: Mapping[tuple[int, int], int], n: int) -> JacobiViolation | None:
+    """First violated constraint among the e_1 identities and cyclic triples."""
+    # e_1 identities: c_{i,j} + c_{i+1,j} + c_{i,j+1} = 0 whenever e_{i+j+1}
+    # exists; with j = i+1 this forces the derived diagonal to vanish.
+    for i in range(2, n):
+        for j in range(i + 1, n - i):
+            if _symmetric_get(c, i, j) ^ _symmetric_get(c, i + 1, j) ^ _symmetric_get(c, i, j + 1):
+                if i + 1 == j:
+                    return JacobiViolation(
+                        f"derived diagonal entry c[{j},{j}] is nonzero", index=j
+                    )
+                return JacobiViolation(
+                    f"completion identity fails at c[{i},{j}]", triple=(1, i, j)
+                )
+    for i in range(2, n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n - i - j + 1):
+                total = (
+                    _symmetric_get(c, j, k) & _symmetric_get(c, i, j + k)
+                    ^ _symmetric_get(c, i, k) & _symmetric_get(c, j, i + k)
+                    ^ _symmetric_get(c, i, j) & _symmetric_get(c, k, i + j)
+                )
+                if total:
+                    return JacobiViolation(
+                        f"Jacobi identity fails on (e{i}, e{j}, e{k})", triple=(i, j, k)
+                    )
+    return None
+
+
+def jacobi_holds(c: Mapping[tuple[int, int], int], n: int) -> bool:
+    """Check a raw structure-constant table: completion identities,
+    vanishing derived diagonal, and all cyclic Jacobi triples."""
+    table = {}
+    for (i, j), v in c.items():
+        if v not in (0, 1):
+            raise ValueError("structure constants must be 0 or 1")
+        if i == j:
+            if v:
+                return False
+            continue
+        if i > j:
+            i, j = j, i
+        if v:
+            if not (2 <= i and i + j <= n):
+                raise ValueError(f"constant c[{i},{j}] out of range for dimension {n}")
+            table[(i, j)] = 1
+    return jacobi_failure(table, n) is None
+
+
+def all_rows(n: int):
+    """Every candidate e_2 row of dimension n, lexicographically ascending."""
+    for free in product((0, 1), repeat=n - 4):
+        yield RowVector((0,) + free + (0, 0))
+
+
+def enumerate_rows(n: int) -> tuple:
+    """Brute force: the algebras of every row whose completed table passes
+    ``jacobi_holds``, rows ascending."""
+    return tuple(
+        from_row(row) for row in all_rows(n) if jacobi_holds(_complete_row(row), n)
+    )

@@ -14,9 +14,11 @@ from vergne.classify import (
     to_dot,
 )
 from vergne.core import JacobiViolation, RowVector, from_row, m0, m2
+from vergne.exterior import MAX_AMBIENT
 from vergne.extensions import admissible_cocycles, central_extension, partner, reduce
 
 from helpers import parse_dot
+from oracles import enumerate_rows
 
 COUNTS = {5: 2, 6: 2, 7: 4, 8: 4, 9: 6, 10: 6, 11: 10, 12: 10}
 
@@ -63,7 +65,7 @@ def test_enumerate_validation():
     with pytest.raises(ValueError):
         enumerate_algebras(4)
     with pytest.raises(ValueError):
-        enumerate_algebras(65)
+        enumerate_algebras(MAX_AMBIENT + 1)
 
 
 def test_listed_rows_all_enumerated():
@@ -83,8 +85,10 @@ def test_labels():
 
 
 def test_forward_search_matches_row_enumeration():
-    for n in range(5, 11):
-        assert enumerate_by_extension(n) == enumerate_algebras(n), n
+    # oracle: the brute-force walk over all 2^(n-4) rows, as ordered tuples
+    for n in range(5, 15):
+        assert enumerate_algebras(n) == enumerate_rows(n), n
+    assert enumerate_by_extension is enumerate_algebras
 
 
 def test_truncations_are_enumerated_and_extensions_close():
@@ -125,6 +129,18 @@ def test_tree_every_nonroot_has_one_parent():
     assert len(children) == len(set(children))
     roots = [i for i in t.labels if i not in children]
     assert sorted(t.labels[i] for i in roots) == ["m0(5)", "m2(5)"]
+
+
+def test_tree_edges_are_truncations():
+    t = extension_tree(12)
+    algebras = {
+        t.nodes[(g.n, g.row().bits)]: g
+        for n in range(5, 13) for g in enumerate_algebras(n)
+    }
+    for child_id, parent_id in t.edges:
+        child, parent = algebras[child_id], algebras[parent_id]
+        assert parent.n == child.n - 1
+        assert parent.c == {(i, j) for (i, j) in child.c if i + j < child.n}
 
 
 def test_tree_counts_through_twelve():

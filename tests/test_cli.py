@@ -1,9 +1,11 @@
 """Command line wiring: verbs, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from vergne import cli
 from vergne.cli import main
 from vergne.cohomology import betti
 from vergne.core import m0
@@ -21,7 +23,7 @@ def test_betti_text(capsys):
     code, out, _ = run(capsys, "betti", "--dim", "7", "--algebra", "m0")
     assert code == 0
     assert "algebra: m0(7)" in out
-    assert f"betti: {betti(m0(7)).b}" in out
+    assert f"betti: {list(betti(m0(7)).b)}" in out
     assert out.splitlines()[3].startswith("betti: [1, 2, 4,")
 
 
@@ -33,7 +35,7 @@ def test_betti_json_and_csv(capsys):
     payload = json.loads(out)
     assert set(payload) == {"n", "betti", "graded", "cocycle_dims"}
     assert payload["n"] == 6
-    assert payload["betti"] == betti(m0(6)).b
+    assert payload["betti"] == list(betti(m0(6)).b)
 
     code, out, _ = run(capsys, "betti", "--dim", "6", "--algebra", "m2", "--format", "csv")
     assert code == 0
@@ -158,6 +160,34 @@ def test_verify_all(capsys):
     assert code == 0
     assert "thm1 n=6 ok" in out
     assert "consistency n=6 ok" in out
+
+
+def test_verify_all_transcript_is_byte_identical(capsys):
+    # the committed transcript of `verify --suite all --max-dim 12`
+    ref = Path(__file__).parents[1] / "perfbench" / "refs" / "verify_all_12.txt"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
+    assert code == 0
+    assert out == ref.read_text()
+
+
+def test_verify_rejects_max_dim_below_minimum(capsys):
+    for suite in ("thm1", "all"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-dim", "3")
+        assert code == 2
+        assert out == ""
+        assert "--max-dim must be at least 5" in err
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(max_dim, lines, failures):
+        raise AssertionError("broken invariant")
+
+    monkeypatch.setattr(cli, "_verify_thm1", broken)
+    code, out, err = run(capsys, "verify", "--suite", "thm1", "--max-dim", "5")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert code != cli.EXIT_VERIFY_FAILED
+    assert out == ""
+    assert err.startswith("internal error: AssertionError: broken invariant")
 
 
 def test_unknown_verb_exits_2(capsys):

@@ -50,8 +50,8 @@ def test_betti_m0_5_against_full_complex_oracle():
     z = naive_cocycle_dims(m0(5))
     b = [1] + [z[k] + z[k - 1] - comb(5, k - 1) for k in range(1, 6)]
     assert b == [1, 2, 3, 3, 2, 1]
-    assert betti(m0(5)).b == b
-    assert betti(m0(5)).z == z
+    assert list(betti(m0(5)).b) == b
+    assert list(betti(m0(5)).z) == z
 
 
 def test_betti_first_numbers():
@@ -186,3 +186,20 @@ def test_json_and_csv_output():
     assert lines[0] == "k,betti,cocycle_dim,graded"
     assert len(lines) == 7
     assert lines[1] == "0,1,1,0=1"
+
+
+def test_cached_betti_table_is_read_only():
+    # betti(g) hands out the per-algebra cached table; no caller may change it
+    g = from_row("[0, 0, 0, 1, 0, 0, 0]")
+    table = betti(g)
+    before = (table.b, dict(table.graded), table.z)
+    with pytest.raises(TypeError):
+        table.b[1] = 99
+    with pytest.raises(TypeError):
+        table.z[0] = 99
+    with pytest.raises(TypeError):
+        table.graded[(0, 0)] = 99
+    with pytest.raises(AttributeError):
+        table.b = [0] * 9
+    assert betti(g) is table
+    assert (betti(g).b, dict(betti(g).graded), betti(g).z) == before

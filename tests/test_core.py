@@ -14,17 +14,16 @@ from vergne.core import (
     differential,
     from_row,
     involution,
-    jacobi_holds,
     lowering_operator,
     m0,
     m2,
     parse_row,
-    row_of,
     tail_operator,
 )
-from vergne.exterior import Form, Monomial, basis, parse_form, wedge
+from vergne.exterior import MAX_AMBIENT, Form, Monomial, basis, parse_form, wedge
 
 from helpers import random_form, random_homogeneous_form
+from oracles import all_rows, jacobi_failure, jacobi_holds
 
 
 def F(text, n):
@@ -36,7 +35,7 @@ def F(text, n):
 
 def test_m0_rows():
     assert str(m0(5).row()) == "[0, 0, 0, 0]"
-    assert str(row_of(m0(9))) == "[0, 0, 0, 0, 0, 0, 0, 0]"
+    assert str(m0(9).row()) == "[0, 0, 0, 0, 0, 0, 0, 0]"
 
 
 def test_m2_rows():
@@ -50,6 +49,12 @@ def test_minimum_dimension():
         m0(4)
     with pytest.raises(ValueError):
         VergneAlgebra(3, ())
+
+
+def test_dimension_cap():
+    assert m0(MAX_AMBIENT).n == MAX_AMBIENT
+    with pytest.raises(ValueError, match="dimension must be in"):
+        VergneAlgebra(MAX_AMBIENT + 1, ())
 
 
 def test_pair_range_validation():
@@ -113,11 +118,11 @@ def test_from_row_dimension_five():
 
 def test_row_of_round_trips():
     row = parse_row("[0, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0]")
-    assert row_of(from_row(row)) == row
-    assert str(row_of(m2(6))) == "[0, 1, 1, 0, 0]"
+    assert from_row(row).row() == row
+    assert str(m2(6).row()) == "[0, 1, 1, 0, 0]"
     for n in range(5, 10):
         for g in (m0(n), m2(n)):
-            assert from_row(row_of(g)) == g
+            assert from_row(g.row()) == g
 
 
 # ---------------------------------------------------------------- differential
@@ -287,6 +292,57 @@ def test_jacobi_holds_matches_differential_square():
                 not d.apply_masks(d.apply_mask(1 << (k - 1))) for k in range(3, n + 1)
             )
             assert jacobi_holds(table, n) == d_squares, row
+
+
+def _kind(exc):
+    if exc.index is not None:
+        return "index"
+    return "completion" if exc.triple[0] == 1 else "triple"
+
+
+def _same_violation(got, want):
+    """Both None, or the same kind, diagnostic and message."""
+    if got is None or want is None:
+        return got is want
+    return (type(got), got.index, got.triple, str(got)) == (
+        type(want), want.index, want.triple, str(want))
+
+
+def test_validation_matches_oracle_on_every_row():
+    # the single d o d = 0 check accepts exactly the rows the one-identity-at-
+    # a-time oracle accepts, and reports the oracle's first failure
+    kinds = set()
+    for n in range(5, 15):
+        for row in all_rows(n):
+            try:
+                from_row(row)
+                got = None
+            except JacobiViolation as exc:
+                got = exc
+                kinds.add(_kind(exc))
+            want = jacobi_failure(_complete_row(row), n)
+            assert _same_violation(got, want), (row, got, want)
+    assert kinds == {"index", "triple"}
+
+
+def test_validation_matches_oracle_on_random_tables():
+    # arbitrary tables also break the completion identities, which completed
+    # rows satisfy by construction
+    rng = random.Random(77)
+    kinds = set()
+    for _ in range(3000):
+        n = rng.randrange(5, 12)
+        pool = [(i, j) for i in range(2, n) for j in range(i + 1, n - i + 1)]
+        pairs = [p for p in pool if rng.random() < 0.3]
+        try:
+            VergneAlgebra(n, pairs)
+            got = None
+        except JacobiViolation as exc:
+            got = exc
+            kinds.add(_kind(exc))
+        want = jacobi_failure({p: 1 for p in pairs}, n)
+        assert _same_violation(got, want), (n, sorted(pairs), got, want)
+    assert "completion" in kinds
 
 
 # ---------------------------------------------------------------- value semantics

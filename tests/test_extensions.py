@@ -146,6 +146,13 @@ def test_reduce_round_trips():
 # ---------------------------------------------------------------- decompose
 
 
+def test_reduce_and_decompose_rebuild_every_algebra():
+    for n in range(6, 13):
+        for g in enumerate_algebras(n):
+            assert central_extension(*reduce(g)) == g
+            assert decompose(g).replay() == g
+
+
 def test_decompose_model():
     dec = decompose(m0(9))
     assert dec.root == m0(5)
