@@ -18,7 +18,6 @@ from .cohomology import (
     BettiTable,
     betti,
     cocycle_dim,
-    cocycle_dim_full,
     graded_betti,
     verify_commuting_square,
 )
@@ -63,7 +62,7 @@ from .extensions import (
     partner,
     reduce,
 )
-from .gf2 import BitMatrix, kernel_basis, nullity, rank, rank_naive
+from .gf2 import BitMatrix, kernel_basis, rank
 
 __version__ = "0.1.0"
 
@@ -92,7 +91,6 @@ __all__ = [
     "betti",
     "central_extension",
     "cocycle_dim",
-    "cocycle_dim_full",
     "decompose",
     "derivation",
     "differential",
@@ -109,12 +107,10 @@ __all__ = [
     "m0",
     "m2",
     "matrix_of",
-    "nullity",
     "parse_form",
     "parse_row",
     "partner",
     "rank",
-    "rank_naive",
     "reduce",
     "tail_operator",
     "to_dot",

@@ -2,8 +2,7 @@
 
 The differential preserves the degree grading, so the cochain complex
 splits into small blocks indexed by (topological degree k, degree m) and
-every rank is computed per block.  An unsliced full-matrix path is kept
-as an oracle for the block computation.
+every rank is computed per block, straight from the monomial masks.
 """
 
 from __future__ import annotations
@@ -14,14 +13,12 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
-from .core import VergneAlgebra, differential, involution
-from .exterior import Form, basis, graded_masks, matrix_of
-from .gf2 import nullity, rank
+from .core import VergneAlgebra, _involution_masks, differential
+from .exterior import block_rank, graded_masks
 
 __all__ = [
     "BettiTable",
     "cocycle_dim",
-    "cocycle_dim_full",
     "betti",
     "graded_betti",
     "verify_commuting_square",
@@ -103,9 +100,10 @@ def _slice_ranks(g: VergneAlgebra, k: int) -> dict[int, int]:
         return got
     d = differential(g)
     target = graded_masks(g.n, k + 1) if k + 1 <= g.n else {}
-    ranks = {}
-    for m, monos in graded_masks(g.n, k).items():
-        ranks[m] = rank(matrix_of(d, monos, target.get(m, ())))
+    ranks = {
+        m: block_rank(d, masks, target.get(m, ()))
+        for m, masks in graded_masks(g.n, k).items()
+    }
     cache[k] = ranks
     return ranks
 
@@ -118,23 +116,14 @@ def cocycle_dim(g: VergneAlgebra, k: int) -> int:
     return comb(g.n, k) - sum(ranks.values())
 
 
-def cocycle_dim_full(g: VergneAlgebra, k: int) -> int:
-    """Same as cocycle_dim but on the single unsliced matrix (oracle path)."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    d = differential(g)
-    codomain = basis(g.n, k + 1) if k + 1 <= g.n else ()
-    return nullity(matrix_of(d, basis(g.n, k), codomain))
-
-
 def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
     """dim H^k_m: closed k-forms of degree m modulo exact ones."""
     if not 0 <= k <= g.n:
         raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    monos = graded_masks(g.n, k).get(m)
-    if not monos:
+    masks = graded_masks(g.n, k).get(m)
+    if not masks:
         return 0
-    kernel = len(monos) - _slice_ranks(g, k)[m]
+    kernel = len(masks) - _slice_ranks(g, k)[m]
     image = _slice_ranks(g, k - 1).get(m, 0) if k >= 1 else 0
     return kernel - image
 
@@ -170,8 +159,8 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
         raise ValueError("the involution needs topological degree at least 2")
     n = g1.n
     d1, d2 = differential(g1), differential(g2)
-    for mono in basis(n, k):
-        h = Form.single(mono)
-        if d2(involution(h)) != involution(d1(h)):
-            return False
+    for masks in graded_masks(n, k).values():
+        for h in masks:
+            if d2.apply_masks(_involution_masks(n, (h,))) != _involution_masks(n, d1.apply_mask(h)):
+                return False
     return True

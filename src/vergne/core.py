@@ -321,7 +321,7 @@ def tail_operator(g: VergneAlgebra) -> Derivation:
     return Derivation(n, images)
 
 
-def _involution_masks(n: int, masks: frozenset[int] | set[int]) -> set[int]:
+def _involution_masks(n: int, masks: Iterable[int]) -> set[int]:
     # f(h) = h + e^2 ^ D(x) where h = e^1^x + e^2^y + z and D lowers
     # indices by one.  x is the e^1-stripped part of the e^1-terms.
     lower = lowering_operator(n, 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .gf2 import BitMatrix
@@ -33,6 +34,7 @@ __all__ = [
     "basis_graded",
     "graded_masks",
     "matrix_of",
+    "block_rank",
     "parse_form",
 ]
 
@@ -69,15 +71,6 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _mask_degree(mask: int) -> int:
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += low.bit_length()
-        mask ^= low
-    return total
-
-
 class Monomial(NamedTuple):
     """A basis monomial, encoded as an index bitmask plus its ambient n."""
 
@@ -96,7 +89,12 @@ class Monomial(NamedTuple):
     @property
     def degree(self) -> int:
         """Sum of the generator indices."""
-        return _mask_degree(self.mask)
+        total, mask = 0, self.mask
+        while mask:
+            low = mask & -mask
+            total += low.bit_length()
+            mask ^= low
+        return total
 
     @property
     def top_degree(self) -> int:
@@ -148,10 +146,6 @@ class Form:
     @classmethod
     def one(cls, ambient: int) -> "Form":
         return cls(ambient, (0,))
-
-    @classmethod
-    def single(cls, mono: Monomial) -> "Form":
-        return cls(mono.ambient, (mono.mask,))
 
     def monomials(self) -> tuple[Monomial, ...]:
         """Terms in canonical order (lexicographic on sorted index tuples)."""
@@ -306,24 +300,31 @@ def basis(n: int, k: int) -> tuple[Monomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _graded_buckets(n: int, k: int) -> dict[int, tuple[Monomial, ...]]:
-    buckets: dict[int, list[Monomial]] = {}
-    for mono in basis(n, k):
-        buckets.setdefault(mono.degree, []).append(mono)
-    return {m: tuple(v) for m, v in sorted(buckets.items())}
+def graded_masks(n: int, k: int) -> Mapping[int, tuple[int, ...]]:
+    """Degree -> masks of the k-monomials of that degree (index sum).
+
+    Keys ascend and each bucket is in lexicographic order, as in
+    basis(n, k).  This read-only mapping is the one graded-basis cache.
+    """
+    _check_ambient(n)
+    if not 0 <= k <= n:
+        raise ValueError(f"topological degree {k} outside 0..{n}")
+    buckets: dict[int, list[int]] = {}
+    for c in combinations(range(n), k):
+        mask = 0
+        for i in c:
+            mask |= 1 << i
+        buckets.setdefault(sum(c) + k, []).append(mask)
+    return MappingProxyType({m: tuple(v) for m, v in sorted(buckets.items())})
 
 
+@lru_cache(maxsize=None)
 def basis_graded(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     """The k-monomials of degree m (index sum), lexicographically ordered.
 
     Empty whenever m is outside [k(k+1)/2, kn - k(k-1)/2].
     """
-    return _graded_buckets(n, k).get(m, ())
-
-
-def graded_masks(n: int, k: int) -> dict[int, tuple[Monomial, ...]]:
-    """Degree -> monomials bucketing of basis(n, k); keys ascending."""
-    return _graded_buckets(n, k)
+    return tuple(Monomial(mask, n) for mask in graded_masks(n, k).get(m, ()))
 
 
 def matrix_of(
@@ -350,6 +351,42 @@ def matrix_of(
             bits |= 1 << r
         columns.append(bits)
     return BitMatrix.from_columns(len(codomain), columns)
+
+
+def block_rank(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
+    """GF(2) rank of ``op`` from the span of the ``domain`` masks to the span
+    of the ``codomain`` masks, without building its matrix.
+
+    Each image column is assembled as a bitmask over codomain positions and
+    eliminated into the pivots at once (column rank equals row rank).
+    Raises ImageOutsideCodomain when a Leibniz term of an image is not a
+    codomain element, which always indicates a grading bookkeeping bug.
+    """
+    row = {mask: 1 << r for r, mask in enumerate(codomain)}
+    gens = [(1 << (i - 1), imgs) for i, imgs in op.images.items()]
+    pivots: dict[int, int] = {}
+    try:
+        for mask in domain:
+            col = 0
+            for low, imgs in gens:
+                if mask & low:
+                    rest = mask ^ low
+                    for img in imgs:
+                        if not img & rest:
+                            col ^= row[img | rest]
+            while col:
+                top = col.bit_length()
+                p = pivots.get(top)
+                if p is None:
+                    pivots[top] = col
+                    break
+                col ^= p
+    except KeyError:
+        n = op.ambient
+        raise ImageOutsideCodomain(
+            f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
+        ) from None
+    return len(pivots)
 
 
 _TERM_SPLIT = "+"

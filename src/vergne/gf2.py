@@ -1,9 +1,7 @@
 """Dense exact linear algebra over the two-element field.
 
 Rows are bit-packed into Python integers (bit ``c`` of a row is the entry
-in column ``c``), so a row operation is a single XOR.  ``rank_naive`` keeps
-a deliberately plain implementation on unpacked 0/1 lists as a
-cross-validation oracle for the packed path.
+in column ``c``), so a row operation is a single XOR.
 
 Everything here is pure and operates on immutable snapshots of the input,
 so concurrent use is safe.
@@ -16,8 +14,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "BitMatrix",
     "rank",
-    "rank_naive",
-    "nullity",
     "kernel_basis",
     "solve_affine",
 ]
@@ -93,9 +89,6 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         return _transpose(self)
 
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, list(self.data))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
@@ -134,39 +127,6 @@ def rank(m: BitMatrix) -> int:
                 break
             r ^= p
     return len(pivots)
-
-
-def nullity(m: BitMatrix) -> int:
-    """Dimension of the right kernel: cols - rank."""
-    return m.cols - rank(m)
-
-
-def rank_naive(m: BitMatrix) -> int:
-    """Gaussian elimination on an unpacked 0/1 array, no bit tricks.
-
-    Same contract as :func:`rank`; kept independent on purpose so the two
-    paths can be checked against each other.
-    """
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if a[i][col] == 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        prow = a[r]
-        for i in range(r + 1, nrows):
-            if a[i][col] == 1:
-                a[i] = [x ^ y for x, y in zip(a[i], prow)]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def _rref_pivots(data: Iterable[int]) -> dict[int, int]:

@@ -4,7 +4,11 @@
 time (completion identities, then cyclic Jacobi triples), independently of
 the d o d = 0 validation in ``VergneAlgebra``.  ``enumerate_rows`` walks all
 2^(n-4) e_2 rows and keeps those the table check accepts, independently of
-the forward search in ``enumerate_algebras``.
+the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
+unpacked 0/1 lists, independently of the packed ``gf2.rank`` and of the
+fused block kernel ``exterior.block_rank``; ``cocycle_dim_full`` ranks the
+single unsliced matrix with it.  ``commuting_square_holds`` is the
+Form-level definition of ``verify_commuting_square``.
 """
 
 from __future__ import annotations
@@ -12,7 +16,17 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping
 
-from vergne.core import JacobiViolation, RowVector, _complete_row, from_row
+from vergne.core import (
+    JacobiViolation,
+    RowVector,
+    VergneAlgebra,
+    _complete_row,
+    differential,
+    from_row,
+    involution,
+)
+from vergne.exterior import Form, basis, matrix_of
+from vergne.gf2 import BitMatrix
 
 
 def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
@@ -84,3 +98,46 @@ def enumerate_rows(n: int) -> tuple:
     return tuple(
         from_row(row) for row in all_rows(n) if jacobi_holds(_complete_row(row), n)
     )
+
+
+def rank_naive(m: BitMatrix) -> int:
+    """Gaussian elimination on an unpacked 0/1 array, no bit tricks."""
+    a = m.to_rows()
+    nrows, ncols = m.rows, m.cols
+    r = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if a[i][col] == 1:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        prow = a[r]
+        for i in range(r + 1, nrows):
+            if a[i][col] == 1:
+                a[i] = [x ^ y for x, y in zip(a[i], prow)]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def cocycle_dim_full(g: VergneAlgebra, k: int) -> int:
+    """dim ker(d) on k-forms from the single unsliced matrix."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"topological degree {k} outside 0..{g.n}")
+    codomain = basis(g.n, k + 1) if k + 1 <= g.n else ()
+    m = matrix_of(differential(g), basis(g.n, k), codomain)
+    return m.cols - rank_naive(m)
+
+
+def commuting_square_holds(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
+    """d2(f(h)) = f(d1(h)) on every basis k-monomial h, computed on Forms."""
+    d1, d2 = differential(g1), differential(g2)
+    for mono in basis(g1.n, k):
+        h = Form(g1.n, [mono])
+        if d2(involution(h)) != involution(d1(h)):
+            return False
+    return True

@@ -190,6 +190,31 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: AssertionError: broken invariant")
 
 
+def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("work started")
+
+    for target, name in ((cli, "betti"), (cli, "partner"), (cli, "verify_commuting_square"),
+                         (cli.classify, "enumerate_algebras")):
+        monkeypatch.setattr(target, name, work)
+    zeros = "[" + ", ".join(["0"] * 29) + "]"
+    for argv in (
+        ["betti", "--dim", "30", "--algebra", "m0"],
+        ["betti", "--dim", str(cli.MAX_BETTI_DIM + 1), "--algebra", "m2"],
+        ["enumerate", "--dim", "30"],
+        ["enumerate", "--dim", "30", "--format", "json"],
+        ["pair", "--dim", "30", "--row", zeros],
+        ["verify", "--suite", "diagrams", "--max-dim", "30"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_BAD_INPUT == 2, argv
+        assert out == ""
+        assert "past the feasibility bound" in err and str(cli.MAX_BETTI_DIM) in err
+    # the bound itself is accepted: the work starts (and here fails)
+    code, _, err = run(capsys, "betti", "--dim", str(cli.MAX_BETTI_DIM), "--algebra", "m0")
+    assert code == cli.EXIT_INTERNAL and "work started" in err
+
+
 def test_unknown_verb_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,6 +1,7 @@
 """Betti numbers: block path vs full-matrix oracle, gradings, squares."""
 
 import json
+import random
 from math import comb
 
 import pytest
@@ -9,13 +10,14 @@ from vergne.classify import enumerate_algebras
 from vergne.cohomology import (
     betti,
     cocycle_dim,
-    cocycle_dim_full,
     graded_betti,
     verify_commuting_square,
 )
 from vergne.core import differential, from_row, involution, m0, m2
-from vergne.exterior import basis, matrix_of, parse_form
-from vergne.gf2 import rank_naive
+from vergne.exterior import basis, basis_graded, block_rank, graded_masks, matrix_of, parse_form
+from vergne.extensions import partner
+
+from oracles import cocycle_dim_full, commuting_square_holds, rank_naive
 
 
 def naive_cocycle_dims(g):
@@ -73,6 +75,22 @@ def test_block_equals_full_matrix():
     for g in algebras:
         for k in range(g.n + 1):
             assert cocycle_dim(g, k) == cocycle_dim_full(g, k), (g, k)
+
+
+def test_block_kernel_matches_naive_rank_on_every_block():
+    # the fused kernel against the naive rank of the matrix built by matrix_of
+    blocks = 0
+    for n in range(5, 12):
+        for g in enumerate_algebras(n):
+            d = differential(g)
+            for k in range(n + 1):
+                target = graded_masks(n, k + 1) if k < n else {}
+                for m, masks in graded_masks(n, k).items():
+                    codomain = basis_graded(n, k + 1, m) if k < n else ()
+                    want = rank_naive(matrix_of(d, basis_graded(n, k, m), codomain))
+                    assert block_rank(d, masks, target.get(m, ())) == want, (g, k, m)
+                    blocks += 1
+    assert blocks > 4000
 
 
 def test_graded_betti_examples():
@@ -146,6 +164,22 @@ def test_commuting_square_validation():
         verify_commuting_square(m0(5), m0(6), 2)
     with pytest.raises(ValueError):
         verify_commuting_square(m0(5), m2(5), 1)
+
+
+def test_commuting_square_matches_form_level_definition():
+    # random pairs that are not partners, so the square often fails
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randrange(6, 11)
+        g1, g2 = rng.choice(enumerate_algebras(n)), rng.choice(enumerate_algebras(n))
+        if g2 == partner(g1):
+            continue
+        k = rng.randrange(2, n + 1)
+        got = verify_commuting_square(g1, g2, k)
+        assert got == commuting_square_holds(g1, g2, k), (g1, g2, k)
+        verdicts.append(got)
+    assert verdicts.count(False) >= 100 and verdicts.count(True) >= 20
 
 
 def test_proof_orientation_of_the_square():

@@ -178,7 +178,7 @@ def test_model_differentials_factor_through_lowerings():
         e1, e2 = F("e1", n), F("e2", n)
         for k in range(n + 1):
             for mono in basis(n, k):
-                h = Form.single(mono)
+                h = Form(n, [mono])
                 assert d0(h) == wedge(e1, d1(h))
                 assert dm2(h) == wedge(e1, d1(h)) + wedge(e2, d2(h))
 
@@ -215,7 +215,7 @@ def test_tail_operator_is_differential_plus_leading_part():
         e1 = F("e1", n)
         for k in range(n + 1):
             for mono in basis(n, k):
-                h = Form.single(mono)
+                h = Form(n, [mono])
                 assert r(h) == d(h) + wedge(e1, d1(h))
                 if not (mono.mask & 1):
                     # on arguments free of e^1 the image stays free of e^1

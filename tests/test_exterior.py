@@ -13,7 +13,9 @@ from vergne.exterior import (
     Monomial,
     basis,
     basis_graded,
+    block_rank,
     derivation,
+    graded_masks,
     matrix_of,
     parse_form,
     wedge,
@@ -104,6 +106,20 @@ def test_basis_graded_partition_and_range():
                 assert (size > 0) == (lo <= m <= hi)
 
 
+def test_graded_masks_are_plain_ints_bucketing_basis():
+    for n in range(0, 11):
+        for k in range(n + 1):
+            want = {}
+            for mono in basis(n, k):
+                want.setdefault(mono.degree, []).append(mono.mask)
+            got = graded_masks(n, k)
+            assert list(got) == sorted(want)
+            assert {m: list(v) for m, v in got.items()} == want
+            assert all(type(mask) is int for v in got.values() for mask in v)
+    with pytest.raises(TypeError):
+        graded_masks(5, 2)[7] = ()
+
+
 def test_basis_validation():
     with pytest.raises(ValueError):
         basis(5, 6)
@@ -170,6 +186,17 @@ def test_matrix_of_image_outside_codomain():
     d = differential(m0(5))
     with pytest.raises(ImageOutsideCodomain):
         matrix_of(d, basis_graded(5, 1, 4), basis_graded(5, 2, 5))
+
+
+def test_block_rank_image_outside_codomain():
+    # e^4 -> e^1^e^2 lowers the degree, so the image of e^4 (degree 4) is
+    # not in the degree-4 slice of 2-forms
+    op = derivation(5, {4: F("e1^e2", 5)})
+    domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
+    with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e4"):
+        block_rank(op, domain, codomain)
+    d = differential(m0(5))
+    assert block_rank(d, domain, codomain) == 1
 
 
 def test_form_addition_is_gf2():
