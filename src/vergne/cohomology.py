@@ -2,7 +2,9 @@
 
 The differential preserves the degree grading, so the cochain complex
 splits into small blocks indexed by (topological degree k, degree m) and
-every rank is computed per block, straight from the monomial masks.
+every rank is computed per block, straight from the monomial masks.  The
+blocks are ranked in one pass with k ascending, and each block skips the
+columns that the previous block's pivots clear (see ``_block_ranks``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .core import VergneAlgebra, _involution_masks, differential
-from .exterior import block_rank, graded_masks
+from .exterior import block_pivots, graded_masks
 
 __all__ = [
     "BettiTable",
@@ -92,19 +94,42 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def _slice_ranks(g: VergneAlgebra, k: int) -> dict[int, int]:
-    """Rank of the differential on each degree slice of the k-forms."""
-    cache = g._slice_ranks
-    got = cache.get(k)
-    if got is not None:
-        return got
+def _block_ranks(g: VergneAlgebra) -> tuple[dict[int, int], ...]:
+    """Rank of d on every graded block (k, m), as ``ranks[k][m]``; cached.
+
+    Clearing: the pivots of block (k-1, m) are an echelon basis of the
+    exact forms B^k_m with distinct leading positions P, so
+    C^k_m = B^k_m + span{e_p : p not in P}.  Since d(B^k_m) = 0, the rank
+    of block (k, m) is the rank of its columns outside P, and the columns
+    at P are never built.  Nothing is cleared at k = 1 (d vanishes on the
+    scalars), so the k = 1 blocks build the column of every generator e^i
+    and their codomain lookups raise ImageOutsideCodomain unless every term
+    of d(e^i) is a 2-factor monomial of degree i.  That check covers every
+    column of the complex, built or cleared: a Leibniz term of such images
+    always lies in the codomain slice.
+    """
+    ranks = g._ranks
+    if ranks is not None:
+        return ranks
+    n = g.n
     d = differential(g)
-    target = graded_masks(g.n, k + 1) if k + 1 <= g.n else {}
-    ranks = {
-        m: block_rank(d, masks, target.get(m, ()))
-        for m, masks in graded_masks(g.n, k).items()
-    }
-    cache[k] = ranks
+    levels = []
+    cleared: dict[int, int] = {}
+    for k in range(n + 1):
+        target = graded_masks(n, k + 1) if k < n else {}
+        level, pivots = {}, {}
+        for m, masks in graded_masks(n, k).items():
+            skip = cleared.get(m, 0)
+            if skip:
+                masks = [mask for r, mask in enumerate(masks) if not skip >> r & 1]
+            p = block_pivots(d, masks, target.get(m, ()))
+            pivots[m] = p
+            level[m] = p.bit_count()
+        levels.append(level)
+        cleared = pivots
+    ranks = tuple(levels)
+    # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
+    object.__setattr__(g, "_ranks", ranks)
     return ranks
 
 
@@ -112,8 +137,7 @@ def cocycle_dim(g: VergneAlgebra, k: int) -> int:
     """dim ker(d) on k-forms, accumulated over the graded blocks."""
     if not 0 <= k <= g.n:
         raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    ranks = _slice_ranks(g, k)
-    return comb(g.n, k) - sum(ranks.values())
+    return comb(g.n, k) - sum(_block_ranks(g)[k].values())
 
 
 def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
@@ -123,9 +147,9 @@ def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
     masks = graded_masks(g.n, k).get(m)
     if not masks:
         return 0
-    kernel = len(masks) - _slice_ranks(g, k)[m]
-    image = _slice_ranks(g, k - 1).get(m, 0) if k >= 1 else 0
-    return kernel - image
+    ranks = _block_ranks(g)
+    image = ranks[k - 1].get(m, 0) if k >= 1 else 0
+    return len(masks) - ranks[k][m] - image
 
 
 def betti(g: VergneAlgebra) -> BettiTable:
@@ -133,16 +157,18 @@ def betti(g: VergneAlgebra) -> BettiTable:
     if g._betti is not None:
         return g._betti
     n = g.n
-    z = [cocycle_dim(g, k) for k in range(n + 1)]
+    ranks = _block_ranks(g)
+    z = [comb(n, k) - sum(ranks[k].values()) for k in range(n + 1)]
     b = [1] + [z[k] + z[k - 1] - comb(n, k - 1) for k in range(1, n + 1)]
     graded: dict[tuple[int, int], int] = {}
+    below: dict[int, int] = {}
     for k in range(n + 1):
-        for m in graded_masks(n, k):
-            v = graded_betti(g, k, m)
+        for m, masks in graded_masks(n, k).items():
+            v = len(masks) - ranks[k][m] - below.get(m, 0)
             if v:
                 graded[(k, m)] = v
+        below = ranks[k]
     table = BettiTable(n=n, b=b, graded=graded, z=z)
-    # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
     object.__setattr__(g, "_betti", table)
     return table
 

@@ -169,7 +169,7 @@ class VergneAlgebra:
     then cyclic triples.
     """
 
-    __slots__ = ("n", "c", "_diff", "_slice_ranks", "_betti")
+    __slots__ = ("n", "c", "_diff", "_ranks", "_betti")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if not MIN_DIMENSION <= n <= MAX_AMBIENT:
@@ -190,7 +190,7 @@ class VergneAlgebra:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", frozenset(table))
         object.__setattr__(self, "_diff", d)
-        object.__setattr__(self, "_slice_ranks", {})
+        object.__setattr__(self, "_ranks", None)
         object.__setattr__(self, "_betti", None)
 
     def __setattr__(self, name, value):

@@ -14,6 +14,7 @@ block-diagonal cohomology computation possible.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
@@ -34,7 +35,7 @@ __all__ = [
     "basis_graded",
     "graded_masks",
     "matrix_of",
-    "block_rank",
+    "block_pivots",
     "parse_form",
 ]
 
@@ -300,11 +301,14 @@ def basis(n: int, k: int) -> tuple[Monomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def graded_masks(n: int, k: int) -> Mapping[int, tuple[int, ...]]:
+def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     """Degree -> masks of the k-monomials of that degree (index sum).
 
     Keys ascend and each bucket is in lexicographic order, as in
     basis(n, k).  This read-only mapping is the one graded-basis cache.
+    Each bucket is a read-only memoryview of packed 64-bit masks over
+    immutable bytes: about a third of the memory of a tuple of ints, and
+    no caller can change a cached bucket.
     """
     _check_ambient(n)
     if not 0 <= k <= n:
@@ -315,7 +319,10 @@ def graded_masks(n: int, k: int) -> Mapping[int, tuple[int, ...]]:
         for i in c:
             mask |= 1 << i
         buckets.setdefault(sum(c) + k, []).append(mask)
-    return MappingProxyType({m: tuple(v) for m, v in sorted(buckets.items())})
+    return MappingProxyType({
+        m: memoryview(array("Q", v).tobytes()).cast("Q")
+        for m, v in sorted(buckets.items())
+    })
 
 
 @lru_cache(maxsize=None)
@@ -353,14 +360,16 @@ def matrix_of(
     return BitMatrix.from_columns(len(codomain), columns)
 
 
-def block_rank(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
-    """GF(2) rank of ``op`` from the span of the ``domain`` masks to the span
-    of the ``codomain`` masks, without building its matrix.
+def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
+    """Pivot positions of ``op`` from the span of the ``domain`` masks to the
+    span of the ``codomain`` masks, as a bitmask over codomain positions;
+    its bit count is the GF(2) rank.  No matrix is built.
 
     Each image column is assembled as a bitmask over codomain positions and
-    eliminated into the pivots at once (column rank equals row rank).
-    Raises ImageOutsideCodomain when a Leibniz term of an image is not a
-    codomain element, which always indicates a grading bookkeeping bug.
+    eliminated into the pivots at once, so the pivots are an echelon basis
+    of the image with distinct leading (highest) positions.  Raises
+    ImageOutsideCodomain when a Leibniz term of an image is not a codomain
+    element, which always indicates a grading bookkeeping bug.
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     gens = [(1 << (i - 1), imgs) for i, imgs in op.images.items()]
@@ -386,7 +395,10 @@ def block_rank(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -
         raise ImageOutsideCodomain(
             f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
         ) from None
-    return len(pivots)
+    positions = 0
+    for top in pivots:
+        positions |= 1 << (top - 1)
+    return positions
 
 
 _TERM_SPLIT = "+"

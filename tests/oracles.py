@@ -6,7 +6,7 @@ the d o d = 0 validation in ``VergneAlgebra``.  ``enumerate_rows`` walks all
 2^(n-4) e_2 rows and keeps those the table check accepts, independently of
 the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
 unpacked 0/1 lists, independently of the packed ``gf2.rank`` and of the
-fused block kernel ``exterior.block_rank``; ``cocycle_dim_full`` ranks the
+fused block kernel ``exterior.block_pivots``; ``cocycle_dim_full`` ranks the
 single unsliced matrix with it.  ``commuting_square_holds`` is the
 Form-level definition of ``verify_commuting_square``.
 """

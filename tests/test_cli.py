@@ -9,6 +9,7 @@ from vergne import cli
 from vergne.cli import main
 from vergne.cohomology import betti
 from vergne.core import m0
+from vergne.exterior import AmbientMismatch, ImageOutsideCodomain
 
 from helpers import parse_dot
 
@@ -188,6 +189,20 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert code != cli.EXIT_VERIFY_FAILED
     assert out == ""
     assert err.startswith("internal error: AssertionError: broken invariant")
+
+
+def test_grading_errors_are_internal_errors(capsys, monkeypatch):
+    # both subclass ValueError, which otherwise means invalid input (exit 2)
+    for exc in (ImageOutsideCodomain("image term e1^e2 of e4 not in codomain"),
+                AmbientMismatch("5 != 6")):
+        def broken(g, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "betti", broken)
+        code, out, err = run(capsys, "betti", "--dim", "5", "--algebra", "m0")
+        assert code == cli.EXIT_INTERNAL == 4, exc
+        assert out == ""
+        assert err == f"internal error: {type(exc).__name__}: {exc}\n"
 
 
 def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):

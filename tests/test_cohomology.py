@@ -6,15 +6,26 @@ from math import comb
 
 import pytest
 
+from vergne import cohomology
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import (
+    _block_ranks,
     betti,
     cocycle_dim,
     graded_betti,
     verify_commuting_square,
 )
 from vergne.core import differential, from_row, involution, m0, m2
-from vergne.exterior import basis, basis_graded, block_rank, graded_masks, matrix_of, parse_form
+from vergne.exterior import (
+    Derivation,
+    ImageOutsideCodomain,
+    basis,
+    basis_graded,
+    block_pivots,
+    graded_masks,
+    matrix_of,
+    parse_form,
+)
 from vergne.extensions import partner
 
 from oracles import cocycle_dim_full, commuting_square_holds, rank_naive
@@ -78,19 +89,58 @@ def test_block_equals_full_matrix():
 
 
 def test_block_kernel_matches_naive_rank_on_every_block():
-    # the fused kernel against the naive rank of the matrix built by matrix_of
+    # the fused kernel on the full block, and the rank the cleared pass
+    # caches, against the naive rank of the matrix built by matrix_of
     blocks = 0
     for n in range(5, 12):
         for g in enumerate_algebras(n):
             d = differential(g)
+            cached = _block_ranks(g)
             for k in range(n + 1):
                 target = graded_masks(n, k + 1) if k < n else {}
                 for m, masks in graded_masks(n, k).items():
                     codomain = basis_graded(n, k + 1, m) if k < n else ()
                     want = rank_naive(matrix_of(d, basis_graded(n, k, m), codomain))
-                    assert block_rank(d, masks, target.get(m, ())) == want, (g, k, m)
+                    pivots = block_pivots(d, masks, target.get(m, ()))
+                    assert pivots.bit_count() == want, (g, k, m)
+                    assert pivots < 1 << len(codomain), (g, k, m)
+                    assert cached[k][m] == want, (g, k, m)
                     blocks += 1
     assert blocks > 4000
+
+
+def test_clearing_skips_the_pivot_columns(monkeypatch):
+    # block (k, m) builds only the columns outside the pivots of block
+    # (k-1, m): sum over k of C(n, k) - rank d_{k-1} columns in all
+    kernel = cohomology.block_pivots
+    built = []
+
+    def counting(op, domain, codomain):
+        domain = list(domain)
+        built.append(len(domain))
+        return kernel(op, domain, codomain)
+
+    monkeypatch.setattr(cohomology, "block_pivots", counting)
+    for g in (m0(12), m2(12)):
+        built.clear()
+        n = g.n
+        rank = [comb(n, k) - cocycle_dim(g, k) for k in range(n + 1)]
+        want = sum(comb(n, k) - (rank[k - 1] if k else 0) for k in range(n + 1))
+        assert sum(built) == want < 2 ** n, g
+
+
+def test_degree_breaking_differential_is_refused(monkeypatch):
+    # nothing is cleared at k = 1, so every generator column is built there
+    # and a generator image that is not a 2-factor monomial of the
+    # generator's degree raises before any column is skipped
+    images = dict(differential(m0(6)).images)
+    for bad in (parse_form("e2^e3", 6), parse_form("e1^e2^e3", 6)):
+        op = Derivation(6, {**images, 6: images[6] | bad.terms})
+        monkeypatch.setattr(cohomology, "differential", lambda g: op)
+        g = m0(6)
+        with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
+            betti(g)
+        assert g._ranks is None and g._betti is None
 
 
 def test_graded_betti_examples():

@@ -13,7 +13,7 @@ from vergne.exterior import (
     Monomial,
     basis,
     basis_graded,
-    block_rank,
+    block_pivots,
     derivation,
     graded_masks,
     matrix_of,
@@ -116,8 +116,14 @@ def test_graded_masks_are_plain_ints_bucketing_basis():
             assert list(got) == sorted(want)
             assert {m: list(v) for m, v in got.items()} == want
             assert all(type(mask) is int for v in got.values() for mask in v)
+            assert all(type(v.obj) is bytes for v in got.values())
     with pytest.raises(TypeError):
         graded_masks(5, 2)[7] = ()
+    bucket = graded_masks(6, 3)[9]
+    before = list(bucket)
+    with pytest.raises(TypeError):
+        bucket[0] = 0
+    assert list(graded_masks(6, 3)[9]) == before
 
 
 def test_basis_validation():
@@ -188,15 +194,16 @@ def test_matrix_of_image_outside_codomain():
         matrix_of(d, basis_graded(5, 1, 4), basis_graded(5, 2, 5))
 
 
-def test_block_rank_image_outside_codomain():
+def test_block_pivots_image_outside_codomain():
     # e^4 -> e^1^e^2 lowers the degree, so the image of e^4 (degree 4) is
     # not in the degree-4 slice of 2-forms
     op = derivation(5, {4: F("e1^e2", 5)})
     domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
     with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e4"):
-        block_rank(op, domain, codomain)
+        block_pivots(op, domain, codomain)
     d = differential(m0(5))
-    assert block_rank(d, domain, codomain) == 1
+    # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0
+    assert block_pivots(d, domain, codomain) == 0b1
 
 
 def test_form_addition_is_gf2():
