@@ -15,8 +15,8 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping
 
-from .core import VergneAlgebra, _involution_masks, differential
-from .exterior import block_pivots, graded_masks
+from .core import VergneAlgebra, _involution_delta, differential
+from .exterior import block_pivots, graded_masks, image_columns
 
 __all__ = [
     "BettiTable",
@@ -94,8 +94,9 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def _block_ranks(g: VergneAlgebra) -> tuple[dict[int, int], ...]:
-    """Rank of d on every graded block (k, m), as ``ranks[k][m]``; cached.
+def _block_ranks(g: VergneAlgebra, top: int) -> tuple[dict[int, int], ...]:
+    """Rank of d on every graded block (k, m) for k = 0..top at least, as
+    ``ranks[k][m]``; cached.
 
     Clearing: the pivots of block (k-1, m) are an echelon basis of the
     exact forms B^k_m with distinct leading positions P, so
@@ -107,15 +108,18 @@ def _block_ranks(g: VergneAlgebra) -> tuple[dict[int, int], ...]:
     of d(e^i) is a 2-factor monomial of degree i.  That check covers every
     column of the complex, built or cleared: a Leibniz term of such images
     always lies in the codomain slice.
+
+    The cache holds the levels ranked so far and the pivots of the last
+    one, so a later call for a higher ``top`` resumes where this one
+    stopped.  It is written only once every requested level is ranked.
     """
-    ranks = g._ranks
-    if ranks is not None:
-        return ranks
+    levels, cleared = g._ranks or ((), {})
+    if top < len(levels):
+        return levels
     n = g.n
     d = differential(g)
-    levels = []
-    cleared: dict[int, int] = {}
-    for k in range(n + 1):
+    new = list(levels)
+    for k in range(len(levels), top + 1):
         target = graded_masks(n, k + 1) if k < n else {}
         level, pivots = {}, {}
         for m, masks in graded_masks(n, k).items():
@@ -125,19 +129,19 @@ def _block_ranks(g: VergneAlgebra) -> tuple[dict[int, int], ...]:
             p = block_pivots(d, masks, target.get(m, ()))
             pivots[m] = p
             level[m] = p.bit_count()
-        levels.append(level)
+        new.append(level)
         cleared = pivots
-    ranks = tuple(levels)
+    levels = tuple(new)
     # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
-    object.__setattr__(g, "_ranks", ranks)
-    return ranks
+    object.__setattr__(g, "_ranks", (levels, cleared))
+    return levels
 
 
 def cocycle_dim(g: VergneAlgebra, k: int) -> int:
     """dim ker(d) on k-forms, accumulated over the graded blocks."""
     if not 0 <= k <= g.n:
         raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    return comb(g.n, k) - sum(_block_ranks(g)[k].values())
+    return comb(g.n, k) - sum(_block_ranks(g, k)[k].values())
 
 
 def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
@@ -147,7 +151,7 @@ def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
     masks = graded_masks(g.n, k).get(m)
     if not masks:
         return 0
-    ranks = _block_ranks(g)
+    ranks = _block_ranks(g, k)
     image = ranks[k - 1].get(m, 0) if k >= 1 else 0
     return len(masks) - ranks[k][m] - image
 
@@ -157,7 +161,7 @@ def betti(g: VergneAlgebra) -> BettiTable:
     if g._betti is not None:
         return g._betti
     n = g.n
-    ranks = _block_ranks(g)
+    ranks = _block_ranks(g, n)
     z = [comb(n, k) - sum(ranks[k].values()) for k in range(n + 1)]
     b = [1] + [z[k] + z[k - 1] - comb(n, k - 1) for k in range(1, n + 1)]
     graded: dict[tuple[int, int], int] = {}
@@ -178,15 +182,36 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
 
     d1, d2 are the differentials of g1, g2 and f the involution.  Since f
     is an involution this single orientation decides the square both ways.
+
+    f is linear and preserves k and the degree m, so both sides of block
+    (k, m) are int columns over the positions of the (k+1)-monomials of
+    degree m, built by ``image_columns``.  With N(h) = f(h) + h: f(d1(h))
+    is the column of d1(h) read through ``frow``, which maps each codomain
+    monomial q to the positions of f(q); and d2(f(h)) is the column of
+    d2(h) plus those of d2(u) for u in N(h).  Every column of both sides
+    is built before the verdict, so a grading bug raises
+    ImageOutsideCodomain and never reads as a failed square.
     """
     if g1.n != g2.n:
         raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
-    if k < 2:
-        raise ValueError("the involution needs topological degree at least 2")
     n = g1.n
+    if not 2 <= k <= n:
+        raise ValueError(f"the involution needs topological degree 2..{n}, got {k}")
     d1, d2 = differential(g1), differential(g2)
-    for masks in graded_masks(n, k).values():
-        for h in masks:
-            if d2.apply_masks(_involution_masks(n, (h,))) != _involution_masks(n, d1.apply_mask(h)):
-                return False
-    return True
+    target = graded_masks(n, k + 1) if k < n else {}
+    holds = True
+    for m, domain in graded_masks(n, k).items():
+        row = {q: 1 << r for r, q in enumerate(target.get(m, ()))}
+        frow = {}
+        for q, bits in row.items():
+            for u in _involution_delta(q):
+                bits ^= row[u]
+            frow[q] = bits
+        c2 = dict(zip(domain, image_columns(d2, domain, row)))
+        for h, right in zip(domain, image_columns(d1, domain, frow)):
+            left = c2[h]
+            for u in _involution_delta(h):
+                left ^= c2[u]
+            if left != right:
+                holds = False
+    return holds

@@ -321,21 +321,33 @@ def tail_operator(g: VergneAlgebra) -> Derivation:
     return Derivation(n, images)
 
 
-def _involution_masks(n: int, masks: Iterable[int]) -> set[int]:
-    # f(h) = h + e^2 ^ D(x) where h = e^1^x + e^2^y + z and D lowers
-    # indices by one.  x is the e^1-stripped part of the e^1-terms.
-    lower = lowering_operator(n, 1)
-    x_masks = [m ^ 1 for m in masks if m & 1]
-    correction: set[int] = set()
-    for dm in lower.apply_masks(x_masks):
-        if dm & 2:
-            continue
-        t = dm | 2
-        if t in correction:
-            correction.remove(t)
-        else:
-            correction.add(t)
-    return set(masks) ^ correction
+def _involution_delta(h: int) -> list[int]:
+    """The terms of f(h) + h for one monomial mask h.
+
+    For h = e^1^x they are the terms of e^2^D(x), where D lowers one index
+    i >= 3 of x to i-1.  A term vanishes when it would repeat a factor:
+    i-1 in x, or i = 3 (e^2 twice).  So there are none when h lacks e^1
+    or holds e^2, and the rest are distinct, so nothing cancels.
+    """
+    if h & 3 != 1:
+        return []
+    x = h ^ 1
+    out = []
+    rest = x & ~7
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not x & low >> 1:
+            out.append(x ^ low ^ low >> 1 | 2)
+    return out
+
+
+def _involution_masks(masks: Iterable[int]) -> set[int]:
+    """f on a set of monomial masks: each h plus its delta terms, mod 2."""
+    acc = set(masks)
+    for h in masks:
+        acc.symmetric_difference_update(_involution_delta(h))
+    return acc
 
 
 def involution(h: Form) -> Form:
@@ -354,4 +366,4 @@ def involution(h: Form) -> Form:
     k = tds.pop()
     if not 2 <= k <= n:
         raise ValueError(f"involution defined for topological degree 2..{n}, got {k}")
-    return _from_masks(n, _involution_masks(n, h.terms))
+    return _from_masks(n, _involution_masks(h.terms))

@@ -18,7 +18,7 @@ from array import array
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .gf2 import BitMatrix
 
@@ -35,6 +35,7 @@ __all__ = [
     "basis_graded",
     "graded_masks",
     "matrix_of",
+    "image_columns",
     "block_pivots",
     "parse_form",
 ]
@@ -360,41 +361,52 @@ def matrix_of(
     return BitMatrix.from_columns(len(codomain), columns)
 
 
-def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
-    """Pivot positions of ``op`` from the span of the ``domain`` masks to the
-    span of the ``codomain`` masks, as a bitmask over codomain positions;
-    its bit count is the GF(2) rank.  No matrix is built.
+def image_columns(op: Derivation, domain: Iterable[int], row: Mapping[int, int]) -> Iterator[int]:
+    """The image of each ``domain`` mask under ``op`` as an int column.
 
-    Each image column is assembled as a bitmask over codomain positions and
-    eliminated into the pivots at once, so the pivots are an echelon basis
-    of the image with distinct leading (highest) positions.  Raises
-    ImageOutsideCodomain when a Leibniz term of an image is not a codomain
-    element, which always indicates a grading bookkeeping bug.
+    The column is the XOR of ``row[t]`` over the Leibniz terms t of the
+    image, where ``row`` maps each codomain mask to its position bits.  No
+    set of terms is built.  Raises ImageOutsideCodomain when a Leibniz term
+    has no ``row`` entry, which always indicates a grading bookkeeping bug.
     """
-    row = {mask: 1 << r for r, mask in enumerate(codomain)}
     gens = [(1 << (i - 1), imgs) for i, imgs in op.images.items()]
-    pivots: dict[int, int] = {}
-    try:
-        for mask in domain:
-            col = 0
+    for mask in domain:
+        col = 0
+        try:
             for low, imgs in gens:
                 if mask & low:
                     rest = mask ^ low
                     for img in imgs:
                         if not img & rest:
                             col ^= row[img | rest]
-            while col:
-                top = col.bit_length()
-                p = pivots.get(top)
-                if p is None:
-                    pivots[top] = col
-                    break
-                col ^= p
-    except KeyError:
-        n = op.ambient
-        raise ImageOutsideCodomain(
-            f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
-        ) from None
+        except KeyError:
+            n = op.ambient
+            raise ImageOutsideCodomain(
+                f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
+            ) from None
+        yield col
+
+
+def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
+    """Pivot positions of ``op`` from the span of the ``domain`` masks to the
+    span of the ``codomain`` masks, as a bitmask over codomain positions;
+    its bit count is the GF(2) rank.  No matrix is built.
+
+    Each image column from ``image_columns`` is eliminated into the pivots
+    at once, so the pivots are an echelon basis of the image with distinct
+    leading (highest) positions.  Raises ImageOutsideCodomain as
+    ``image_columns`` does.
+    """
+    row = {mask: 1 << r for r, mask in enumerate(codomain)}
+    pivots: dict[int, int] = {}
+    for col in image_columns(op, domain, row):
+        while col:
+            top = col.bit_length()
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = col
+                break
+            col ^= p
     positions = 0
     for top in pivots:
         positions |= 1 << (top - 1)

@@ -7,8 +7,11 @@ the d o d = 0 validation in ``VergneAlgebra``.  ``enumerate_rows`` walks all
 the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
 unpacked 0/1 lists, independently of the packed ``gf2.rank`` and of the
 fused block kernel ``exterior.block_pivots``; ``cocycle_dim_full`` ranks the
-single unsliced matrix with it.  ``commuting_square_holds`` is the
-Form-level definition of ``verify_commuting_square``.
+single unsliced matrix with it.  ``involution_from_definition`` is f on
+Forms, built from the lowering derivation, independently of the mask-level
+``core.involution``; ``commuting_square_failures`` checks the square with it
+on Forms, one monomial at a time, independently of the block-level
+``verify_commuting_square``.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from vergne.core import (
     _complete_row,
     differential,
     from_row,
-    involution,
+    lowering_operator,
 )
-from vergne.exterior import Form, basis, matrix_of
+from vergne.exterior import Form, Monomial, basis, matrix_of, wedge
 from vergne.gf2 import BitMatrix
 
 
@@ -133,11 +136,27 @@ def cocycle_dim_full(g: VergneAlgebra, k: int) -> int:
     return m.cols - rank_naive(m)
 
 
-def commuting_square_holds(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
-    """d2(f(h)) = f(d1(h)) on every basis k-monomial h, computed on Forms."""
+def involution_from_definition(h: Form) -> Form:
+    """f(h) = h + e^2^D(x), where x is the e^1-stripped part of the
+    e^1-terms of h and D = lowering_operator(n, 1), the derivation that
+    lowers each index by one."""
+    n = h.ambient
+    x = Form(n, [t ^ 1 for t in h.terms if t & 1])
+    return h + wedge(Form(n, [2]), lowering_operator(n, 1)(x))
+
+
+def commuting_square_failures(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> list[Monomial]:
+    """The basis k-monomials h with d2(f(h)) != f(d1(h)), computed on Forms."""
     d1, d2 = differential(g1), differential(g2)
+    f = involution_from_definition
+    out = []
     for mono in basis(g1.n, k):
         h = Form(g1.n, [mono])
-        if d2(involution(h)) != involution(d1(h)):
-            return False
-    return True
+        if d2(f(h)) != f(d1(h)):
+            out.append(mono)
+    return out
+
+
+def commuting_square_holds(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
+    """d2(f(h)) = f(d1(h)) on every basis k-monomial h, computed on Forms."""
+    return not commuting_square_failures(g1, g2, k)

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from vergne import cohomology
+from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import (
     _block_ranks,
@@ -28,7 +28,12 @@ from vergne.exterior import (
 )
 from vergne.extensions import partner
 
-from oracles import cocycle_dim_full, commuting_square_holds, rank_naive
+from oracles import (
+    cocycle_dim_full,
+    commuting_square_failures,
+    commuting_square_holds,
+    rank_naive,
+)
 
 
 def naive_cocycle_dims(g):
@@ -95,7 +100,7 @@ def test_block_kernel_matches_naive_rank_on_every_block():
     for n in range(5, 12):
         for g in enumerate_algebras(n):
             d = differential(g)
-            cached = _block_ranks(g)
+            cached = _block_ranks(g, n)
             for k in range(n + 1):
                 target = graded_masks(n, k + 1) if k < n else {}
                 for m, masks in graded_masks(n, k).items():
@@ -129,10 +134,12 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
         assert sum(built) == want < 2 ** n, g
 
 
-def test_degree_breaking_differential_is_refused(monkeypatch):
+def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
     # nothing is cleared at k = 1, so every generator column is built there
     # and a generator image that is not a 2-factor monomial of the
-    # generator's degree raises before any column is skipped
+    # generator's degree raises before any column is skipped.  The square
+    # builds every column before its verdict, so there the bug is an
+    # internal error (exit 4) too, never a failed square (exit 1).
     images = dict(differential(m0(6)).images)
     for bad in (parse_form("e2^e3", 6), parse_form("e1^e2^e3", 6)):
         op = Derivation(6, {**images, 6: images[6] | bad.terms})
@@ -141,6 +148,35 @@ def test_degree_breaking_differential_is_refused(monkeypatch):
         with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
             betti(g)
         assert g._ranks is None and g._betti is None
+        with pytest.raises(ImageOutsideCodomain, match="not in codomain"):
+            verify_commuting_square(m0(6), m2(6), 2)
+        assert cli.main(["verify", "--suite", "diagrams", "--max-dim", "6"]) == cli.EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: ImageOutsideCodomain: ")
+
+
+def test_cocycle_dim_ranks_only_the_levels_it_needs(monkeypatch):
+    # levels 0..2 of m2(12) are 1 + 12 + 21 graded blocks; betti resumes
+    # from them instead of starting over, and the whole complex is 299
+    kernel = cohomology.block_pivots
+    calls = []
+
+    def counting(op, domain, codomain):
+        calls.append(1)
+        return kernel(op, domain, codomain)
+
+    monkeypatch.setattr(cohomology, "block_pivots", counting)
+    g = m2(12)
+    cocycle_dim(g, 2)
+    assert len(calls) == 34
+    cocycle_dim(g, 1)
+    graded_betti(g, 2, 9)
+    assert len(calls) == 34
+    table = betti(g)
+    assert len(calls) == 299
+    calls.clear()
+    assert graded_betti(m2(12), 2, 9) == table.graded[(2, 9)] and len(calls) == 34
+    assert betti(m2(12)) == table
 
 
 def test_graded_betti_examples():
@@ -184,10 +220,14 @@ def test_b2_on_other_algebras_is_reported_not_assumed():
 
 
 def test_commuting_square_models():
+    # every partner pair, m0(n) ~ m2(n) and m2(n) ~ m0(n) among them, at
+    # every k, against the Form-level oracle
     for n in range(5, 11):
-        for k in range(2, n + 1):
-            assert verify_commuting_square(m0(n), m2(n), k), (n, k)
-            assert verify_commuting_square(m2(n), m0(n), k), (n, k)
+        for g in enumerate_algebras(n):
+            p = partner(g)
+            for k in range(2, n + 1):
+                assert verify_commuting_square(g, p, k) is True, (g, k)
+                assert commuting_square_holds(g, p, k), (g, k)
 
 
 def test_commuting_square_requires_conjugation():
@@ -214,6 +254,27 @@ def test_commuting_square_validation():
         verify_commuting_square(m0(5), m0(6), 2)
     with pytest.raises(ValueError):
         verify_commuting_square(m0(5), m2(5), 1)
+    with pytest.raises(ValueError):
+        verify_commuting_square(m0(5), m2(5), 6)
+
+
+def test_commuting_square_fails_in_a_single_degree():
+    # squares whose failing monomials all share one degree m: a kernel that
+    # skipped or cut short any block would call some of them True
+    rng = random.Random(1729)
+    pairs = [(g1, g2) for n in range(7, 10) for g1 in enumerate_algebras(n)
+             for g2 in enumerate_algebras(n) if g2 != partner(g1)]
+    rng.shuffle(pairs)
+    single = []
+    for g1, g2 in pairs:
+        for k in range(2, g1.n + 1):
+            failures = commuting_square_failures(g1, g2, k)
+            assert verify_commuting_square(g1, g2, k) == (not failures), (g1, g2, k)
+            if len({mono.degree for mono in failures}) == 1:
+                single.append((g1, g2, k))
+        if len(single) >= 5:
+            break
+    assert len(single) >= 5, single
 
 
 def test_commuting_square_matches_form_level_definition():

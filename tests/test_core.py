@@ -20,10 +20,10 @@ from vergne.core import (
     parse_row,
     tail_operator,
 )
-from vergne.exterior import MAX_AMBIENT, Form, Monomial, basis, parse_form, wedge
+from vergne.exterior import MAX_AMBIENT, Form, Monomial, basis, graded_masks, parse_form, wedge
 
 from helpers import random_form, random_homogeneous_form
-from oracles import all_rows, jacobi_failure, jacobi_holds
+from oracles import all_rows, involution_from_definition, jacobi_failure, jacobi_holds
 
 
 def F(text, n):
@@ -251,6 +251,32 @@ def test_involution_is_involutive_random():
         }
         assert involution(f_h) == h
         count += 1
+
+
+def test_involution_matches_its_definition():
+    # the mask-level f against the Form-level definition in the oracles.
+    # Odd trials draw a few k-monomials anywhere; even trials draw several
+    # e^1-terms of one degree, whose corrections e^2^D(x) often share a
+    # term that then cancels mod 2.
+    rng = random.Random(8128)
+    checked = cancelled = 0
+    for trial in range(2400):
+        n = rng.randrange(5, 17)
+        k = rng.randrange(2, n + 1)
+        if trial % 2:
+            terms = [sum(1 << i for i in rng.sample(range(n), k))
+                     for _ in range(rng.randrange(1, 6))]
+        else:
+            buckets = list(graded_masks(n, k).values())
+            pool = [mask for mask in rng.choice(buckets) if mask & 3 == 1]
+            terms = rng.sample(pool, min(len(pool), rng.randrange(2, 7)))
+        h = Form(n, terms)
+        assert involution(h) == involution_from_definition(h), h
+        checked += 1
+        separate = sum(len(involution_from_definition(Form(n, [t])) + Form(n, [t]))
+                       for t in h.terms)
+        cancelled += separate > len(involution_from_definition(h) + h)
+    assert checked >= 2000 and cancelled >= 200, (checked, cancelled)
 
 
 def test_involution_rejects_bad_degrees():
