@@ -33,7 +33,6 @@ from .core import (
     m0,
     m2,
     parse_row,
-    tail_operator,
 )
 from .exterior import (
     MAX_AMBIENT,
@@ -42,9 +41,6 @@ from .exterior import (
     Form,
     ImageOutsideCodomain,
     Monomial,
-    basis,
-    basis_graded,
-    derivation,
     matrix_of,
     parse_form,
     wedge,
@@ -62,14 +58,13 @@ from .extensions import (
     partner,
     reduce,
 )
-from .gf2 import BitMatrix, kernel_basis, rank
+from .gf2 import rank
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AmbientMismatch",
     "BettiTable",
-    "BitMatrix",
     "Decomposition",
     "Derivation",
     "ExtensionStep",
@@ -86,13 +81,10 @@ __all__ = [
     "RowVector",
     "VergneAlgebra",
     "admissible_cocycles",
-    "basis",
-    "basis_graded",
     "betti",
     "central_extension",
     "cocycle_dim",
     "decompose",
-    "derivation",
     "differential",
     "dimension_json_dict",
     "enumerate_algebras",
@@ -101,7 +93,6 @@ __all__ = [
     "graded_betti",
     "has_codim1_abelian_ideal",
     "involution",
-    "kernel_basis",
     "label",
     "lowering_operator",
     "m0",
@@ -112,7 +103,6 @@ __all__ = [
     "partner",
     "rank",
     "reduce",
-    "tail_operator",
     "to_dot",
     "verify_commuting_square",
     "wedge",

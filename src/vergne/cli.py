@@ -77,6 +77,10 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_feasible("--dim", args.dim)
+    if not args.tree and (args.max_dim is not None or args.dot is not None):
+        raise ValueError("--max-dim and --dot need --tree")
+    if args.max_dim is not None and args.max_dim < MIN_DIMENSION:
+        raise ValueError(f"--max-dim must be at least {MIN_DIMENSION}, got {args.max_dim}")
     algebras = classify.enumerate_algebras(args.dim)
     if args.format == "json":
         print(json.dumps(classify.dimension_json_dict(args.dim), indent=2))
@@ -85,7 +89,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         for g in algebras:
             print(f"{classify.label(g):10s} {g.row()}  betti={list(betti(g).b)}")
     if args.tree:
-        return _emit_tree(args.max_dim or args.dim, args.dot)
+        return _emit_tree(args.dim if args.max_dim is None else args.max_dim, args.dot)
     return EXIT_OK
 
 

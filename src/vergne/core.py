@@ -37,7 +37,6 @@ __all__ = [
     "parse_row",
     "differential",
     "lowering_operator",
-    "tail_operator",
     "involution",
 ]
 
@@ -71,12 +70,14 @@ class RowVector:
     __slots__ = ("n", "bits")
 
     def __init__(self, bits: Iterable[int]):
+        # Entries are checked before int(), which would truncate 0.5 or 1.9.
         # Built from a list so the tuple is allocated at its final size;
         # tuple() of a generator grows by resizing, and in CPython the resized
         # tuples pile up in the per-size free lists of a long-running process.
-        bits = tuple([int(b) for b in bits])
-        if any(b not in (0, 1) for b in bits):
+        raw = list(bits)
+        if not {0, 1}.issuperset(raw):
             raise ValueError("row entries must be 0 or 1")
+        bits = tuple([int(b) for b in raw])
         n = len(bits) + 1
         if n < MIN_DIMENSION:
             raise ValueError(f"row of length {len(bits)} encodes dimension {n} < {MIN_DIMENSION}")
@@ -298,26 +299,6 @@ def lowering_operator(n: int, step: int = 1) -> Derivation:
         i: {_mask_from_indices((i - step,), n)}
         for i in range(2 * step + 1, n + 1)
     }
-    return Derivation(n, images)
-
-
-def tail_operator(g: VergneAlgebra) -> Derivation:
-    """The differential minus its leading e^1-part: e^k maps to the pure
-    bracket terms sum of c_{i,j} e^i^e^j over i+j = k, 1 < i < j.
-
-    Vanishes on e^1..e^4; its image avoids e^1 entirely.  Equals
-    d + e^1 ^ lowering_operator(n, 1) (same thing over GF(2)).
-    """
-    n = g.n
-    images: dict[int, set[int]] = {}
-    for k in range(5, n + 1):
-        masks = {
-            _mask_from_indices((i, k - i), n)
-            for i in range(2, k)
-            if i < k - i and g.structure_constant(i, k - i)
-        }
-        if masks:
-            images[k] = masks
     return Derivation(n, images)
 
 

@@ -24,7 +24,7 @@ from .core import (
     m0,
     m2,
 )
-from .exterior import AmbientMismatch, Form, Monomial, basis_graded, matrix_of
+from .exterior import AmbientMismatch, Form, Monomial, graded_masks, image_columns
 from .gf2 import solve_affine
 
 __all__ = [
@@ -142,28 +142,24 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     n = g.n
     d = differential(g)
     lead = _leading_mask(n)
-    slice2 = basis_graded(n, 2, n + 1)
-    others = [mo for mo in slice2 if mo.mask != lead]
-    codomain = basis_graded(n, 3, n + 1)
-    matrix = matrix_of(d, others, codomain)
-    position = {mono.mask: r for r, mono in enumerate(codomain)}
-    rhs = 0
-    for t in d.apply_mask(lead):
-        rhs |= 1 << position[t]
-    solved = solve_affine(matrix, rhs)
+    slice2 = graded_masks(n, 2)[n + 1]
+    row = {q: 1 << r for r, q in enumerate(graded_masks(n, 3)[n + 1])}
+    columns = dict(zip(slice2, image_columns(d, slice2, row)))
+    rhs = columns.pop(lead)
+    others = list(columns)
+    solved = solve_affine(list(columns.values()), rhs)
     if solved is None:
         return []
     particular, kernel = solved
+    coset = [particular]
+    for v in kernel:
+        coset += [x ^ v for x in coset]
     forms = []
-    for combo in range(1 << len(kernel)):
-        x = particular
-        for t in range(len(kernel)):
-            if (combo >> t) & 1:
-                x ^= kernel[t]
+    for x in coset:
         masks = {lead}
-        for idx, mono in enumerate(others):
+        for idx, mask in enumerate(others):
             if (x >> idx) & 1:
-                masks.add(mono.mask)
+                masks.add(mask)
         forms.append(Form(n, masks))
     forms.sort(key=lambda f: tuple(mo.indices for mo in f.monomials()))
     return forms

@@ -20,7 +20,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
-from .gf2 import BitMatrix
+from .gf2 import echelon
 
 __all__ = [
     "MAX_AMBIENT",
@@ -29,10 +29,7 @@ __all__ = [
     "Monomial",
     "Form",
     "Derivation",
-    "derivation",
     "wedge",
-    "basis",
-    "basis_graded",
     "graded_masks",
     "matrix_of",
     "image_columns",
@@ -140,14 +137,6 @@ class Form:
 
     def __setattr__(self, name, value):  # immutable after construction
         raise AttributeError("Form is immutable")
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Form":
-        return cls(ambient)
-
-    @classmethod
-    def one(cls, ambient: int) -> "Form":
-        return cls(ambient, (0,))
 
     def monomials(self) -> tuple[Monomial, ...]:
         """Terms in canonical order (lexicographic on sorted index tuples)."""
@@ -280,33 +269,12 @@ class Derivation:
         return f"Derivation(ambient={self.ambient}, generators={sorted(self.images)})"
 
 
-def derivation(ambient: int, gen_images: Mapping[int, Form]) -> Derivation:
-    """Derivation extension of a map on generators (images given as forms)."""
-    table = {}
-    for i, form in gen_images.items():
-        if form.ambient != ambient:
-            raise AmbientMismatch(f"image of e{i} has ambient {form.ambient} != {ambient}")
-        table[i] = form.terms
-    return Derivation(ambient, table)
-
-
-@lru_cache(maxsize=None)
-def basis(n: int, k: int) -> tuple[Monomial, ...]:
-    """All k-subsets of {1..n} in lexicographic order of the index tuples."""
-    _check_ambient(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"topological degree {k} outside 0..{n}")
-    return tuple(
-        Monomial(_mask_from_indices(c, n), n) for c in combinations(range(1, n + 1), k)
-    )
-
-
 @lru_cache(maxsize=None)
 def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     """Degree -> masks of the k-monomials of that degree (index sum).
 
-    Keys ascend and each bucket is in lexicographic order, as in
-    basis(n, k).  This read-only mapping is the one graded-basis cache.
+    Keys ascend and each bucket is in lexicographic order of the index
+    tuples.  This read-only mapping is the one graded-basis cache.
     Each bucket is a read-only memoryview of packed 64-bit masks over
     immutable bytes: about a third of the memory of a tuple of ints, and
     no caller can change a cached bucket.
@@ -326,25 +294,20 @@ def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     })
 
 
-@lru_cache(maxsize=None)
-def basis_graded(n: int, k: int, m: int) -> tuple[Monomial, ...]:
-    """The k-monomials of degree m (index sum), lexicographically ordered.
-
-    Empty whenever m is outside [k(k+1)/2, kn - k(k-1)/2].
-    """
-    return tuple(Monomial(mask, n) for mask in graded_masks(n, k).get(m, ()))
-
-
+# perfbench/ patches this by name; it goes with the benchmark upkeep (ROADMAP item 5).
 def matrix_of(
     op: Derivation,
     domain: Sequence[Monomial],
     codomain: Sequence[Monomial],
-) -> BitMatrix:
-    """Matrix of ``op`` with columns indexed by ``domain``, rows by ``codomain``.
+) -> list[int]:
+    """Columns of the matrix of ``op`` from ``domain`` to ``codomain``.
 
-    Column j holds the coordinates of op(domain[j]).  Raises
-    ImageOutsideCodomain when an image term is not a codomain element,
-    which always indicates a grading bookkeeping bug upstream.
+    Column j is an int over codomain positions: bit r is set when
+    ``codomain[r]`` occurs in op(domain[j]).  Built term by term from
+    ``Derivation.apply_mask``, independently of ``image_columns``, so the
+    tests use it as the column oracle.  Raises ImageOutsideCodomain when an
+    image term is not a codomain element, which always indicates a grading
+    bookkeeping bug upstream.
     """
     position = {mono.mask: r for r, mono in enumerate(codomain)}
     columns = []
@@ -358,7 +321,7 @@ def matrix_of(
                 )
             bits |= 1 << r
         columns.append(bits)
-    return BitMatrix.from_columns(len(codomain), columns)
+    return columns
 
 
 def image_columns(op: Derivation, domain: Iterable[int], row: Mapping[int, int]) -> Iterator[int]:
@@ -392,23 +355,14 @@ def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int])
     span of the ``codomain`` masks, as a bitmask over codomain positions;
     its bit count is the GF(2) rank.  No matrix is built.
 
-    Each image column from ``image_columns`` is eliminated into the pivots
-    at once, so the pivots are an echelon basis of the image with distinct
-    leading (highest) positions.  Raises ImageOutsideCodomain as
-    ``image_columns`` does.
+    Each image column from ``image_columns`` is eliminated by
+    ``gf2.echelon`` as it is built, so the pivots are an echelon basis of
+    the image with distinct leading (highest) positions.  Raises
+    ImageOutsideCodomain as ``image_columns`` does.
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
-    pivots: dict[int, int] = {}
-    for col in image_columns(op, domain, row):
-        while col:
-            top = col.bit_length()
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = col
-                break
-            col ^= p
     positions = 0
-    for top in pivots:
+    for top in echelon(image_columns(op, domain, row)):
         positions |= 1 << (top - 1)
     return positions
 

@@ -3,22 +3,49 @@
 from __future__ import annotations
 
 import re
+from functools import lru_cache
+from itertools import combinations
 
-from vergne.exterior import Form
-from vergne.gf2 import BitMatrix
+from vergne.exterior import Form, Monomial
 
 
-def random_bitmatrix(rng, max_rows: int, max_cols: int) -> BitMatrix:
+@lru_cache(maxsize=None)
+def monomials(n: int, k: int, m: int | None = None) -> tuple[Monomial, ...]:
+    """The k-monomials on e^1..e^n, lexicographic in their index tuples;
+    only those of degree (index sum) m when m is given.
+
+    Built from ``itertools.combinations``, independently of the library's
+    ``graded_masks``.  Empty when k is outside 0..n.
+    """
+    return tuple(
+        Monomial.from_indices(c, n)
+        for c in combinations(range(1, n + 1), k)
+        if m is None or sum(c) == m
+    )
+
+
+def random_matrix(rng, max_rows: int, max_cols: int) -> tuple[list[int], int]:
+    """A random GF(2) matrix as (row vectors, column count).
+
+    Bit c of row vector r is the entry (r, c).
+    """
     rows = rng.randrange(max_rows + 1)
     cols = rng.randrange(max_cols + 1)
-    data = [rng.getrandbits(cols) if cols else 0 for _ in range(rows)]
-    return BitMatrix(rows, cols, data)
+    return [rng.getrandbits(cols) if cols else 0 for _ in range(rows)], cols
 
 
-def matvec(m: BitMatrix, v: int) -> int:
-    """M v over GF(2); v is a bitmask over columns, result over rows."""
+def transpose(vectors: list[int], width: int) -> list[int]:
+    """The ``width`` column vectors of the matrix whose rows are ``vectors``."""
+    return [
+        sum(((v >> c) & 1) << r for r, v in enumerate(vectors)) for c in range(width)
+    ]
+
+
+def matvec(rows: list[int], v: int) -> int:
+    """M v over GF(2) for M given by its row vectors; v is a bitmask over
+    columns, the result a bitmask over rows."""
     out = 0
-    for r, row in enumerate(m.data):
+    for r, row in enumerate(rows):
         if (row & v).bit_count() & 1:
             out |= 1 << r
     return out
@@ -31,8 +58,6 @@ def random_form(rng, n: int, max_terms: int = 6) -> Form:
 
 def random_homogeneous_form(rng, n: int, k: int, max_terms: int = 5) -> Form:
     """A random form whose terms all have topological degree k."""
-    from itertools import combinations
-
     pool = list(combinations(range(1, n + 1), k))
     count = rng.randrange(1, max_terms + 1)
     masks = set()

@@ -5,9 +5,10 @@ time (completion identities, then cyclic Jacobi triples), independently of
 the d o d = 0 validation in ``VergneAlgebra``.  ``enumerate_rows`` walks all
 2^(n-4) e_2 rows and keeps those the table check accepts, independently of
 the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
-unpacked 0/1 lists, independently of the packed ``gf2.rank`` and of the
-fused block kernel ``exterior.block_pivots``; ``cocycle_dim_full`` ranks the
-single unsliced matrix with it.  ``involution_from_definition`` is f on
+unpacked 0/1 lists, independently of ``gf2.echelon`` and of the block kernel
+``exterior.block_pivots``; ``cocycle_dim_full`` ranks the single unsliced
+matrix with it.  ``tail_operator`` is the bracket part of the differential,
+used by the cocycle identity checks.  ``involution_from_definition`` is f on
 Forms, built from the lowering derivation, independently of the mask-level
 ``core.involution``; ``commuting_square_failures`` checks the square with it
 on Forms, one monomial at a time, independently of the block-level
@@ -28,8 +29,9 @@ from vergne.core import (
     from_row,
     lowering_operator,
 )
-from vergne.exterior import Form, Monomial, basis, matrix_of, wedge
-from vergne.gf2 import BitMatrix
+from vergne.exterior import Derivation, Form, Monomial, _mask_from_indices, matrix_of, wedge
+
+from helpers import monomials
 
 
 def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
@@ -103,10 +105,12 @@ def enumerate_rows(n: int) -> tuple:
     )
 
 
-def rank_naive(m: BitMatrix) -> int:
-    """Gaussian elimination on an unpacked 0/1 array, no bit tricks."""
-    a = m.to_rows()
-    nrows, ncols = m.rows, m.cols
+def rank_naive(vectors: list[int]) -> int:
+    """Gaussian elimination on the vectors unpacked into 0/1 lists, no bit
+    tricks."""
+    width = max((v.bit_length() for v in vectors), default=0)
+    a = [[(v >> c) & 1 for c in range(width)] for v in vectors]
+    nrows, ncols = len(a), width
     r = 0
     for col in range(ncols):
         pivot = None
@@ -131,9 +135,28 @@ def cocycle_dim_full(g: VergneAlgebra, k: int) -> int:
     """dim ker(d) on k-forms from the single unsliced matrix."""
     if not 0 <= k <= g.n:
         raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    codomain = basis(g.n, k + 1) if k + 1 <= g.n else ()
-    m = matrix_of(differential(g), basis(g.n, k), codomain)
-    return m.cols - rank_naive(m)
+    columns = matrix_of(differential(g), monomials(g.n, k), monomials(g.n, k + 1))
+    return len(columns) - rank_naive(columns)
+
+
+def tail_operator(g: VergneAlgebra) -> Derivation:
+    """The differential minus its leading e^1-part: e^k maps to the pure
+    bracket terms sum of c_{i,j} e^i^e^j over i+j = k, 1 < i < j.
+
+    Vanishes on e^1..e^4; its image avoids e^1 entirely.  Equals
+    d + e^1 ^ lowering_operator(n, 1) (same thing over GF(2)).
+    """
+    n = g.n
+    images: dict[int, set[int]] = {}
+    for k in range(5, n + 1):
+        masks = {
+            _mask_from_indices((i, k - i), n)
+            for i in range(2, k)
+            if i < k - i and g.structure_constant(i, k - i)
+        }
+        if masks:
+            images[k] = masks
+    return Derivation(n, images)
 
 
 def involution_from_definition(h: Form) -> Form:
@@ -150,7 +173,7 @@ def commuting_square_failures(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> l
     d1, d2 = differential(g1), differential(g2)
     f = involution_from_definition
     out = []
-    for mono in basis(g1.n, k):
+    for mono in monomials(g1.n, k):
         h = Form(g1.n, [mono])
         if d2(f(h)) != f(d1(h)):
             out.append(mono)

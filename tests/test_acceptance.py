@@ -15,13 +15,10 @@ from vergne.core import (
     lowering_operator,
     m0,
     m2,
-    tail_operator,
 )
 from vergne.exterior import (
     Form,
     Monomial,
-    basis,
-    basis_graded,
     graded_masks,
     matrix_of,
     parse_form,
@@ -34,10 +31,10 @@ from vergne.extensions import (
     partner,
     reduce,
 )
-from vergne.gf2 import BitMatrix, kernel_basis, rank
+from vergne.gf2 import rank, solve_affine
 
-from helpers import random_form, random_homogeneous_form
-from oracles import cocycle_dim_full, rank_naive
+from helpers import monomials, random_form, random_homogeneous_form
+from oracles import cocycle_dim_full, rank_naive, tail_operator
 
 
 # one line per criterion; echoed live and replayed in the terminal summary
@@ -156,7 +153,7 @@ def test_criterion_07_structural_invariants():
         for g in enumerate_algebras(n):
             d = differential(g)
             for k in range(n + 1):
-                for mono in basis(n, k):
+                for mono in monomials(n, k):
                     image = d.apply_mask(mono.mask)
                     if d.apply_masks(image):
                         problems.append(f"d^2 != 0 at {g.row()} {mono}")
@@ -203,10 +200,9 @@ def test_criterion_07_structural_invariants():
             d = differential(g)
             for k in range(2, n + 1):
                 for m in graded_masks(n, k):
-                    monos = basis_graded(n, k, m)
-                    codomain = basis_graded(n, k + 1, m) if k + 1 <= n else ()
-                    mat = matrix_of(d, monos, codomain)
-                    for vec in kernel_basis(mat):
+                    monos = monomials(n, k, m)
+                    columns = matrix_of(d, monos, monomials(n, k + 1, m))
+                    for vec in solve_affine(columns, 0)[1]:
                         cocycle = Form(
                             n,
                             [monos[i].mask for i in range(len(monos)) if (vec >> i) & 1],
@@ -247,20 +243,20 @@ def test_criterion_08_oracle_equivalence():
     def check(m):
         nonlocal checked
         if rank(m) != rank_naive(m):
-            problems.append(f"rank mismatch at {m!r}")
+            problems.append(f"rank mismatch at a {len(m)}-row matrix")
         checked += 1
 
     for _ in range(920):
         rows, cols = rng.randrange(41), rng.randrange(41)
-        check(BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)]))
+        check([rng.getrandbits(cols) for _ in range(rows)])
     for _ in range(60):
         rows, cols = rng.randrange(101), rng.randrange(101)
-        check(BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)]))
+        check([rng.getrandbits(cols) for _ in range(rows)])
     for _ in range(18):
         rows, cols = rng.randrange(201), rng.randrange(201)
-        check(BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)]))
+        check([rng.getrandbits(cols) for _ in range(rows)])
     for _ in range(2):
-        check(BitMatrix(200, 200, [rng.getrandbits(200) for _ in range(200)]))
+        check([rng.getrandbits(200) for _ in range(200)])
 
     block_vs_full = []
     for n in range(5, 9):

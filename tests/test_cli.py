@@ -109,6 +109,29 @@ def test_enumerate_with_tree_writes_dot(tmp_path, capsys):
     assert len(edges) == 42
 
 
+def test_enumerate_tree_max_dim_zero_is_refused(capsys):
+    # 0 is a given --max-dim, not a missing one: refused like `tree --max-dim 0`
+    code, out, err = run(capsys, "enumerate", "--dim", "6", "--tree", "--max-dim", "0")
+    assert code == 2
+    assert out == ""
+    assert "--max-dim must be at least 5" in err
+    code, _, _ = run(capsys, "tree", "--max-dim", "0")
+    assert code == 2
+    code, out, _ = run(capsys, "enumerate", "--dim", "6", "--tree")
+    assert code == 0
+    assert parse_dot(out[out.index("digraph"):])[0] == ["m0(5)", "m2(5)", "m0(6)", "m2(6)"]
+
+
+def test_enumerate_tree_options_need_tree(tmp_path, capsys):
+    target = tmp_path / "out.dot"
+    for extra in (["--max-dim", "7"], ["--dot", str(target)]):
+        code, out, err = run(capsys, "enumerate", "--dim", "6", *extra)
+        assert code == 2
+        assert out == ""
+        assert "need --tree" in err
+    assert not target.exists()
+
+
 def test_tree_stdout_and_io_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "tree", "--max-dim", "6")
     assert code == 0

@@ -18,12 +18,17 @@ from vergne.core import (
     m0,
     m2,
     parse_row,
+)
+from vergne.exterior import MAX_AMBIENT, Form, Monomial, graded_masks, parse_form, wedge
+
+from helpers import monomials, random_form, random_homogeneous_form
+from oracles import (
+    all_rows,
+    involution_from_definition,
+    jacobi_failure,
+    jacobi_holds,
     tail_operator,
 )
-from vergne.exterior import MAX_AMBIENT, Form, Monomial, basis, graded_masks, parse_form, wedge
-
-from helpers import random_form, random_homogeneous_form
-from oracles import all_rows, involution_from_definition, jacobi_failure, jacobi_holds
 
 
 def F(text, n):
@@ -74,6 +79,15 @@ def test_row_padding_violations():
         RowVector((0, 1, 1, 0))  # position n-1
     with pytest.raises(JacobiViolation):
         parse_row("[0, 1, 1, 0]")
+
+
+def test_row_refuses_entries_other_than_zero_and_one():
+    # int() would truncate these to a valid row; they must be refused first
+    for bad in ([0, 0.5, 0, 1.9, 0, 0, 0], [0, 2, 0, 0, 0, 0], [0, -1, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            RowVector(bad)
+    bits = RowVector([0, True, 1.0, 0, 0, 0]).bits
+    assert bits == (0, 1, 1, 0, 0, 0) and all(type(b) is int for b in bits)
 
 
 def test_row_parsing():
@@ -133,8 +147,8 @@ def test_differential_examples():
     assert differential(m2(6))(F("e5", 6)) == F("e1^e4 + e2^e3", 6)
     g81 = from_row("[0, 0, 0, 1, 0, 0, 0]")
     assert differential(g81)(F("e7", 8)) == F("e1^e6 + e2^e5 + e3^e4", 8)
-    assert differential(m0(5))(F("e1", 5)) == Form.zero(5)
-    assert differential(m0(5))(F("e2", 5)) == Form.zero(5)
+    assert differential(m0(5))(F("e1", 5)) == Form(5)
+    assert differential(m0(5))(F("e2", 5)) == Form(5)
 
 
 def test_differential_squares_to_zero_on_basis():
@@ -142,7 +156,7 @@ def test_differential_squares_to_zero_on_basis():
         for g in (m0(n), m2(n)):
             d = differential(g)
             for k in range(n + 1):
-                for mono in basis(n, k):
+                for mono in monomials(n, k):
                     assert not d.apply_masks(d.apply_mask(mono.mask)), (g, mono)
 
 
@@ -150,7 +164,7 @@ def test_differential_preserves_grading():
     for g in (m0(8), m2(8), from_row("[0, 0, 0, 1, 0, 0, 0]")):
         d = differential(g)
         for k in range(g.n + 1):
-            for mono in basis(g.n, k):
+            for mono in monomials(g.n, k):
                 for t in d.apply_mask(mono.mask):
                     img = Monomial(t, g.n)
                     assert img.degree == mono.degree
@@ -166,8 +180,8 @@ def test_lowering_operator_definitions():
     d2 = lowering_operator(n, 2)
     for i in range(1, n + 1):
         e_i = F(f"e{i}", n)
-        assert d1(e_i) == (F(f"e{i-1}", n) if i >= 3 else Form.zero(n))
-        assert d2(e_i) == (F(f"e{i-2}", n) if i >= 5 else Form.zero(n))
+        assert d1(e_i) == (F(f"e{i-1}", n) if i >= 3 else Form(n))
+        assert d2(e_i) == (F(f"e{i-2}", n) if i >= 5 else Form(n))
 
 
 def test_model_differentials_factor_through_lowerings():
@@ -177,7 +191,7 @@ def test_model_differentials_factor_through_lowerings():
         d1, d2 = lowering_operator(n, 1), lowering_operator(n, 2)
         e1, e2 = F("e1", n), F("e2", n)
         for k in range(n + 1):
-            for mono in basis(n, k):
+            for mono in monomials(n, k):
                 h = Form(n, [mono])
                 assert d0(h) == wedge(e1, d1(h))
                 assert dm2(h) == wedge(e1, d1(h)) + wedge(e2, d2(h))
@@ -202,7 +216,7 @@ def test_tail_operator_values():
     r = tail_operator(g)
     assert r(F("e5", 7)) == F("e2^e3", 7)
     for i in (1, 2, 3, 4):
-        assert r(F(f"e{i}", 7)) == Form.zero(7)
+        assert r(F(f"e{i}", 7)) == Form(7)
     assert tail_operator(m0(9)).images == {}
 
 
@@ -214,7 +228,7 @@ def test_tail_operator_is_differential_plus_leading_part():
         d1 = lowering_operator(n, 1)
         e1 = F("e1", n)
         for k in range(n + 1):
-            for mono in basis(n, k):
+            for mono in monomials(n, k):
                 h = Form(n, [mono])
                 assert r(h) == d(h) + wedge(e1, d1(h))
                 if not (mono.mask & 1):
@@ -280,7 +294,7 @@ def test_involution_matches_its_definition():
 
 
 def test_involution_rejects_bad_degrees():
-    assert involution(Form.zero(7)) == Form.zero(7)
+    assert involution(Form(7)) == Form(7)
     with pytest.raises(ValueError):
         involution(F("e1", 7))  # topological degree 1
     with pytest.raises(ValueError):

@@ -95,9 +95,12 @@ def test_admissible_cocycles_m0_8():
 
 
 def test_admissible_cocycles_match_brute_force():
-    for n in range(5, 9):
+    checked = 0
+    for n in range(5, 17):
         for g in enumerate_algebras(n):
             assert set(admissible_cocycles(g)) == set(brute_force_admissible(g)), g
+            checked += 1
+    assert checked == 112
 
 
 def test_admissible_cocycles_satisfy_step_invariants():

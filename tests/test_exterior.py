@@ -8,20 +8,18 @@ import pytest
 from vergne.core import differential, lowering_operator, m0
 from vergne.exterior import (
     AmbientMismatch,
+    Derivation,
     Form,
     ImageOutsideCodomain,
     Monomial,
-    basis,
-    basis_graded,
     block_pivots,
-    derivation,
     graded_masks,
     matrix_of,
     parse_form,
     wedge,
 )
 
-from helpers import random_form
+from helpers import monomials, random_form
 
 
 def F(text, n):
@@ -29,7 +27,7 @@ def F(text, n):
 
 
 def test_wedge_repeated_generator_is_zero():
-    assert wedge(F("e1", 5), F("e1^e5", 5)) == Form.zero(5)
+    assert wedge(F("e1", 5), F("e1^e5", 5)) == Form(5)
 
 
 def test_wedge_basic_product():
@@ -42,7 +40,7 @@ def test_wedge_basic_product():
 
 def test_wedge_square_is_zero():
     a = F("e1 + e2", 5)
-    assert wedge(a, a) == Form.zero(5)
+    assert wedge(a, a) == Form(5)
 
 
 def test_wedge_ambient_mismatch():
@@ -82,15 +80,16 @@ def test_monomial_validation():
 
 
 def test_basis_small():
-    assert [str(m) for m in basis(3, 2)] == ["e1^e2", "e1^e3", "e2^e3"]
-    assert [str(m) for m in basis_graded(5, 2, 7)] == ["e2^e5", "e3^e4"]
-    assert basis(4, 0) == (Monomial(0, 4),)
+    strs = [str(Monomial(mask, 3)) for v in graded_masks(3, 2).values() for mask in v]
+    assert strs == ["e1^e2", "e1^e3", "e2^e3"]
+    assert [str(Monomial(mask, 5)) for mask in graded_masks(5, 2)[7]] == ["e2^e5", "e3^e4"]
+    assert {m: list(v) for m, v in graded_masks(4, 0).items()} == {0: [0]}
 
 
 def test_basis_counts():
     for n in range(1, 13):
         for k in range(n + 1):
-            assert len(basis(n, k)) == comb(n, k)
+            assert sum(len(v) for v in graded_masks(n, k).values()) == comb(n, k)
 
 
 def test_basis_graded_partition_and_range():
@@ -99,7 +98,7 @@ def test_basis_graded_partition_and_range():
             lo = k * (k + 1) // 2
             hi = k * n - k * (k - 1) // 2
             sizes = {
-                m: len(basis_graded(n, k, m)) for m in range(lo - 2, hi + 3)
+                m: len(graded_masks(n, k).get(m, ())) for m in range(lo - 2, hi + 3)
             }
             assert sum(sizes.values()) == comb(n, k)
             for m, size in sizes.items():
@@ -110,7 +109,7 @@ def test_graded_masks_are_plain_ints_bucketing_basis():
     for n in range(0, 11):
         for k in range(n + 1):
             want = {}
-            for mono in basis(n, k):
+            for mono in monomials(n, k):
                 want.setdefault(mono.degree, []).append(mono.mask)
             got = graded_masks(n, k)
             assert list(got) == sorted(want)
@@ -128,9 +127,9 @@ def test_graded_masks_are_plain_ints_bucketing_basis():
 
 def test_basis_validation():
     with pytest.raises(ValueError):
-        basis(5, 6)
+        graded_masks(5, 6)
     with pytest.raises(ValueError):
-        basis(5, -1)
+        graded_masks(5, -1)
 
 
 def test_derivation_leibniz_expansion():
@@ -140,8 +139,8 @@ def test_derivation_leibniz_expansion():
 
 def test_derivation_kills_scalars():
     d1 = lowering_operator(6, 1)
-    assert d1(Form.one(6)) == Form.zero(6)
-    assert derivation(6, {}) (F("e1^e2 + e5", 6)) == Form.zero(6)
+    assert d1(F("1", 6)) == Form(6)
+    assert Derivation(6, {})(F("e1^e2 + e5", 6)) == Form(6)
 
 
 def test_derivation_leibniz_property_random():
@@ -169,35 +168,30 @@ def test_square_of_derivation_is_derivation():
 
 
 def test_matrix_of_zero_operator():
-    zero = derivation(4, {})
-    m = matrix_of(zero, basis(4, 2), basis(4, 3))
-    assert m.rows == 4 and m.cols == 6
-    assert all(r == 0 for r in m.data)
+    zero = Derivation(4, {})
+    assert matrix_of(zero, monomials(4, 2), monomials(4, 3)) == [0] * 6
 
 
 def test_matrix_of_identity_on_generators():
-    ident = derivation(3, {i: F(f"e{i}", 3) for i in (1, 2, 3)})
-    m = matrix_of(ident, basis(3, 1), basis(3, 1))
-    assert m.to_rows() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    ident = Derivation(3, {i: F(f"e{i}", 3).terms for i in (1, 2, 3)})
+    assert matrix_of(ident, monomials(3, 1), monomials(3, 1)) == [0b001, 0b010, 0b100]
 
 
 def test_matrix_of_graded_slice():
     d = differential(m0(5))
-    m = matrix_of(d, basis_graded(5, 1, 4), basis_graded(5, 2, 4))
-    assert (m.rows, m.cols) == (1, 1)
-    assert m.to_rows() == [[1]]
+    assert matrix_of(d, monomials(5, 1, 4), monomials(5, 2, 4)) == [0b1]
 
 
 def test_matrix_of_image_outside_codomain():
     d = differential(m0(5))
     with pytest.raises(ImageOutsideCodomain):
-        matrix_of(d, basis_graded(5, 1, 4), basis_graded(5, 2, 5))
+        matrix_of(d, monomials(5, 1, 4), monomials(5, 2, 5))
 
 
 def test_block_pivots_image_outside_codomain():
     # e^4 -> e^1^e^2 lowers the degree, so the image of e^4 (degree 4) is
     # not in the degree-4 slice of 2-forms
-    op = derivation(5, {4: F("e1^e2", 5)})
+    op = Derivation(5, {4: F("e1^e2", 5).terms})
     domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
     with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e4"):
         block_pivots(op, domain, codomain)
@@ -208,8 +202,8 @@ def test_block_pivots_image_outside_codomain():
 
 def test_form_addition_is_gf2():
     a = F("e1^e2 + e3", 5)
-    assert a + a == Form.zero(5)
-    assert a + Form.zero(5) == a
+    assert a + a == Form(5)
+    assert a + Form(5) == a
     assert F("e1 + e2", 5) + F("e2 + e3", 5) == F("e1 + e3", 5)
 
 
@@ -232,7 +226,7 @@ def test_parse_is_order_and_whitespace_insensitive():
     n = 7
     assert parse_form("e3^e4+e1^e6", n) == parse_form(" e1 ^ e6  +  e3 ^ e4 ", n)
     assert parse_form("e4^e3", n) == parse_form("e3^e4", n)
-    assert parse_form("e5 + e5", n) == Form.zero(n)  # GF(2) fold
+    assert parse_form("e5 + e5", n) == Form(n)  # GF(2) fold
 
 
 def test_parse_errors():
