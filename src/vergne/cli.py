@@ -187,6 +187,7 @@ def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> Non
 
 def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> None:
     for n in range(5, max_dim + 1):
+        recorded = len(failures)
         for g in classify.enumerate_algebras(n):
             table = betti(g)
             bad = table.violations()
@@ -199,7 +200,8 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
                 failures.append(f"duality n={n} {g.row()}: b != reversed(b)")
             if table.b[1] != 2:
                 failures.append(f"consistency n={n} {g.row()}: b_1 = {table.b[1]} != 2")
-        lines.append(f"consistency n={n} ok ({len(classify.enumerate_algebras(n))} algebras)")
+        status = "ok" if len(failures) == recorded else "FAIL"
+        lines.append(f"consistency n={n} {status} ({len(classify.enumerate_algebras(n))} algebras)")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

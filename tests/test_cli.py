@@ -1,5 +1,6 @@
 """Command line wiring: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -192,6 +193,37 @@ def test_verify_all_transcript_is_byte_identical(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
     assert code == 0
     assert out == ref.read_text()
+
+
+def test_verify_diagrams_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `verify --suite diagrams --max-dim 14` as the
+    # block-by-block check of every square at every k printed it
+    code, out, _ = run(capsys, "verify", "--suite", "diagrams", "--max-dim", "14")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5ff89f8a062a22e70ac0134b73dee523e6c8835f216a12281f0bd7023c0c9190"
+
+
+def test_verify_consistency_line_reports_recorded_failures(capsys, monkeypatch):
+    # a duality or b_1 failure is recorded without a FAIL line of its own,
+    # so the per-n line must say FAIL too
+    class Broken:
+        def __init__(self, table):
+            self.b = (table.b[0], 3) + table.b[2:]
+
+        def violations(self):
+            return []
+
+    real = cli.betti
+    monkeypatch.setattr(cli, "betti", lambda g: Broken(real(g)) if g.n == 6 else real(g))
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "7")
+    assert code == cli.EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert "consistency n=5 ok (2 algebras)" in lines
+    assert "consistency n=6 FAIL (2 algebras)" in lines
+    assert "consistency n=7 ok (4 algebras)" in lines
+    assert "4 check(s) failed:" in lines
+    assert sum("b_1 = 3 != 2" in line for line in lines) == 2
 
 
 def test_verify_rejects_max_dim_below_minimum(capsys):

@@ -136,8 +136,9 @@ def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
     # nothing is cleared at k = 1, so every generator column is built there
     # and a generator image that is not a 2-factor monomial of the
     # generator's degree raises before any column is skipped.  The square
-    # builds every column before its verdict, so there the bug is an
-    # internal error (exit 4) too, never a failed square (exit 1).
+    # checks every generator image of both sides before its verdict, so
+    # there the bug is an internal error (exit 4) too, never a failed
+    # square (exit 1).
     images = dict(differential(m0(6)).images)
     for bad in (parse_form("e2^e3", 6), parse_form("e1^e2^e3", 6)):
         op = Derivation(6, {**images, 6: images[6] | bad.terms})
@@ -148,6 +149,13 @@ def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
         assert g._ranks is None and g._betti is None
         with pytest.raises(ImageOutsideCodomain, match="not in codomain"):
             verify_commuting_square(m0(6), m2(6), 2)
+        # one broken side is enough, in either orientation
+        with monkeypatch.context() as one_side:
+            one_side.setattr(cohomology, "differential",
+                             lambda g: op if g == m2(6) else differential(g))
+            for g1, g2 in ((m0(6), m2(6)), (m2(6), m0(6))):
+                with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
+                    verify_commuting_square(g1, g2, 2)
         assert cli.main(["verify", "--suite", "diagrams", "--max-dim", "6"]) == cli.EXIT_INTERNAL
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("internal error: ImageOutsideCodomain: ")
@@ -217,7 +225,7 @@ def test_b2_on_other_algebras_is_reported_not_assumed():
     assert any(v != (n + 1) // 2 for (n, _), v in observed.items())
 
 
-def test_commuting_square_models():
+def _check_partner_squares():
     # every partner pair, m0(n) ~ m2(n) and m2(n) ~ m0(n) among them, at
     # every k, against the Form-level oracle
     for n in range(5, 11):
@@ -226,6 +234,55 @@ def test_commuting_square_models():
             for k in range(2, n + 1):
                 assert verify_commuting_square(g, p, k) is True, (g, k)
                 assert commuting_square_holds(g, p, k), (g, k)
+
+
+def test_commuting_square_models(monkeypatch):
+    # decided from the generator images: no block column is built
+    def no_blocks(*args):
+        raise AssertionError("block check reached")
+
+    monkeypatch.setattr(cohomology, "image_columns", no_blocks)
+    _check_partner_squares()
+
+
+def test_commuting_square_models_by_blocks(monkeypatch):
+    # the same squares with the generator test switched off, so the block
+    # check is what decides them
+    built = []
+    image_columns = cohomology.image_columns
+
+    def counted(op, domain, row):
+        built.append(len(domain))
+        return image_columns(op, domain, row)
+
+    monkeypatch.setattr(cohomology, "_generators_conjugate", lambda d1, d2: False)
+    monkeypatch.setattr(cohomology, "image_columns", counted)
+    _check_partner_squares()
+    assert sum(built) == 2 * sum(2 ** n - n - 1 for n in range(5, 11)
+                                 for _ in enumerate_algebras(n))
+
+
+def test_commuting_square_agrees_with_oracle_on_all_ordered_pairs():
+    # every ordered pair with n <= 9, the models and partners among them,
+    # at every k; the generator test holds exactly when every k does
+    held = failed = 0
+    for n in range(5, 10):
+        algebras = enumerate_algebras(n)
+        assert m0(n) in algebras and m2(n) in algebras
+        for g1 in algebras:
+            for g2 in algebras:
+                verdicts = []
+                for k in range(2, n + 1):
+                    got = verify_commuting_square(g1, g2, k)
+                    assert got == (not commuting_square_failures(g1, g2, k)), (g1, g2, k)
+                    verdicts.append(got)
+                generators = cohomology._generators_conjugate(differential(g1), differential(g2))
+                assert generators == all(verdicts) == (g2 == partner(g1)), (g1, g2)
+                held += generators
+                failed += verdicts.count(False)
+    assert held == sum(len(enumerate_algebras(n)) for n in range(5, 10)) == 18
+    # 58 of the 76 pairs fail, in 298 (pair, k) squares
+    assert failed == 298, failed
 
 
 def test_commuting_square_requires_conjugation():

@@ -231,6 +231,19 @@ def test_partner_is_involution_and_changes_row():
             assert decompose(p).root != decompose(g).root
 
 
+def test_partner_row_is_row_xor_m2_row():
+    # the generator test of the commuting square: partners differ by the
+    # e^2^e^{i-2} terms of m2(n), so their rows differ by row(m2(n))
+    count = 0
+    for n in range(5, 21):
+        flip = m2(n).row().bits
+        for g in enumerate_algebras(n):
+            want = tuple(a ^ b for a, b in zip(g.row().bits, flip))
+            assert partner(g).row().bits == want, g
+            count += 1
+    assert count == 218
+
+
 def test_partner_preserves_betti():
     for n in range(5, 9):
         for g in enumerate_algebras(n):
