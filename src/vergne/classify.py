@@ -9,8 +9,8 @@ lives in the tests as an oracle for this search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .cohomology import betti
 from .core import MIN_DIMENSION, RowVector, VergneAlgebra, m0, m2
@@ -102,8 +102,7 @@ def _row_label(row: RowVector) -> str:
     return _LABELS.get((n, bits), str(row))
 
 
-@dataclass(frozen=True)
-class ExtensionTree:
+class ExtensionTree(NamedTuple):
     """All algebras of dimension 5..n_max linked by one-step truncation.
 
     ``nodes`` maps (dimension, row bits) to a node id; ``edges`` holds

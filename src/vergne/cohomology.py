@@ -10,10 +10,9 @@ columns that the previous block's pivots clear (see ``_block_ranks``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import comb
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .core import VergneAlgebra, _involution_delta, differential
 from .exterior import (
@@ -34,7 +33,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class BettiTable:
     """Betti numbers b_0..b_n with their graded refinement; read-only.
 
@@ -44,15 +42,40 @@ class BettiTable:
     the per-algebra cache cannot be changed by its caller.
     """
 
+    __slots__ = ("n", "b", "graded", "z")
+
     n: int
     b: tuple[int, ...]
     graded: Mapping[tuple[int, int], int]
     z: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "graded", MappingProxyType(dict(self.graded)))
-        object.__setattr__(self, "z", tuple(self.z))
+    def __init__(
+        self,
+        n: int,
+        b: Iterable[int],
+        graded: Mapping[tuple[int, int], int],
+        z: Iterable[int],
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "b", tuple(b))
+        object.__setattr__(self, "graded", MappingProxyType(dict(graded)))
+        object.__setattr__(self, "z", tuple(z))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BettiTable is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BettiTable is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BettiTable):
+            return NotImplemented
+        return (self.n, self.b, self.graded, self.z) == (other.n, other.b, other.graded, other.z)
+
+    __hash__ = None  # ``graded`` is a mapping
+
+    def __repr__(self) -> str:
+        return f"BettiTable(n={self.n}, b={self.b}, graded={dict(self.graded)}, z={self.z})"
 
     def violations(self) -> list[str]:
         """Internal-consistency failures; empty when the table is sound."""

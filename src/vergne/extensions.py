@@ -13,7 +13,6 @@ involution yields a different algebra with the same Betti numbers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
@@ -61,8 +60,7 @@ class ExtensionStep(NamedTuple):
     omega: Form
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """An algebra as a chain of central extensions over a dimension-5 root.
 
     ``steps`` are ordered bottom-up: steps[0] extends the root, the last

@@ -125,7 +125,12 @@ class Form:
         acc: set[int] = set()
         limit = 1 << ambient
         for t in terms:
-            mask = t.mask if isinstance(t, Monomial) else t
+            if isinstance(t, Monomial):
+                if t.ambient != ambient:
+                    raise AmbientMismatch(f"monomial {t} of ambient {t.ambient} != {ambient}")
+                mask = t.mask
+            else:
+                mask = t
             if not 0 <= mask < limit:
                 raise ValueError(f"monomial {mask:#x} outside ambient dimension {ambient}")
             if mask in acc:

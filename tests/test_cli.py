@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import cli
+from vergne import classify, cli, cohomology
 from vergne.cli import main
 from vergne.cohomology import betti
 from vergne.core import m0
@@ -202,6 +202,45 @@ def test_verify_diagrams_transcript_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "5ff89f8a062a22e70ac0134b73dee523e6c8835f216a12281f0bd7023c0c9190"
+
+
+def test_verify_all_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `verify --suite all --max-dim 14` as it was
+    # printed when thm1 and thm2 ranked fresh model and partner instances
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "14")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "801c7996f527af2c8b9170de5d2f2b506abf011591fcb0b397f62e8db4514a29"
+
+
+def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
+    # thm1's models and thm2's partners are enumerated algebras too, so the
+    # 44 algebras of n = 5..12 are the only complexes ranked from scratch
+    classify.enumerate_algebras.cache_clear()
+    cold = []
+    real = cohomology._block_ranks
+
+    def counting(g, top):
+        if g._ranks is None:
+            cold.append(g)
+        return real(g, top)
+
+    monkeypatch.setattr(cohomology, "_block_ranks", counting)
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
+    assert code == 0
+    assert sum(len(classify.enumerate_algebras(n)) for n in range(5, 13)) == 44
+    assert len(cold) == 44
+    assert len(set(map(id, cold))) == 44
+
+
+def test_verify_thm2_ranks_a_partner_outside_the_enumeration(capsys, monkeypatch):
+    # a partner missing from the enumerated instances is ranked as it is,
+    # so a wrong partner reads as a failed check, not an internal error
+    monkeypatch.setattr(cli, "partner", lambda g: m0(g.n + 1))
+    code, out, _ = run(capsys, "verify", "--suite", "thm2", "--max-dim", "7")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert "thm2 n=5 m0(5) ~ m0(6) FAIL" in out.splitlines()
+    assert sum(line.startswith("thm2 n=") and line.endswith(" FAIL") for line in out.splitlines()) == 8
 
 
 def test_verify_consistency_line_reports_recorded_failures(capsys, monkeypatch):

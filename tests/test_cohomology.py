@@ -2,12 +2,16 @@
 
 import json
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from vergne import cli, cohomology
-from vergne.classify import enumerate_algebras
+from vergne.classify import enumerate_algebras, extension_tree
 from vergne.cohomology import (
     _block_ranks,
     betti,
@@ -24,7 +28,7 @@ from vergne.exterior import (
     matrix_of,
     parse_form,
 )
-from vergne.extensions import partner
+from vergne.extensions import Decomposition, decompose, partner
 
 from helpers import monomials
 from oracles import (
@@ -403,3 +407,35 @@ def test_cached_betti_table_is_read_only():
         table.b = [0] * 9
     assert betti(g) is table
     assert (betti(g).b, dict(betti(g).graded), betti(g).z) == before
+
+
+def test_result_records_keep_fields_equality_and_immutability():
+    table = cohomology.BettiTable(n=1, b=[1, 1], graded={(0, 0): 1, (1, 1): 1}, z=[1, 1])
+    assert (table.b, table.z, type(table.graded)) == ((1, 1), (1, 1), MappingProxyType)
+    assert table == cohomology.BettiTable(1, (1, 1), {(1, 1): 1, (0, 0): 1}, (1, 1))
+    assert table != cohomology.BettiTable(1, (1, 1), {(0, 0): 1}, (1, 1))
+    dec = decompose(m0(7))
+    tree = extension_tree(6)
+    assert dec == Decomposition(root=dec.root, steps=dec.steps)
+    assert tree == extension_tree(6)
+    for record, name, value in ((table, "b", ()), (dec, "root", m2(5)), (tree, "edges", ())):
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+    assert betti(m0(7)) == betti(m0(7))
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # each costs about a megabyte of RSS in the benchmark's fresh workers
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import vergne; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

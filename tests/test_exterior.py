@@ -50,6 +50,14 @@ def test_wedge_ambient_mismatch():
         F("e1", 5) + F("e1", 6)
 
 
+def test_form_refuses_monomial_of_other_ambient():
+    with pytest.raises(AmbientMismatch):
+        Form(6, [Monomial(0b11, 10)])
+    with pytest.raises(AmbientMismatch):
+        Form(6, [0b101, Monomial(0b11, 5)])
+    assert Form(6, [Monomial(0b11, 6), 0b11]) == Form(6)
+
+
 def test_wedge_bilinear_and_associative():
     rng = random.Random(11)
     for _ in range(150):
