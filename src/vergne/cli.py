@@ -181,14 +181,18 @@ def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> Non
             (g, partner(g)) for g in classify.enumerate_algebras(n)
         ]
         for g1, g2 in pair_list:
-            bad = [k for k in range(2, n + 1) if not verify_commuting_square(g1, g2, k)]
-            ok = not bad
+            if g2.n != n:
+                # a wrong partner fails the check; the square would refuse it as bad input
+                fault = f"dimension {g2.n}"
+            else:
+                bad = [k for k in range(2, n + 1) if not verify_commuting_square(g1, g2, k)]
+                fault = f"k={bad}" if bad else ""
             lines.append(
                 f"diagrams n={n} {classify.label(g1)} ~ {classify.label(g2)} "
-                f"{'ok' if ok else 'FAIL at k=' + str(bad)}"
+                f"{'FAIL at ' + fault if fault else 'ok'}"
             )
-            if not ok:
-                failures.append(f"diagrams n={n} {g1.row()} vs {g2.row()}: k={bad}")
+            if fault:
+                failures.append(f"diagrams n={n} {g1.row()} vs {g2.row()}: {fault}")
 
 
 def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> None:

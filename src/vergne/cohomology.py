@@ -4,7 +4,7 @@ The differential preserves the degree grading, so the cochain complex
 splits into small blocks indexed by (topological degree k, degree m) and
 every rank is computed per block, straight from the monomial masks.  The
 blocks are ranked in one pass with k ascending, and each block skips the
-columns that the previous block's pivots clear (see ``_block_ranks``).
+columns that the previous block's pivots clear (see ``betti``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .exterior import (
     Derivation,
     ImageOutsideCodomain,
     Monomial,
+    _Frozen,
     block_pivots,
     graded_masks,
     image_columns,
@@ -33,7 +34,7 @@ __all__ = [
 ]
 
 
-class BettiTable:
+class BettiTable(_Frozen):
     """Betti numbers b_0..b_n with their graded refinement; read-only.
 
     ``graded`` maps (k, m) to dim H^k_m; zero entries are omitted.
@@ -60,12 +61,6 @@ class BettiTable:
         object.__setattr__(self, "b", tuple(b))
         object.__setattr__(self, "graded", MappingProxyType(dict(graded)))
         object.__setattr__(self, "z", tuple(z))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BettiTable is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("BettiTable is immutable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BettiTable):
@@ -124,9 +119,28 @@ class BettiTable:
         return "\n".join(lines) + "\n"
 
 
-def _block_ranks(g: VergneAlgebra, top: int) -> tuple[dict[int, int], ...]:
-    """Rank of d on every graded block (k, m) for k = 0..top at least, as
-    ``ranks[k][m]``; cached.
+def cocycle_dim(g: VergneAlgebra, k: int) -> int:
+    """dim ker(d) on k-forms, read from the cached Betti table."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"topological degree {k} outside 0..{g.n}")
+    return betti(g).z[k]
+
+
+def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
+    """dim H^k_m: closed k-forms of degree m modulo exact ones."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"topological degree {k} outside 0..{g.n}")
+    return betti(g).graded.get((k, m), 0)
+
+
+def betti(g: VergneAlgebra) -> BettiTable:
+    """Full Betti table, from one pass over the graded blocks; cached.
+
+    The blocks (k, m) are ranked with k ascending.  Each level adds
+    dim Z_k = C(n, k) - rank d_k and the graded entries
+    dim H^k_m = |block (k, m)| - rank(k, m) - rank(k-1, m), while
+    b_k = dim Z_k + dim Z_{k-1} - C(n, k-1) is derived from z alone, so
+    ``BettiTable.violations`` checks the graded sums against it.
 
     Clearing: the pivots of block (k-1, m) are an echelon basis of the
     exact forms B^k_m with distinct leading positions P, so
@@ -138,71 +152,29 @@ def _block_ranks(g: VergneAlgebra, top: int) -> tuple[dict[int, int], ...]:
     of d(e^i) is a 2-factor monomial of degree i.  That check covers every
     column of the complex, built or cleared: a Leibniz term of such images
     always lies in the codomain slice.
-
-    The cache holds the levels ranked so far and the pivots of the last
-    one, so a later call for a higher ``top`` resumes where this one
-    stopped.  It is written only once every requested level is ranked.
     """
-    levels, cleared = g._ranks or ((), {})
-    if top < len(levels):
-        return levels
-    n = g.n
-    d = differential(g)
-    new = list(levels)
-    for k in range(len(levels), top + 1):
-        target = graded_masks(n, k + 1) if k < n else {}
-        level, pivots = {}, {}
-        for m, masks in graded_masks(n, k).items():
-            skip = cleared.get(m, 0)
-            if skip:
-                masks = [mask for r, mask in enumerate(masks) if not skip >> r & 1]
-            p = block_pivots(d, masks, target.get(m, ()))
-            pivots[m] = p
-            level[m] = p.bit_count()
-        new.append(level)
-        cleared = pivots
-    levels = tuple(new)
-    # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
-    object.__setattr__(g, "_ranks", (levels, cleared))
-    return levels
-
-
-def cocycle_dim(g: VergneAlgebra, k: int) -> int:
-    """dim ker(d) on k-forms, accumulated over the graded blocks."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    return comb(g.n, k) - sum(_block_ranks(g, k)[k].values())
-
-
-def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
-    """dim H^k_m: closed k-forms of degree m modulo exact ones."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    masks = graded_masks(g.n, k).get(m)
-    if not masks:
-        return 0
-    ranks = _block_ranks(g, k)
-    image = ranks[k - 1].get(m, 0) if k >= 1 else 0
-    return len(masks) - ranks[k][m] - image
-
-
-def betti(g: VergneAlgebra) -> BettiTable:
-    """Full Betti table via b_k = dim Z_k + dim Z_{k-1} - C(n, k-1)."""
     if g._betti is not None:
         return g._betti
     n = g.n
-    ranks = _block_ranks(g, n)
-    z = [comb(n, k) - sum(ranks[k].values()) for k in range(n + 1)]
-    b = [1] + [z[k] + z[k - 1] - comb(n, k - 1) for k in range(1, n + 1)]
+    d = differential(g)
+    z: list[int] = []
     graded: dict[tuple[int, int], int] = {}
-    below: dict[int, int] = {}
+    cleared: dict[int, int] = {}  # degree -> pivots of the block one level down
     for k in range(n + 1):
+        target = graded_masks(n, k + 1) if k < n else {}
+        pivots = {}
         for m, masks in graded_masks(n, k).items():
-            v = len(masks) - ranks[k][m] - below.get(m, 0)
+            skip = cleared.get(m, 0)
+            kept = [mask for r, mask in enumerate(masks) if not skip >> r & 1] if skip else masks
+            p = pivots[m] = block_pivots(d, kept, target.get(m, ()))
+            v = len(masks) - p.bit_count() - skip.bit_count()
             if v:
                 graded[(k, m)] = v
-        below = ranks[k]
+        z.append(comb(n, k) - sum(p.bit_count() for p in pivots.values()))
+        cleared = pivots
+    b = [1] + [z[k] + z[k - 1] - comb(n, k - 1) for k in range(1, n + 1)]
     table = BettiTable(n=n, b=b, graded=graded, z=z)
+    # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
     object.__setattr__(g, "_betti", table)
     return table
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Mapping
 
-from .exterior import MAX_AMBIENT, Derivation, Form, _from_masks, _indices, _mask_from_indices
+from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _from_masks, _indices, _mask_from_indices
 
 __all__ = [
     "MIN_DIMENSION",
@@ -60,7 +60,7 @@ class JacobiViolation(ValueError):
         self.index = index
 
 
-class RowVector:
+class RowVector(_Frozen):
     """The e_2 bracket row [0, c_{2,3}, ..., c_{2,n-2}, 0, 0].
 
     ``bits[j-2]`` is the coefficient of e_{2+j} in [e_2, e_j], j = 2..n.
@@ -89,9 +89,6 @@ class RowVector:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RowVector is immutable")
 
     def bit(self, j: int) -> int:
         """Coefficient c_{2,j}; zero outside 2..n."""
@@ -160,7 +157,7 @@ def _violation(mask: int) -> JacobiViolation:
     return JacobiViolation(f"Jacobi identity fails on (e{a}, e{b}, e{c})", triple=(a, b, c))
 
 
-class VergneAlgebra:
+class VergneAlgebra(_Frozen):
     """Immutable, validated Vergne-type algebra: dimension plus c-table.
 
     Construction checks d(d(e^k)) = 0 for every generator, so any held
@@ -170,7 +167,7 @@ class VergneAlgebra:
     then cyclic triples.
     """
 
-    __slots__ = ("n", "c", "_diff", "_ranks", "_betti")
+    __slots__ = ("n", "c", "_diff", "_betti")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if not MIN_DIMENSION <= n <= MAX_AMBIENT:
@@ -191,11 +188,7 @@ class VergneAlgebra:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "c", frozenset(table))
         object.__setattr__(self, "_diff", d)
-        object.__setattr__(self, "_ranks", None)
         object.__setattr__(self, "_betti", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VergneAlgebra is immutable")
 
     def structure_constant(self, i: int, j: int) -> int:
         """c_{i,j}, symmetrized; zero for i = j and out-of-range pairs."""

@@ -111,7 +111,19 @@ def _check_ambient(n: int) -> None:
         raise ValueError(f"ambient dimension must be in 0..{MAX_AMBIENT}, got {n}")
 
 
-class Form:
+class _Frozen:
+    """Slotted value classes: fields set once by the constructor, then read-only."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Form(_Frozen):
     """A GF(2) sum of monomials; the empty set is the zero form.
 
     ``terms`` is a frozenset of monomial bitmasks.  The constructor accepts
@@ -139,9 +151,6 @@ class Form:
                 acc.add(mask)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "terms", frozenset(acc))
-
-    def __setattr__(self, name, value):  # immutable after construction
-        raise AttributeError("Form is immutable")
 
     def monomials(self) -> tuple[Monomial, ...]:
         """Terms in canonical order (lexicographic on sorted index tuples)."""
@@ -207,15 +216,17 @@ def wedge(a: Form, b: Form) -> Form:
     return _from_masks(a.ambient, acc)
 
 
-class Derivation:
+class Derivation(_Frozen):
     """A derivation of the exterior algebra given by its generator images.
 
     Acts on a monomial by the Leibniz expansion (replace one factor at a
     time by its image, sum the results mod 2) and additively on forms.
     Generators without an entry map to zero; scalars map to zero.
+    ``images`` is a read-only view of generator index -> frozenset of
+    image masks, so a cached differential cannot be changed by its caller.
     """
 
-    __slots__ = ("ambient", "images")
+    __slots__ = ("ambient", "images", "_table")
 
     def __init__(self, ambient: int, images: Mapping[int, Iterable[int]]):
         _check_ambient(ambient)
@@ -230,13 +241,15 @@ class Derivation:
                     raise ValueError("image monomial outside ambient dimension")
             if ms:
                 table[i] = ms
-        self.ambient = ambient
-        self.images = table
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "images", MappingProxyType(table))
+        # apply_mask reads the dict itself: its get takes half the proxy's time
+        object.__setattr__(self, "_table", table)
 
     def apply_mask(self, mask: int) -> set[int]:
         """Leibniz expansion of a single monomial, returned as a mask set."""
         acc: set[int] = set()
-        images = self.images
+        images = self._table
         m = mask
         while m:
             low = m & -m

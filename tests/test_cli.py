@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import classify, cli, cohomology
+from vergne import classify, cli
 from vergne.cli import main
 from vergne.cohomology import betti
 from vergne.core import m0
@@ -213,19 +213,30 @@ def test_verify_all_transcript_is_pinned(capsys):
     assert digest == "801c7996f527af2c8b9170de5d2f2b506abf011591fcb0b397f62e8db4514a29"
 
 
+def test_betti_graded_json_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `betti --dim 16 --algebra m2 --graded --format
+    # json`, where clearing skips the most columns, as the level-by-level
+    # rank cache printed it
+    code, out, _ = run(capsys, "betti", "--dim", "16", "--algebra", "m2", "--graded",
+                       "--format", "json")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "87bf43fc20da3167a7baafd585891478c92059aad41839143cc6b8df87026759"
+
+
 def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
     # thm1's models and thm2's partners are enumerated algebras too, so the
     # 44 algebras of n = 5..12 are the only complexes ranked from scratch
     classify.enumerate_algebras.cache_clear()
     cold = []
-    real = cohomology._block_ranks
+    real = cli.betti
 
-    def counting(g, top):
-        if g._ranks is None:
+    def counting(g):
+        if g._betti is None:
             cold.append(g)
-        return real(g, top)
+        return real(g)
 
-    monkeypatch.setattr(cohomology, "_block_ranks", counting)
+    monkeypatch.setattr(cli, "betti", counting)
     code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
     assert code == 0
     assert sum(len(classify.enumerate_algebras(n)) for n in range(5, 13)) == 44
@@ -241,6 +252,20 @@ def test_verify_thm2_ranks_a_partner_outside_the_enumeration(capsys, monkeypatch
     assert code == cli.EXIT_VERIFY_FAILED
     assert "thm2 n=5 m0(5) ~ m0(6) FAIL" in out.splitlines()
     assert sum(line.startswith("thm2 n=") and line.endswith(" FAIL") for line in out.splitlines()) == 8
+
+
+def test_verify_diagrams_fails_a_partner_of_another_dimension(capsys, monkeypatch):
+    # the square refuses mismatched dimensions as bad input, but no command
+    # line input makes such a partner: it is a failed check, not exit 2
+    monkeypatch.setattr(cli, "partner", lambda g: m0(g.n + 1))
+    code, out, err = run(capsys, "verify", "--suite", "diagrams", "--max-dim", "6")
+    assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
+    lines = out.splitlines()
+    assert "diagrams n=5 m0(5) ~ m2(5) ok" in lines
+    assert "diagrams n=5 m0(5) ~ m0(6) FAIL at dimension 6" in lines
+    assert sum(line.startswith("diagrams n=") and " FAIL at dimension " in line
+               for line in lines) == 4
+    assert "4 check(s) failed:" in lines
 
 
 def test_verify_consistency_line_reports_recorded_failures(capsys, monkeypatch):

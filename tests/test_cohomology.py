@@ -13,13 +13,12 @@ import pytest
 from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras, extension_tree
 from vergne.cohomology import (
-    _block_ranks,
     betti,
     cocycle_dim,
     graded_betti,
     verify_commuting_square,
 )
-from vergne.core import differential, from_row, involution, m0, m2
+from vergne.core import differential, from_row, involution, lowering_operator, m0, m2
 from vergne.exterior import (
     Derivation,
     ImageOutsideCodomain,
@@ -96,23 +95,30 @@ def test_block_equals_full_matrix():
 
 
 def test_block_kernel_matches_naive_rank_on_every_block():
-    # the fused kernel on the full block, and the rank the cleared pass
-    # caches, against the naive rank of the matrix built by matrix_of
+    # the fused kernel on the full block, and the table the cleared pass
+    # yields, against the naive rank of the matrix built by matrix_of
     blocks = 0
     for n in range(5, 12):
         for g in enumerate_algebras(n):
             d = differential(g)
-            cached = _block_ranks(g, n)
+            z, graded, below = [], {}, {}
             for k in range(n + 1):
                 target = graded_masks(n, k + 1) if k < n else {}
+                ranks = {}
                 for m, masks in graded_masks(n, k).items():
                     codomain = monomials(n, k + 1, m)
                     want = rank_naive(matrix_of(d, monomials(n, k, m), codomain))
                     pivots = block_pivots(d, masks, target.get(m, ()))
                     assert pivots.bit_count() == want, (g, k, m)
                     assert pivots < 1 << len(codomain), (g, k, m)
-                    assert cached[k][m] == want, (g, k, m)
+                    ranks[m] = want
+                    if v := len(masks) - want - below.get(m, 0):
+                        graded[(k, m)] = v
                     blocks += 1
+                z.append(comb(n, k) - sum(ranks.values()))
+                below = ranks
+            table = betti(g)
+            assert (table.z, dict(table.graded)) == (tuple(z), graded), g
     assert blocks > 4000
 
 
@@ -150,7 +156,7 @@ def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
         g = m0(6)
         with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
             betti(g)
-        assert g._ranks is None and g._betti is None
+        assert g._betti is None
         with pytest.raises(ImageOutsideCodomain, match="not in codomain"):
             verify_commuting_square(m0(6), m2(6), 2)
         # one broken side is enough, in either orientation
@@ -165,9 +171,9 @@ def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
         assert out == "" and err.startswith("internal error: ImageOutsideCodomain: ")
 
 
-def test_cocycle_dim_ranks_only_the_levels_it_needs(monkeypatch):
-    # levels 0..2 of m2(12) are 1 + 12 + 21 graded blocks; betti resumes
-    # from them instead of starting over, and the whole complex is 299
+def test_cocycle_dim_and_graded_betti_read_the_one_table(monkeypatch):
+    # any first question ranks all 299 graded blocks of m2(12) in one pass;
+    # every later one, at any level, reads the cached table
     kernel = cohomology.block_pivots
     calls = []
 
@@ -177,16 +183,16 @@ def test_cocycle_dim_ranks_only_the_levels_it_needs(monkeypatch):
 
     monkeypatch.setattr(cohomology, "block_pivots", counting)
     g = m2(12)
-    cocycle_dim(g, 2)
-    assert len(calls) == 34
-    cocycle_dim(g, 1)
+    z2 = cocycle_dim(g, 2)
+    assert len(calls) == 299
+    cocycle_dim(g, 12)
     graded_betti(g, 2, 9)
-    assert len(calls) == 34
+    graded_betti(g, 12, 78)
     table = betti(g)
     assert len(calls) == 299
-    calls.clear()
-    assert graded_betti(m2(12), 2, 9) == table.graded[(2, 9)] and len(calls) == 34
-    assert betti(m2(12)) == table
+    assert (z2, graded_betti(g, 2, 9)) == (table.z[2], table.graded[(2, 9)])
+    assert graded_betti(g, 2, 1000) == 0
+    assert betti(m2(12)) == table and len(calls) == 2 * 299
 
 
 def test_graded_betti_examples():
@@ -407,6 +413,32 @@ def test_cached_betti_table_is_read_only():
         table.b = [0] * 9
     assert betti(g) is table
     assert (betti(g).b, dict(betti(g).graded), betti(g).z) == before
+
+
+def test_cached_differential_and_values_refuse_changes():
+    # differential(g) is the algebra's own cached Derivation and the
+    # lowering operators are shared, so neither may be changed in place
+    g = m0(7)
+    d = differential(g)
+    shared = lowering_operator(7, 1)
+    for op in (d, shared):
+        with pytest.raises(TypeError):
+            op.images[7] = frozenset()
+        with pytest.raises(TypeError):
+            del op.images[7]
+        for name in ("images", "ambient"):
+            with pytest.raises(AttributeError):
+                setattr(op, name, {})
+            with pytest.raises(AttributeError):
+                delattr(op, name)
+    row = g.row()
+    for value, name in ((parse_form("e1^e2", 7), "terms"), (row, "bits"), (g, "c"),
+                        (g, "_diff"), (g, "_betti")):
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert differential(g) is d and lowering_operator(7, 1) is shared
+    assert betti(g).b == (1, 2, 4, 7, 7, 4, 2, 1)
+    assert betti(g) == betti(m0(7)) and row == m0(7).row()
 
 
 def test_result_records_keep_fields_equality_and_immutability():
