@@ -56,6 +56,7 @@ from .extensions import (
     decompose,
     has_codim1_abelian_ideal,
     partner,
+    partners,
     reduce,
 )
 from .gf2 import rank
@@ -101,6 +102,7 @@ __all__ = [
     "parse_form",
     "parse_row",
     "partner",
+    "partners",
     "rank",
     "reduce",
     "to_dot",

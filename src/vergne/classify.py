@@ -81,7 +81,7 @@ def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
 
 
 # Former name of the forward search, kept for callers that still use it.
-# perfbench/ calls this by name; it goes with the benchmark upkeep (ROADMAP item 5).
+# perfbench/ calls this by name; it goes with the benchmark upkeep (ROADMAP item 1).
 enumerate_by_extension = enumerate_algebras
 
 

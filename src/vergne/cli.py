@@ -15,7 +15,7 @@ from . import classify, extensions
 from .cohomology import betti, verify_commuting_square
 from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
 from .exterior import AmbientMismatch, ImageOutsideCodomain
-from .extensions import decompose, has_codim1_abelian_ideal, partner
+from .extensions import decompose, has_codim1_abelian_ideal, partner, partners
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -148,21 +148,43 @@ def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
             lines.append(f"thm1 n={n} FAIL b_2 formula")
 
 
+def _partner_sweep(
+    max_dim: int,
+) -> tuple[list[tuple[VergneAlgebra, ...]], dict[VergneAlgebra, VergneAlgebra]]:
+    """The enumerated algebras of each n = 5..max_dim, and their partners
+    from one sweep (``extensions.partners``) that lasts one suite."""
+    enumerated = [classify.enumerate_algebras(n) for n in range(MIN_DIMENSION, max_dim + 1)]
+    return enumerated, partners(g for algebras in enumerated for g in algebras)
+
+
 def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
+    """Every enumerated g has a partner p with equal Betti numbers, another
+    row, and g as the partner of p.
+
+    The involution check is not vacuous.  The sweep records for each
+    algebra the partner built along that algebra's own reduce chain, and
+    never records g as the partner of its partner.  So the entry of p is
+    p's chain re-extended from the other root by f of each cocycle, and it
+    equals g only if reduce inverts central_extension along that chain,
+    f(f(omega)) = omega for each cocycle, and the root swap is an
+    involution.  A p outside the enumeration is not in the sweep, and
+    ``partner`` builds its partner the same way.
+    """
     root_ok = (
         has_codim1_abelian_ideal(m0(5)) and not has_codim1_abelian_ideal(m2(5))
     )
     lines.append(f"thm2 roots distinguished by abelian ideal: {'ok' if root_ok else 'FAIL'}")
     if not root_ok:
         failures.append("thm2: dimension-5 roots not distinguished")
-    for n in range(5, max_dim + 1):
-        known = {g: g for g in classify.enumerate_algebras(n)}
+    enumerated, mate = _partner_sweep(max_dim)
+    for n, algebras in enumerate(enumerated, MIN_DIMENSION):
+        known = {g: g for g in algebras}
         for g in known:
-            p = partner(g)
+            p = mate[g]
             p = known.get(p, p)  # the enumerated instance, as in thm1
             same_betti = betti(g).b == betti(p).b
             distinct = g.row() != p.row()
-            involutive = partner(p) == g
+            involutive = (mate[p] if p in mate else partner(p)) == g
             ok = same_betti and distinct and involutive
             lines.append(
                 f"thm2 n={n} {classify.label(g)} ~ {classify.label(p)} "
@@ -176,10 +198,9 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
 
 
 def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> None:
-    for n in range(5, max_dim + 1):
-        pair_list = [(m0(n), m2(n))] + [
-            (g, partner(g)) for g in classify.enumerate_algebras(n)
-        ]
+    enumerated, mate = _partner_sweep(max_dim)
+    for n, algebras in enumerate(enumerated, MIN_DIMENSION):
+        pair_list = [(m0(n), m2(n))] + [(g, mate[g]) for g in algebras]
         for g1, g2 in pair_list:
             if g2.n != n:
                 # a wrong partner fails the check; the square would refuse it as bad input

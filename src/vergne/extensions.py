@@ -13,7 +13,7 @@ involution yields a different algebra with the same Betti numbers.
 from __future__ import annotations
 
 import json
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .core import (
     MIN_DIMENSION,
@@ -23,7 +23,7 @@ from .core import (
     m0,
     m2,
 )
-from .exterior import AmbientMismatch, Form, Monomial, graded_masks, image_columns
+from .exterior import AmbientMismatch, Form, Monomial, generator_table, graded_masks, image_columns
 from .gf2 import solve_affine
 
 __all__ = [
@@ -36,6 +36,7 @@ __all__ = [
     "admissible_cocycles",
     "reduce",
     "decompose",
+    "partners",
     "partner",
     "has_codim1_abelian_ideal",
 ]
@@ -138,11 +139,11 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     The full solution coset is enumerated; empty when inconsistent.
     """
     n = g.n
-    d = differential(g)
+    gens = generator_table(differential(g))
     lead = _leading_mask(n)
     slice2 = graded_masks(n, 2)[n + 1]
     row = {q: 1 << r for r, q in enumerate(graded_masks(n, 3)[n + 1])}
-    columns = dict(zip(slice2, image_columns(d, slice2, row)))
+    columns = dict(zip(slice2, image_columns(gens, slice2, row)))
     rhs = columns.pop(lead)
     others = list(columns)
     solved = solve_affine(list(columns.values()), rhs)
@@ -193,21 +194,53 @@ def decompose(g: VergneAlgebra) -> Decomposition:
     return Decomposition(root=cur, steps=tuple(steps))
 
 
-def partner(g: VergneAlgebra) -> VergneAlgebra:
-    """A non-isomorphic algebra with the same Betti numbers.
+def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgebra]:
+    """Each algebra of ``family`` mapped to its partner, in one sweep.
 
-    Decompose g, swap the dimension-5 root for the other model, and
-    re-extend with the involution applied to every step cocycle.  The two
-    roots are distinguished by the codimension-1 abelian ideal, and the
-    conjugation squares transport along the extensions, so the Betti
-    numbers agree at every dimension.  Involutive: partner(partner(g)) == g.
+    The partner is the paper's construction: decompose g, swap the
+    dimension-5 root for the other model, and re-extend with the
+    involution f applied to every step cocycle.  The two roots are
+    distinguished by the codimension-1 abelian ideal, and the conjugation
+    squares transport along the extensions, so the Betti numbers agree at
+    every dimension.  Involutive: the partner of the partner is g.
+
+    Recursion: let (base, omega) = reduce(g).  ``decompose`` iterates
+    ``reduce``, and ``reduce`` reads only the c-table, so equal algebras
+    have equal chains and the chain of g is the chain of base followed by
+    the step (base, omega); both end at the same root.  The partner folds
+    central_extension(., f(omega_i)) over the steps from the swapped root,
+    and the fold over all but the last step is the partner of base, so
+
+        partner(g) = central_extension(partner(base), f(omega)).
+
+    The sweep starts from the root swap {m0(5): m2(5), m2(5): m0(5)} (every
+    5-dimensional Vergne algebra is one of the two), walks ``reduce`` down
+    from each g only until it meets an algebra whose partner it already
+    holds, and extends back up, recording the partner of every algebra on
+    the way.  So the truncations that many members share are extended once,
+    and a single algebra costs what its full decomposition does.  Every
+    recorded partner is computed from that algebra's own chain: the sweep
+    never records g as the partner of its partner, so a caller that checks
+    involutivity on the partner's own entry checks the construction.
     """
-    dec = decompose(g)
-    swapped = m2(MIN_DIMENSION) if dec.root == m0(MIN_DIMENSION) else m0(MIN_DIMENSION)
-    cur = swapped
-    for step in dec.steps:
-        cur = central_extension(cur, involution(step.omega))
-    return cur
+    family = tuple(family)
+    root0, root2 = m0(MIN_DIMENSION), m2(MIN_DIMENSION)
+    known = {root0: root2, root2: root0}
+    for g in family:
+        chain = []
+        while g not in known:
+            base, omega = reduce(g)
+            chain.append((g, omega))
+            g = base
+        p = known[g]
+        for h, omega in reversed(chain):
+            p = known[h] = central_extension(p, involution(omega))
+    return {g: known[g] for g in family}
+
+
+def partner(g: VergneAlgebra) -> VergneAlgebra:
+    """A non-isomorphic algebra with the same Betti numbers; see ``partners``."""
+    return partners((g,))[g]
 
 
 def has_codim1_abelian_ideal(g: VergneAlgebra) -> bool:

@@ -32,6 +32,8 @@ __all__ = [
     "wedge",
     "graded_masks",
     "matrix_of",
+    "GeneratorTable",
+    "generator_table",
     "image_columns",
     "block_pivots",
     "parse_form",
@@ -312,7 +314,7 @@ def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     })
 
 
-# perfbench/ patches this by name; it goes with the benchmark upkeep (ROADMAP item 5).
+# perfbench/ patches this by name; it goes with the benchmark upkeep (ROADMAP item 1).
 def matrix_of(
     op: Derivation,
     domain: Sequence[Monomial],
@@ -342,15 +344,32 @@ def matrix_of(
     return columns
 
 
-def image_columns(op: Derivation, domain: Iterable[int], row: Mapping[int, int]) -> Iterator[int]:
-    """The image of each ``domain`` mask under ``op`` as an int column.
+class GeneratorTable(NamedTuple):
+    """A derivation's nonzero generator images in the form ``image_columns``
+    reads: ``pairs`` holds (bit of e^i, image masks of e^i).  Build it once
+    with ``generator_table`` for a whole pass over many blocks."""
+
+    ambient: int
+    pairs: tuple[tuple[int, frozenset[int]], ...]
+
+
+def generator_table(op: Derivation) -> GeneratorTable:
+    """The ``GeneratorTable`` of ``op``."""
+    pairs = tuple((1 << (i - 1), imgs) for i, imgs in op.images.items())
+    return GeneratorTable(op.ambient, pairs)
+
+
+def image_columns(
+    table: GeneratorTable, domain: Iterable[int], row: Mapping[int, int]
+) -> Iterator[int]:
+    """The image of each ``domain`` mask under the derivation as an int column.
 
     The column is the XOR of ``row[t]`` over the Leibniz terms t of the
     image, where ``row`` maps each codomain mask to its position bits.  No
     set of terms is built.  Raises ImageOutsideCodomain when a Leibniz term
     has no ``row`` entry, which always indicates a grading bookkeeping bug.
     """
-    gens = [(1 << (i - 1), imgs) for i, imgs in op.images.items()]
+    gens = table.pairs
     for mask in domain:
         col = 0
         try:
@@ -361,17 +380,17 @@ def image_columns(op: Derivation, domain: Iterable[int], row: Mapping[int, int])
                         if not img & rest:
                             col ^= row[img | rest]
         except KeyError:
-            n = op.ambient
+            n = table.ambient
             raise ImageOutsideCodomain(
                 f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
             ) from None
         yield col
 
 
-def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
-    """Pivot positions of ``op`` from the span of the ``domain`` masks to the
-    span of the ``codomain`` masks, as a bitmask over codomain positions;
-    its bit count is the GF(2) rank.  No matrix is built.
+def block_pivots(table: GeneratorTable, domain: Iterable[int], codomain: Sequence[int]) -> int:
+    """Pivot positions of the derivation from the span of the ``domain``
+    masks to the span of the ``codomain`` masks, as a bitmask over codomain
+    positions; its bit count is the GF(2) rank.  No matrix is built.
 
     Each image column from ``image_columns`` is eliminated by
     ``gf2.echelon`` as it is built, so the pivots are an echelon basis of
@@ -380,7 +399,7 @@ def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int])
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     positions = 0
-    for top in echelon(image_columns(op, domain, row)):
+    for top in echelon(image_columns(table, domain, row)):
         positions |= 1 << (top - 1)
     return positions
 

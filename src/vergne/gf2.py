@@ -39,7 +39,7 @@ def echelon(vectors: Iterable[int]) -> dict[int, int]:
     return pivots
 
 
-# perfbench/ patches this by name; it goes with the benchmark upkeep (ROADMAP item 5).
+# perfbench/ patches this by name; it goes with the benchmark upkeep (ROADMAP item 1).
 def rank(vectors: Iterable[int]) -> int:
     """GF(2) rank of the span of the int-packed ``vectors``."""
     return len(echelon(vectors))

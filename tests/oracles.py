@@ -12,7 +12,9 @@ used by the cocycle identity checks.  ``involution_from_definition`` is f on
 Forms, built from the lowering derivation, independently of the mask-level
 ``core.involution``; ``commuting_square_failures`` checks the square with it
 on Forms, one monomial at a time, independently of the block-level
-``verify_commuting_square``.
+``verify_commuting_square``.  ``partner_by_decomposition`` is the partner
+by the paper's construction over the whole chain, step by step from the
+swapped root, independently of the sweep in ``extensions.partners``.
 """
 
 from __future__ import annotations
@@ -27,9 +29,13 @@ from vergne.core import (
     _complete_row,
     differential,
     from_row,
+    involution,
     lowering_operator,
+    m0,
+    m2,
 )
 from vergne.exterior import Derivation, Form, Monomial, _mask_from_indices, matrix_of, wedge
+from vergne.extensions import central_extension, decompose
 
 from helpers import monomials
 
@@ -183,3 +189,13 @@ def commuting_square_failures(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> l
 def commuting_square_holds(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """d2(f(h)) = f(d1(h)) on every basis k-monomial h, computed on Forms."""
     return not commuting_square_failures(g1, g2, k)
+
+
+def partner_by_decomposition(g: VergneAlgebra) -> VergneAlgebra:
+    """Decompose g, swap the dimension-5 root for the other model, and
+    extend by the involution of every step cocycle, bottom-up."""
+    dec = decompose(g)
+    cur = m2(5) if dec.root == m0(5) else m0(5)
+    for step in dec.steps:
+        cur = central_extension(cur, involution(step.omega))
+    return cur

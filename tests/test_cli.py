@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from vergne import classify, cli
+from vergne import classify, cli, extensions
 from vergne.cli import main
 from vergne.cohomology import betti
-from vergne.core import m0
+from vergne.core import m0, m2
 from vergne.exterior import AmbientMismatch, ImageOutsideCodomain
 
 from helpers import parse_dot
@@ -244,20 +244,71 @@ def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
     assert len(set(map(id, cold))) == 44
 
 
+def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
+    # thm2 and diagrams each extend every enumerated algebra of n = 6..12
+    # once from its truncation's partner: 2 * 42 extensions, where one
+    # partner call per algebra and per partner rebuilt whole chains (618)
+    for n in range(5, 13):
+        classify.enumerate_algebras(n)
+    calls = []
+    real = extensions.central_extension
+
+    def counting(g, omega):
+        calls.append(g.n)
+        return real(g, omega)
+
+    monkeypatch.setattr(extensions, "central_extension", counting)
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
+    assert code == 0
+    assert len(calls) <= 84
+
+
+def test_verify_suites_alone_print_their_lines_within_all(capsys):
+    _, everything, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "9")
+    for suite in ("thm2", "diagrams"):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--max-dim", "9")
+        assert code == 0
+        alone = out.splitlines()
+        assert alone[-1] == "all checks passed"
+        within = [line for line in everything.splitlines() if line.startswith(suite + " ")]
+        assert alone[:-1] == within, suite
+
+
 def test_verify_thm2_ranks_a_partner_outside_the_enumeration(capsys, monkeypatch):
     # a partner missing from the enumerated instances is ranked as it is,
-    # so a wrong partner reads as a failed check, not an internal error
-    monkeypatch.setattr(cli, "partner", lambda g: m0(g.n + 1))
+    # so a wrong partner reads as a failed check, not an internal error;
+    # the sweep does not know m0(8), so n = 7 reads its partner by ``partner``
+    monkeypatch.setattr(cli, "partners", lambda family: {g: m0(g.n + 1) for g in family})
     code, out, _ = run(capsys, "verify", "--suite", "thm2", "--max-dim", "7")
     assert code == cli.EXIT_VERIFY_FAILED
     assert "thm2 n=5 m0(5) ~ m0(6) FAIL" in out.splitlines()
     assert sum(line.startswith("thm2 n=") and line.endswith(" FAIL") for line in out.splitlines()) == 8
 
 
+def test_verify_thm2_involution_reads_the_partners_own_entry(capsys, monkeypatch):
+    # m0(7) ~ m2(7) has equal Betti numbers and distinct rows, so only the
+    # involution check can fail its line: it reads the entry of m2(7)
+    real = cli.partners
+
+    def wrong_entry(family):
+        mate = real(family)
+        mate[m2(7)] = m2(7)
+        return mate
+
+    monkeypatch.setattr(cli, "partners", wrong_entry)
+    code, out, _ = run(capsys, "verify", "--suite", "thm2", "--max-dim", "7")
+    assert code == cli.EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert "thm2 n=7 m0(7) ~ m2(7) FAIL" in lines
+    assert "thm2 n=7 m2(7) ~ m2(7) FAIL" in lines
+    assert "2 check(s) failed:" in lines
+    assert "  thm2 n=7 [0, 0, 0, 0, 0, 0]: betti=True distinct=True involutive=False" in lines
+
+
 def test_verify_diagrams_fails_a_partner_of_another_dimension(capsys, monkeypatch):
     # the square refuses mismatched dimensions as bad input, but no command
     # line input makes such a partner: it is a failed check, not exit 2
-    monkeypatch.setattr(cli, "partner", lambda g: m0(g.n + 1))
+    monkeypatch.setattr(cli, "partners", lambda family: {g: m0(g.n + 1) for g in family})
     code, out, err = run(capsys, "verify", "--suite", "diagrams", "--max-dim", "6")
     assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
     lines = out.splitlines()
@@ -328,8 +379,8 @@ def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work started")
 
-    for target, name in ((cli, "betti"), (cli, "partner"), (cli, "verify_commuting_square"),
-                         (cli.classify, "enumerate_algebras")):
+    for target, name in ((cli, "betti"), (cli, "partner"), (cli, "partners"),
+                         (cli, "verify_commuting_square"), (cli.classify, "enumerate_algebras")):
         monkeypatch.setattr(target, name, work)
     zeros = "[" + ", ".join(["0"] * 29) + "]"
     for argv in (

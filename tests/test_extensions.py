@@ -20,8 +20,11 @@ from vergne.extensions import (
     decompose,
     has_codim1_abelian_ideal,
     partner,
+    partners,
     reduce,
 )
+
+from oracles import partner_by_decomposition
 
 
 def F(text, n):
@@ -213,6 +216,17 @@ def test_partner_of_models():
     for n in range(5, 13):
         assert partner(m0(n)) == m2(n), n
         assert partner(m2(n)) == m0(n), n
+
+
+def test_partners_sweep_matches_the_decomposition_oracle():
+    family = [g for n in range(5, 15) for g in enumerate_algebras(n)]
+    mate = partners(family)
+    assert list(mate) == family
+    for g in family:
+        assert mate[g] == partner_by_decomposition(g), g
+        assert partner(g) == partners((g,))[g] == mate[g], g
+    # the sweep walks reduce down from each algebra, so the order is free
+    assert partners(reversed(family)) == mate
 
 
 def test_partner_pairs_known_labels():

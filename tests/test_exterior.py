@@ -13,6 +13,7 @@ from vergne.exterior import (
     ImageOutsideCodomain,
     Monomial,
     block_pivots,
+    generator_table,
     graded_masks,
     matrix_of,
     parse_form,
@@ -202,10 +203,10 @@ def test_block_pivots_image_outside_codomain():
     op = Derivation(5, {4: F("e1^e2", 5).terms})
     domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
     with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e4"):
-        block_pivots(op, domain, codomain)
+        block_pivots(generator_table(op), domain, codomain)
     d = differential(m0(5))
     # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0
-    assert block_pivots(d, domain, codomain) == 0b1
+    assert block_pivots(generator_table(d), domain, codomain) == 0b1
 
 
 def test_form_addition_is_gf2():
