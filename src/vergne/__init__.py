@@ -17,8 +17,6 @@ from .classify import (
 from .cohomology import (
     BettiTable,
     betti,
-    cocycle_dim,
-    graded_betti,
     verify_commuting_square,
 )
 from .core import (
@@ -29,7 +27,6 @@ from .core import (
     differential,
     from_row,
     involution,
-    lowering_operator,
     m0,
     m2,
     parse_row,
@@ -41,9 +38,6 @@ from .exterior import (
     Form,
     ImageOutsideCodomain,
     Monomial,
-    matrix_of,
-    parse_form,
-    wedge,
 )
 from .extensions import (
     Decomposition,
@@ -59,7 +53,6 @@ from .extensions import (
     partners,
     reduce,
 )
-from .gf2 import rank
 
 __version__ = "0.1.0"
 
@@ -84,28 +77,21 @@ __all__ = [
     "admissible_cocycles",
     "betti",
     "central_extension",
-    "cocycle_dim",
     "decompose",
     "differential",
     "dimension_json_dict",
     "enumerate_algebras",
     "extension_tree",
     "from_row",
-    "graded_betti",
     "has_codim1_abelian_ideal",
     "involution",
     "label",
-    "lowering_operator",
     "m0",
     "m2",
-    "matrix_of",
-    "parse_form",
     "parse_row",
     "partner",
     "partners",
-    "rank",
     "reduce",
     "to_dot",
     "verify_commuting_square",
-    "wedge",
 ]

@@ -116,8 +116,8 @@ class ExtensionTree(NamedTuple):
 
 
 def extension_tree(n_max: int) -> ExtensionTree:
-    if n_max < MIN_DIMENSION:
-        raise ValueError(f"n_max must be at least {MIN_DIMENSION}")
+    if not MIN_DIMENSION <= n_max <= MAX_AMBIENT:
+        raise ValueError(f"n_max must be in {MIN_DIMENSION}..{MAX_AMBIENT}, got {n_max}")
     nodes: dict[tuple[int, tuple[int, ...]], int] = {}
     labels: dict[int, str] = {}
     edges: list[tuple[int, int]] = []

@@ -14,7 +14,7 @@ import sys
 from . import classify, extensions
 from .cohomology import betti, verify_commuting_square
 from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
-from .exterior import AmbientMismatch, ImageOutsideCodomain
+from .exterior import MAX_AMBIENT, AmbientMismatch, ImageOutsideCodomain
 from .extensions import decompose, has_codim1_abelian_ideal, partner, partners
 
 EXIT_OK = 0
@@ -33,6 +33,13 @@ def _check_feasible(flag: str, n: int) -> None:
         raise ValueError(
             f"{flag} {n} is past the feasibility bound: Betti tables are computed "
             f"up to dimension {MAX_BETTI_DIM}"
+        )
+
+
+def _check_tree_bound(max_dim: int) -> None:
+    if not MIN_DIMENSION <= max_dim <= MAX_AMBIENT:
+        raise ValueError(
+            f"--max-dim must be at least {MIN_DIMENSION} and at most {MAX_AMBIENT}, got {max_dim}"
         )
 
 
@@ -79,8 +86,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     _check_feasible("--dim", args.dim)
     if not args.tree and (args.max_dim is not None or args.dot is not None):
         raise ValueError("--max-dim and --dot need --tree")
-    if args.max_dim is not None and args.max_dim < MIN_DIMENSION:
-        raise ValueError(f"--max-dim must be at least {MIN_DIMENSION}, got {args.max_dim}")
+    if args.max_dim is not None:
+        _check_tree_bound(args.max_dim)
     algebras = classify.enumerate_algebras(args.dim)
     if args.format == "json":
         print(json.dumps(classify.dimension_json_dict(args.dim), indent=2))
@@ -94,6 +101,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    _check_tree_bound(args.max_dim)
     return _emit_tree(args.max_dim, args.dot)
 
 

@@ -9,7 +9,6 @@ columns that the previous block's pivots clear (see ``betti``).
 
 from __future__ import annotations
 
-import json
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -28,9 +27,7 @@ from .exterior import (
 
 __all__ = [
     "BettiTable",
-    "cocycle_dim",
     "betti",
-    "graded_betti",
     "verify_commuting_square",
 ]
 
@@ -107,9 +104,6 @@ class BettiTable(_Frozen):
             "cocycle_dims": list(self.z),
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
-
     def to_csv(self) -> str:
         lines = ["k,betti,cocycle_dim,graded"]
         for k in range(self.n + 1):
@@ -118,20 +112,6 @@ class BettiTable(_Frozen):
             )
             lines.append(f"{k},{self.b[k]},{self.z[k]},{cells}")
         return "\n".join(lines) + "\n"
-
-
-def cocycle_dim(g: VergneAlgebra, k: int) -> int:
-    """dim ker(d) on k-forms, read from the cached Betti table."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    return betti(g).z[k]
-
-
-def graded_betti(g: VergneAlgebra, k: int, m: int) -> int:
-    """dim H^k_m: closed k-forms of degree m modulo exact ones."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"topological degree {k} outside 0..{g.n}")
-    return betti(g).graded.get((k, m), 0)
 
 
 def betti(g: VergneAlgebra) -> BettiTable:
@@ -214,8 +194,9 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
     is an involution this single orientation decides the square both ways.
 
     The square is decided from the n generator images.  Work over GF(2),
-    so there are no signs.  Let δ = d1 + d2, let L = lowering_operator(n, 1)
-    and let ι be contraction by e_1, so that f = id + e^2^L∘ι (see
+    so there are no signs.  Let δ = d1 + d2, let L be the derivation with
+    L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for i <= 2, and let ι be
+    contraction by e_1, so that f = id + e^2^L∘ι (see
     ``core._involution_delta``).  Each d is a differential (d∘d = 0 is
     checked on construction) whose e^1-part on generators is e^1^L, so
     dι + ιd = L (both sides are derivations and agree on every e^i), and

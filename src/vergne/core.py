@@ -36,7 +36,6 @@ __all__ = [
     "from_row",
     "parse_row",
     "differential",
-    "lowering_operator",
     "involution",
 ]
 
@@ -276,23 +275,6 @@ def differential(g: VergneAlgebra) -> Derivation:
     (k+1)-forms.
     """
     return g._diff
-
-
-@lru_cache(maxsize=None)
-def lowering_operator(n: int, step: int = 1) -> Derivation:
-    """Derivation sending e^i to e^{i-step} (zero for i <= 2*step).
-
-    step=1 and step=2 are the two shifts that assemble the model
-    differentials: d_{m0} = e^1 ^ shift_1 and d_{m2} = e^1 ^ shift_1 +
-    e^2 ^ shift_2.
-    """
-    if step < 1:
-        raise ValueError("step must be positive")
-    images = {
-        i: {_mask_from_indices((i - step,), n)}
-        for i in range(2 * step + 1, n + 1)
-    }
-    return Derivation(n, images)
 
 
 def _involution_delta(h: int) -> list[int]:

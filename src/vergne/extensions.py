@@ -12,7 +12,6 @@ involution yields a different algebra with the same Betti numbers.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -70,23 +69,6 @@ class Decomposition(NamedTuple):
 
     root: VergneAlgebra
     steps: tuple[ExtensionStep, ...]
-
-    def replay(self) -> VergneAlgebra:
-        g = self.root
-        for step in self.steps:
-            if step.base != g:
-                raise ValueError("decomposition steps are out of order")
-            g = central_extension(g, step.omega)
-        return g
-
-    def to_json_dict(self) -> dict:
-        return {
-            "root": str(self.root.row()),
-            "omegas": [str(step.omega) for step in self.steps],
-        }
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def _leading_mask(n: int) -> int:

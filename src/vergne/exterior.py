@@ -29,14 +29,12 @@ __all__ = [
     "Monomial",
     "Form",
     "Derivation",
-    "wedge",
     "graded_masks",
     "matrix_of",
     "GeneratorTable",
     "generator_table",
     "image_columns",
     "block_pivots",
-    "parse_form",
 ]
 
 # One machine word per monomial; far above the interesting range n <= 14.
@@ -78,11 +76,6 @@ class Monomial(NamedTuple):
     mask: int
     ambient: int
 
-    @classmethod
-    def from_indices(cls, indices: Iterable[int], ambient: int) -> "Monomial":
-        _check_ambient(ambient)
-        return cls(_mask_from_indices(indices, ambient), ambient)
-
     @property
     def indices(self) -> tuple[int, ...]:
         return _indices(self.mask)
@@ -96,11 +89,6 @@ class Monomial(NamedTuple):
             total += low.bit_length()
             mask ^= low
         return total
-
-    @property
-    def top_degree(self) -> int:
-        """Number of wedge factors."""
-        return self.mask.bit_count()
 
     def __str__(self) -> str:
         if not self.mask:
@@ -199,23 +187,6 @@ def _from_masks(ambient: int, masks: Iterable[int]) -> Form:
     object.__setattr__(out, "ambient", ambient)
     object.__setattr__(out, "terms", frozenset(masks))
     return out
-
-
-def wedge(a: Form, b: Form) -> Form:
-    """Exterior product, bilinear over GF(2); x^x = 0, no signs in char 2."""
-    if a.ambient != b.ambient:
-        raise AmbientMismatch(f"{a.ambient} != {b.ambient}")
-    acc: set[int] = set()
-    for x in a.terms:
-        for y in b.terms:
-            if x & y:
-                continue
-            m = x | y
-            if m in acc:
-                acc.remove(m)
-            else:
-                acc.add(m)
-    return _from_masks(a.ambient, acc)
 
 
 class Derivation(_Frozen):
@@ -402,34 +373,3 @@ def block_pivots(table: GeneratorTable, domain: Iterable[int], codomain: Sequenc
     for top in echelon(image_columns(table, domain, row)):
         positions |= 1 << (top - 1)
     return positions
-
-
-_TERM_SPLIT = "+"
-
-
-def parse_form(text: str, ambient: int) -> Form:
-    """Parse the textual syntax ``e1^e6 + e3^e4`` (also ``0`` and ``1``).
-
-    Caret is the wedge, plus the GF(2) sum; term order and whitespace are
-    irrelevant.  Round-trips with ``str(form)``.
-    """
-    _check_ambient(ambient)
-    compact = "".join(text.split())
-    if not compact:
-        raise ValueError("empty form expression")
-    masks: list[int] = []
-    for term in compact.split(_TERM_SPLIT):
-        if not term:
-            raise ValueError(f"empty term in {text!r}")
-        if term == "0":
-            continue
-        if term == "1":
-            masks.append(0)
-            continue
-        indices = []
-        for factor in term.split("^"):
-            if not factor.startswith("e") or not factor[1:].isdigit():
-                raise ValueError(f"bad factor {factor!r} in {text!r}")
-            indices.append(int(factor[1:]))
-        masks.append(_mask_from_indices(indices, ambient))
-    return Form(ambient, masks)

@@ -1,12 +1,62 @@
-"""Shared test utilities: random generators, a mini DOT parser, oracles."""
+"""Shared test utilities: the Form-level exterior toolkit the library does
+not need (monomials from indices, wedge, the text syntax, the lowering
+derivations), random generators and a mini DOT parser."""
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
 from itertools import combinations
+from typing import Iterable
 
-from vergne.exterior import Form, Monomial
+from vergne.exterior import AmbientMismatch, Derivation, Form, Monomial, _mask_from_indices
+
+
+def from_indices(indices: Iterable[int], n: int) -> Monomial:
+    """The monomial e^{i1}^...^e^{ik} on e^1..e^n; ValueError on an index
+    outside 1..n or a repeated one."""
+    return Monomial(_mask_from_indices(indices, n), n)
+
+
+def wedge(a: Form, b: Form) -> Form:
+    """Exterior product, bilinear over GF(2); x^x = 0, no signs in char 2."""
+    if a.ambient != b.ambient:
+        raise AmbientMismatch(f"{a.ambient} != {b.ambient}")
+    return Form(a.ambient, [x | y for x in a.terms for y in b.terms if not x & y])
+
+
+def parse_form(text: str, n: int) -> Form:
+    """Parse the textual syntax ``e1^e6 + e3^e4`` (also ``0`` and ``1``).
+
+    Caret is the wedge, plus the GF(2) sum; term order and whitespace are
+    irrelevant.  Round-trips with ``str(form)``.
+    """
+    compact = "".join(text.split())
+    if not compact:
+        raise ValueError("empty form expression")
+    masks: list[int] = []
+    for term in compact.split("+"):
+        if not term:
+            raise ValueError(f"empty term in {text!r}")
+        if term == "0":
+            continue
+        indices = []
+        if term != "1":
+            for factor in term.split("^"):
+                if not factor.startswith("e") or not factor[1:].isdigit():
+                    raise ValueError(f"bad factor {factor!r} in {text!r}")
+                indices.append(int(factor[1:]))
+        masks.append(_mask_from_indices(indices, n))
+    return Form(n, masks)
+
+
+def lowering_operator(n: int, step: int = 1) -> Derivation:
+    """The derivation sending e^i to e^{i-step}, zero for i <= 2*step.
+
+    step=1 and step=2 assemble the model differentials:
+    d_{m0} = e^1 ^ D_1 and d_{m2} = e^1 ^ D_1 + e^2 ^ D_2.
+    """
+    return Derivation(n, {i: {1 << (i - step - 1)} for i in range(2 * step + 1, n + 1)})
 
 
 @lru_cache(maxsize=None)
@@ -18,7 +68,7 @@ def monomials(n: int, k: int, m: int | None = None) -> tuple[Monomial, ...]:
     ``graded_masks``.  Empty when k is outside 0..n.
     """
     return tuple(
-        Monomial.from_indices(c, n)
+        from_indices(c, n)
         for c in combinations(range(1, n + 1), k)
         if m is None or sum(c) == m
     )

@@ -30,14 +30,13 @@ from vergne.core import (
     differential,
     from_row,
     involution,
-    lowering_operator,
     m0,
     m2,
 )
-from vergne.exterior import Derivation, Form, Monomial, _mask_from_indices, matrix_of, wedge
+from vergne.exterior import Derivation, Form, Monomial, _mask_from_indices, matrix_of
 from vergne.extensions import central_extension, decompose
 
-from helpers import monomials
+from helpers import lowering_operator, monomials, wedge
 
 
 def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:

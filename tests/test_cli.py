@@ -224,6 +224,15 @@ def test_betti_graded_json_transcript_is_pinned(capsys):
     assert digest == "87bf43fc20da3167a7baafd585891478c92059aad41839143cc6b8df87026759"
 
 
+def test_pair_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `pair --dim 12` on g(12,1): both labels, both
+    # decompose roots and both Betti vectors
+    code, out, _ = run(capsys, "pair", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "8c5a66ff83563a8cac661ec5ade32d1d7e7c4e66228c34b585ac98249e839d62"
+
+
 def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
     # thm1's models and thm2's partners are enumerated algebras too, so the
     # 44 algebras of n = 5..12 are the only complexes ranked from scratch
@@ -398,6 +407,23 @@ def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):
     # the bound itself is accepted: the work starts (and here fails)
     code, _, err = run(capsys, "betti", "--dim", str(cli.MAX_BETTI_DIM), "--algebra", "m0")
     assert code == cli.EXIT_INTERNAL and "work started" in err
+
+
+def test_tree_bound_is_refused_before_any_work(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.classify, "enumerate_algebras", work)
+    for argv in (
+        ["tree", "--max-dim", "65"],
+        ["enumerate", "--dim", "6", "--tree", "--max-dim", "65"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == cli.EXIT_BAD_INPUT == 2, argv
+        assert out == ""
+        assert "at most 64, got 65" in err
+    with pytest.raises(ValueError, match="5..64, got 65"):
+        classify.extension_tree(65)
 
 
 def test_unknown_verb_exits_2(capsys):

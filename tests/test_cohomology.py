@@ -1,6 +1,5 @@
 """Betti numbers: block path vs full-matrix oracle, gradings, squares."""
 
-import json
 import random
 import subprocess
 import sys
@@ -12,13 +11,8 @@ import pytest
 
 from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras, extension_tree
-from vergne.cohomology import (
-    betti,
-    cocycle_dim,
-    graded_betti,
-    verify_commuting_square,
-)
-from vergne.core import differential, from_row, involution, lowering_operator, m0, m2
+from vergne.cohomology import betti, verify_commuting_square
+from vergne.core import differential, from_row, involution, m0, m2
 from vergne.exterior import (
     Derivation,
     ImageOutsideCodomain,
@@ -26,11 +20,10 @@ from vergne.exterior import (
     generator_table,
     graded_masks,
     matrix_of,
-    parse_form,
 )
 from vergne.extensions import Decomposition, decompose, partner
 
-from helpers import monomials
+from helpers import monomials, parse_form
 from oracles import (
     cocycle_dim_full,
     commuting_square_failures,
@@ -51,17 +44,15 @@ def naive_cocycle_dims(g):
 
 
 def test_cocycle_dim_examples():
-    g = m0(5)
-    assert cocycle_dim(g, 1) == 2
-    assert cocycle_dim(g, 0) == 1
-    assert cocycle_dim(g, 2) == 6
+    z = betti(m0(5)).z
+    assert (z[0], z[1], z[2]) == (1, 2, 6)
     # oracle: naive full-matrix nullity
-    assert naive_cocycle_dims(g) == [cocycle_dim(g, k) for k in range(6)]
+    assert naive_cocycle_dims(m0(5)) == list(z)
 
 
 def test_cocycle_dim_range():
-    with pytest.raises(ValueError):
-        cocycle_dim(m0(5), 6)
+    # the table holds dim Z_k for k = 0..n and nothing else
+    assert len(betti(m0(5)).z) == 6
     with pytest.raises(ValueError):
         cocycle_dim_full(m0(5), -1)
 
@@ -92,7 +83,7 @@ def test_block_equals_full_matrix():
     algebras += list(enumerate_algebras(7))
     for g in algebras:
         for k in range(g.n + 1):
-            assert cocycle_dim(g, k) == cocycle_dim_full(g, k), (g, k)
+            assert betti(g).z[k] == cocycle_dim_full(g, k), (g, k)
 
 
 def test_block_kernel_matches_naive_rank_on_every_block():
@@ -140,7 +131,7 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
     for g in (m0(12), m2(12)):
         built.clear()
         n = g.n
-        rank = [comb(n, k) - cocycle_dim(g, k) for k in range(n + 1)]
+        rank = [comb(n, k) - z for k, z in enumerate(betti(g).z)]
         want = sum(comb(n, k) - (rank[k - 1] if k else 0) for k in range(n + 1))
         assert sum(built) == want < 2 ** n, g
         assert min(built) > 0, g
@@ -175,10 +166,10 @@ def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
         assert out == "" and err.startswith("internal error: ImageOutsideCodomain: ")
 
 
-def test_cocycle_dim_and_graded_betti_read_the_one_table(monkeypatch):
-    # any first question ranks the 299 graded blocks of m2(12) in one pass,
+def test_betti_ranks_each_table_once(monkeypatch):
+    # the first call ranks the 299 graded blocks of m2(12) in one pass,
     # 235 of them by block_pivots (the other 64 have every column cleared);
-    # every later one, at any level, reads the cached table
+    # every later call on the same algebra reads the cached table
     kernel = cohomology.block_pivots
     calls = []
 
@@ -189,26 +180,18 @@ def test_cocycle_dim_and_graded_betti_read_the_one_table(monkeypatch):
     monkeypatch.setattr(cohomology, "block_pivots", counting)
     assert sum(len(graded_masks(12, k)) for k in range(13)) == 299
     g = m2(12)
-    z2 = cocycle_dim(g, 2)
-    assert len(calls) == 235
-    cocycle_dim(g, 12)
-    graded_betti(g, 2, 9)
-    graded_betti(g, 12, 78)
     table = betti(g)
     assert len(calls) == 235
-    assert (z2, graded_betti(g, 2, 9)) == (table.z[2], table.graded[(2, 9)])
-    assert graded_betti(g, 2, 1000) == 0
+    assert betti(g) is table and len(calls) == 235
     assert betti(m2(12)) == table and len(calls) == 2 * 235
 
 
 def test_graded_betti_examples():
-    g = m0(5)
-    assert graded_betti(g, 1, 1) == 1
-    assert graded_betti(g, 1, 2) == 1
+    graded = betti(m0(5)).graded
+    assert graded[(1, 1)] == graded[(1, 2)] == graded[(0, 0)] == 1
     for m in range(0, 20):
         if m not in (1, 2):
-            assert graded_betti(g, 1, m) == 0
-    assert graded_betti(g, 0, 0) == 1
+            assert (1, m) not in graded
     table = betti(m2(7))
     assert sum(v for (k, m), v in table.graded.items() if k == 2) == table.b[2] == 4
 
@@ -377,8 +360,7 @@ def test_proof_orientation_of_the_square():
 
 def test_json_and_csv_output():
     table = betti(m0(5))
-    payload = json.loads(table.to_json())
-    assert payload == {
+    assert table.to_json_dict() == {
         "n": 5,
         "betti": [1, 2, 3, 3, 2, 1],
         "graded": {
@@ -422,27 +404,25 @@ def test_cached_betti_table_is_read_only():
 
 
 def test_cached_differential_and_values_refuse_changes():
-    # differential(g) is the algebra's own cached Derivation and the
-    # lowering operators are shared, so neither may be changed in place
+    # differential(g) is the algebra's own cached Derivation, so it may not
+    # be changed in place
     g = m0(7)
     d = differential(g)
-    shared = lowering_operator(7, 1)
-    for op in (d, shared):
-        with pytest.raises(TypeError):
-            op.images[7] = frozenset()
-        with pytest.raises(TypeError):
-            del op.images[7]
-        for name in ("images", "ambient"):
-            with pytest.raises(AttributeError):
-                setattr(op, name, {})
-            with pytest.raises(AttributeError):
-                delattr(op, name)
+    with pytest.raises(TypeError):
+        d.images[7] = frozenset()
+    with pytest.raises(TypeError):
+        del d.images[7]
+    for name in ("images", "ambient"):
+        with pytest.raises(AttributeError):
+            setattr(d, name, {})
+        with pytest.raises(AttributeError):
+            delattr(d, name)
     row = g.row()
     for value, name in ((parse_form("e1^e2", 7), "terms"), (row, "bits"), (g, "c"),
                         (g, "_diff"), (g, "_betti")):
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert differential(g) is d and lowering_operator(7, 1) is shared
+    assert differential(g) is d
     assert betti(g).b == (1, 2, 4, 7, 7, 4, 2, 1)
     assert betti(g) == betti(m0(7)) and row == m0(7).row()
 
