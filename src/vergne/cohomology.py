@@ -20,7 +20,6 @@ from .exterior import (
     Monomial,
     _Frozen,
     block_pivots,
-    generator_table,
     graded_masks,
     image_columns,
 )
@@ -137,7 +136,7 @@ def betti(g: VergneAlgebra) -> BettiTable:
     if g._betti is not None:
         return g._betti
     n = g.n
-    gens = generator_table(differential(g))
+    d = differential(g)
     z: list[int] = []
     graded: dict[tuple[int, int], int] = {}
     cleared: dict[int, int] = {}  # degree -> pivots of the block one level down
@@ -148,7 +147,7 @@ def betti(g: VergneAlgebra) -> BettiTable:
             skip = cleared.get(m, 0)
             kept = [mask for r, mask in enumerate(masks) if not skip >> r & 1] if skip else masks
             # a block with every column cleared has rank 0
-            p = pivots[m] = block_pivots(gens, kept, target.get(m, ())) if kept else 0
+            p = pivots[m] = block_pivots(d, kept, target.get(m, ())) if kept else 0
             v = len(masks) - p.bit_count() - skip.bit_count()
             if v:
                 graded[(k, m)] = v
@@ -242,7 +241,6 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
     _check_generator_images(d2)
     if _generators_conjugate(d1, d2):
         return True
-    t1, t2 = generator_table(d1), generator_table(d2)
     target = graded_masks(n, k + 1) if k < n else {}
     for m, domain in graded_masks(n, k).items():
         row = {q: 1 << r for r, q in enumerate(target.get(m, ()))}
@@ -251,8 +249,8 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
             for u in _involution_delta(q):
                 bits ^= row[u]
             frow[q] = bits
-        c2 = dict(zip(domain, image_columns(t2, domain, row)))
-        for h, right in zip(domain, image_columns(t1, domain, frow)):
+        c2 = dict(zip(domain, image_columns(d2, domain, row)))
+        for h, right in zip(domain, image_columns(d1, domain, frow)):
             left = c2[h]
             for u in _involution_delta(h):
                 left ^= c2[u]

@@ -22,9 +22,9 @@ coefficients are the cyclic triples.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _from_masks, _indices, _mask_from_indices
+from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _from_masks, _indices
 
 __all__ = [
     "MIN_DIMENSION",
@@ -78,8 +78,11 @@ class RowVector(_Frozen):
             raise ValueError("row entries must be 0 or 1")
         bits = tuple([int(b) for b in raw])
         n = len(bits) + 1
-        if n < MIN_DIMENSION:
-            raise ValueError(f"row of length {len(bits)} encodes dimension {n} < {MIN_DIMENSION}")
+        if not MIN_DIMENSION <= n <= MAX_AMBIENT:
+            raise ValueError(
+                f"row of length {len(bits)} encodes dimension {n}, "
+                f"outside {MIN_DIMENSION}..{MAX_AMBIENT}"
+            )
         if bits[0] != 0:
             raise JacobiViolation("row position 2 must be 0 (c_{2,2} = 0)", index=2)
         if bits[-2] != 0 or bits[-1] != 0:
@@ -88,12 +91,6 @@ class RowVector(_Frozen):
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", bits)
-
-    def bit(self, j: int) -> int:
-        """Coefficient c_{2,j}; zero outside 2..n."""
-        if 2 <= j <= self.n:
-            return self.bits[j - 2]
-        return 0
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RowVector):
@@ -130,19 +127,12 @@ def parse_row(text: str) -> RowVector:
     return RowVector(int(p) for p in parts)
 
 
-def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
-    if i == j:
-        return 0
-    if i > j:
-        i, j = j, i
-    return c.get((i, j), 0)
-
-
 def _raw_differential(n: int, pairs: Iterable[tuple[int, int]]) -> Derivation:
-    """Chevalley-Eilenberg differential of an unvalidated table of pairs i < j."""
-    images = {k: {_mask_from_indices((1, k - 1), n)} for k in range(3, n + 1)}
+    """Chevalley-Eilenberg differential of an unvalidated table of pairs
+    2 <= i < j with i + j <= n (the range ``VergneAlgebra`` checks)."""
+    images = {k: {1 | 1 << (k - 2)} for k in range(3, n + 1)}
     for i, j in pairs:
-        images[i + j].add(_mask_from_indices((i, j), n))
+        images[i + j].add(1 << (i - 1) | 1 << (j - 1))
     return Derivation(n, images)
 
 
@@ -234,24 +224,23 @@ def m2(n: int) -> VergneAlgebra:
     return from_row(RowVector(1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)))
 
 
-def _complete_row(row: RowVector) -> dict[tuple[int, int], int]:
+def _complete_row(row: RowVector) -> set[tuple[int, int]]:
     """Fill the full c-table from the e_2 row by the completion rule.
 
-    Purely mechanical: derived diagonal entries are treated as zero, so the
+    Returns the set of pairs (i, j), i < j, with c_{i,j} = 1.  Purely
+    mechanical: derived diagonal entries are treated as zero, so the
     result may still violate the diagonal or triple constraints.  Those are
     caught by validation (the completion identities for the off-diagonal
-    pairs hold by construction).
+    pairs hold by construction).  The rule reads (i, j) and (i, j+1) with
+    j >= i + 2, both already in stored order.
     """
     n = row.n
-    c: dict[tuple[int, int], int] = {}
-    for j in range(3, n - 1):
-        if row.bit(j):
-            c[(2, j)] = 1
+    c = {(2, j) for j in range(3, n - 1) if row.bits[j - 2]}
     for i in range(2, n):
         nxt = i + 1
         for j in range(nxt + 1, n - nxt + 1):
-            if _symmetric_get(c, i, j) ^ _symmetric_get(c, i, j + 1):
-                c[(nxt, j)] = 1
+            if ((i, j) in c) != ((i, j + 1) in c):
+                c.add((nxt, j))
     return c
 
 
@@ -263,7 +252,7 @@ def from_row(row: RowVector | str) -> VergneAlgebra:
     """
     if isinstance(row, str):
         row = parse_row(row)
-    return VergneAlgebra(row.n, _complete_row(row).keys())
+    return VergneAlgebra(row.n, _complete_row(row))
 
 
 def differential(g: VergneAlgebra) -> Derivation:

@@ -22,7 +22,7 @@ from .core import (
     m0,
     m2,
 )
-from .exterior import AmbientMismatch, Form, Monomial, generator_table, graded_masks, image_columns
+from .exterior import AmbientMismatch, Form, Monomial, graded_masks, image_columns
 from .gf2 import solve_affine
 
 __all__ = [
@@ -121,11 +121,10 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     The full solution coset is enumerated; empty when inconsistent.
     """
     n = g.n
-    gens = generator_table(differential(g))
     lead = _leading_mask(n)
     slice2 = graded_masks(n, 2)[n + 1]
     row = {q: 1 << r for r, q in enumerate(graded_masks(n, 3)[n + 1])}
-    columns = dict(zip(slice2, image_columns(gens, slice2, row)))
+    columns = dict(zip(slice2, image_columns(differential(g), slice2, row)))
     rhs = columns.pop(lead)
     others = list(columns)
     solved = solve_affine(list(columns.values()), rhs)
@@ -149,19 +148,16 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
 def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
     """Invert one extension: drop e_n and recover the cocycle.
 
-    The base keeps every c_{i,j} with i+j <= n-1; the cocycle is
-    e^1^e^{n-1} plus the c_{i,j} terms with i+j = n.  Extending the base
-    by it gives g back exactly.
+    The base keeps every c_{i,j} with i+j <= n-1.  The cocycle is d(e^n),
+    read in the base's ambient: e^1^e^{n-1} plus the c_{i,j} e^i^e^j with
+    i+j = n, whose indices are all below n.  Extending the base by it gives
+    g back exactly.
     """
     n = g.n
     if n <= MIN_DIMENSION:
         raise ValueError(f"cannot reduce below dimension {MIN_DIMENSION}")
     base = VergneAlgebra(n - 1, [(i, j) for (i, j) in g.c if i + j <= n - 1])
-    masks = {_leading_mask(n - 1)}
-    for (i, j) in g.c:
-        if i + j == n:
-            masks.add((1 << (i - 1)) | (1 << (j - 1)))
-    return base, Form(n - 1, masks)
+    return base, Form(n - 1, differential(g).images[n])
 
 
 def decompose(g: VergneAlgebra) -> Decomposition:

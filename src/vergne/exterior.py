@@ -31,8 +31,6 @@ __all__ = [
     "Derivation",
     "graded_masks",
     "matrix_of",
-    "GeneratorTable",
-    "generator_table",
     "image_columns",
     "block_pivots",
 ]
@@ -47,18 +45,6 @@ class AmbientMismatch(ValueError):
 
 class ImageOutsideCodomain(ValueError):
     """An operator image escaped the stated codomain span (grading bug)."""
-
-
-def _mask_from_indices(indices: Iterable[int], ambient: int) -> int:
-    mask = 0
-    for i in indices:
-        if not 1 <= i <= ambient:
-            raise ValueError(f"generator index {i} outside 1..{ambient}")
-        bit = 1 << (i - 1)
-        if mask & bit:
-            raise ValueError(f"repeated generator index {i}")
-        mask |= bit
-    return mask
 
 
 def _indices(mask: int) -> tuple[int, ...]:
@@ -197,9 +183,11 @@ class Derivation(_Frozen):
     Generators without an entry map to zero; scalars map to zero.
     ``images`` is a read-only view of generator index -> frozenset of
     image masks, so a cached differential cannot be changed by its caller.
+    ``_pairs`` holds the same images as (bit of e^i, image masks of e^i),
+    the form ``image_columns`` reads, built once here.
     """
 
-    __slots__ = ("ambient", "images", "_table")
+    __slots__ = ("ambient", "images", "_table", "_pairs")
 
     def __init__(self, ambient: int, images: Mapping[int, Iterable[int]]):
         _check_ambient(ambient)
@@ -218,6 +206,8 @@ class Derivation(_Frozen):
         object.__setattr__(self, "images", MappingProxyType(table))
         # apply_mask reads the dict itself: its get takes half the proxy's time
         object.__setattr__(self, "_table", table)
+        # from a list: tuple() of a generator resizes and fills the free lists (see RowVector)
+        object.__setattr__(self, "_pairs", tuple([(1 << (i - 1), ms) for i, ms in table.items()]))
 
     def apply_mask(self, mask: int) -> set[int]:
         """Leibniz expansion of a single monomial, returned as a mask set."""
@@ -315,32 +305,17 @@ def matrix_of(
     return columns
 
 
-class GeneratorTable(NamedTuple):
-    """A derivation's nonzero generator images in the form ``image_columns``
-    reads: ``pairs`` holds (bit of e^i, image masks of e^i).  Build it once
-    with ``generator_table`` for a whole pass over many blocks."""
-
-    ambient: int
-    pairs: tuple[tuple[int, frozenset[int]], ...]
-
-
-def generator_table(op: Derivation) -> GeneratorTable:
-    """The ``GeneratorTable`` of ``op``."""
-    pairs = tuple((1 << (i - 1), imgs) for i, imgs in op.images.items())
-    return GeneratorTable(op.ambient, pairs)
-
-
 def image_columns(
-    table: GeneratorTable, domain: Iterable[int], row: Mapping[int, int]
+    op: Derivation, domain: Iterable[int], row: Mapping[int, int]
 ) -> Iterator[int]:
-    """The image of each ``domain`` mask under the derivation as an int column.
+    """The image of each ``domain`` mask under ``op`` as an int column.
 
     The column is the XOR of ``row[t]`` over the Leibniz terms t of the
     image, where ``row`` maps each codomain mask to its position bits.  No
     set of terms is built.  Raises ImageOutsideCodomain when a Leibniz term
     has no ``row`` entry, which always indicates a grading bookkeeping bug.
     """
-    gens = table.pairs
+    gens = op._pairs
     for mask in domain:
         col = 0
         try:
@@ -351,16 +326,16 @@ def image_columns(
                         if not img & rest:
                             col ^= row[img | rest]
         except KeyError:
-            n = table.ambient
+            n = op.ambient
             raise ImageOutsideCodomain(
                 f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
             ) from None
         yield col
 
 
-def block_pivots(table: GeneratorTable, domain: Iterable[int], codomain: Sequence[int]) -> int:
-    """Pivot positions of the derivation from the span of the ``domain``
-    masks to the span of the ``codomain`` masks, as a bitmask over codomain
+def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
+    """Pivot positions of ``op`` from the span of the ``domain`` masks to
+    the span of the ``codomain`` masks, as a bitmask over codomain
     positions; its bit count is the GF(2) rank.  No matrix is built.
 
     Each image column from ``image_columns`` is eliminated by
@@ -370,6 +345,6 @@ def block_pivots(table: GeneratorTable, domain: Iterable[int], codomain: Sequenc
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     positions = 0
-    for top in echelon(image_columns(table, domain, row)):
+    for top in echelon(image_columns(op, domain, row)):
         positions |= 1 << (top - 1)
     return positions

@@ -1,6 +1,6 @@
 """Shared test utilities: the Form-level exterior toolkit the library does
-not need (monomials from indices, wedge, the text syntax, the lowering
-derivations), random generators and a mini DOT parser."""
+not need (masks and monomials from indices, wedge, the text syntax, the
+lowering derivations), random generators and a mini DOT parser."""
 
 from __future__ import annotations
 
@@ -9,7 +9,19 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from vergne.exterior import AmbientMismatch, Derivation, Form, Monomial, _mask_from_indices
+from vergne.exterior import AmbientMismatch, Derivation, Form, Monomial
+
+
+def _mask_from_indices(indices: Iterable[int], ambient: int) -> int:
+    mask = 0
+    for i in indices:
+        if not 1 <= i <= ambient:
+            raise ValueError(f"generator index {i} outside 1..{ambient}")
+        bit = 1 << (i - 1)
+        if mask & bit:
+            raise ValueError(f"repeated generator index {i}")
+        mask |= bit
+    return mask
 
 
 def from_indices(indices: Iterable[int], n: int) -> Monomial:

@@ -33,10 +33,10 @@ from vergne.core import (
     m0,
     m2,
 )
-from vergne.exterior import Derivation, Form, Monomial, _mask_from_indices, matrix_of
+from vergne.exterior import Derivation, Form, Monomial, matrix_of
 from vergne.extensions import central_extension, decompose
 
-from helpers import lowering_operator, monomials, wedge
+from helpers import _mask_from_indices, lowering_operator, monomials, wedge
 
 
 def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
@@ -106,7 +106,7 @@ def enumerate_rows(n: int) -> tuple:
     """Brute force: the algebras of every row whose completed table passes
     ``jacobi_holds``, rows ascending."""
     return tuple(
-        from_row(row) for row in all_rows(n) if jacobi_holds(_complete_row(row), n)
+        from_row(row) for row in all_rows(n) if jacobi_holds(dict.fromkeys(_complete_row(row), 1), n)
     )
 
 

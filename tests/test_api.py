@@ -48,3 +48,12 @@ def test_retired_names_are_not_importable():
         assert not hasattr(vergne.Decomposition, method), method
     assert not hasattr(vergne.BettiTable, "to_json")
     assert hasattr(vergne.BettiTable, "to_json_dict") and hasattr(vergne.BettiTable, "to_csv")
+
+
+def test_the_differential_has_one_representation():
+    # image_columns and block_pivots read the Derivation itself; the second
+    # copy of its generator images and the row helpers are gone
+    for name in ("GeneratorTable", "generator_table", "_mask_from_indices"):
+        assert not hasattr(vergne.exterior, name), name
+    assert not hasattr(vergne.core, "_symmetric_get")
+    assert not hasattr(vergne.RowVector, "bit")

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import classify, cli, extensions
+from vergne import classify, cli, core, extensions
 from vergne.cli import main
 from vergne.cohomology import betti
 from vergne.core import m0, m2
@@ -231,6 +231,43 @@ def test_pair_transcript_is_pinned(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "8c5a66ff83563a8cac661ec5ade32d1d7e7c4e66228c34b585ac98249e839d62"
+
+
+def test_reduce_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `reduce --dim 12` on g(12,1): the base row and
+    # omega, which is d(e^12) read in the base's ambient
+    code, out, _ = run(capsys, "reduce", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "3b008a1e0a7e3d6d05a7de178f279c99a7fda9fdeba9b3a6d9e37b2fb40ca22a"
+
+
+def test_tree_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `tree --max-dim 14`: one reduce edge per algebra
+    code, out, _ = run(capsys, "tree", "--max-dim", "14")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "6ec1276d569e6d7141a72d3ec1e7a84d6073fdcf21f314bd35c52b938a2b9b5f"
+
+
+def test_enumerate_text_transcript_is_pinned(capsys):
+    # SHA-256 of the stdout of `enumerate --dim 13`: a label, a row and a
+    # Betti vector per algebra
+    code, out, _ = run(capsys, "enumerate", "--dim", "13")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "075c0e38e0fdc3ae7b382438e78b2f4e48455fbd1d65b92d108776414285e65f"
+
+
+def test_oversized_row_is_refused_before_completion(capsys, monkeypatch):
+    def work(*args):
+        raise AssertionError("row completion started")
+
+    monkeypatch.setattr(core, "_complete_row", work)
+    code, out, err = run(capsys, "reduce", "--dim", "100", "--row", "[" + ",".join("0" * 99) + "]")
+    assert code == cli.EXIT_BAD_INPUT == 2
+    assert out == ""
+    assert "5..64" in err
 
 
 def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):

@@ -17,7 +17,6 @@ from vergne.exterior import (
     Derivation,
     ImageOutsideCodomain,
     block_pivots,
-    generator_table,
     graded_masks,
     matrix_of,
 )
@@ -93,7 +92,6 @@ def test_block_kernel_matches_naive_rank_on_every_block():
     for n in range(5, 12):
         for g in enumerate_algebras(n):
             d = differential(g)
-            gens = generator_table(d)
             z, graded, below = [], {}, {}
             for k in range(n + 1):
                 target = graded_masks(n, k + 1) if k < n else {}
@@ -101,7 +99,7 @@ def test_block_kernel_matches_naive_rank_on_every_block():
                 for m, masks in graded_masks(n, k).items():
                     codomain = monomials(n, k + 1, m)
                     want = rank_naive(matrix_of(d, monomials(n, k, m), codomain))
-                    pivots = block_pivots(gens, masks, target.get(m, ()))
+                    pivots = block_pivots(d, masks, target.get(m, ()))
                     assert pivots.bit_count() == want, (g, k, m)
                     assert pivots < 1 << len(codomain), (g, k, m)
                     ranks[m] = want
@@ -122,10 +120,10 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
     kernel = cohomology.block_pivots
     built = []
 
-    def counting(gens, domain, codomain):
+    def counting(op, domain, codomain):
         domain = list(domain)
         built.append(len(domain))
-        return kernel(gens, domain, codomain)
+        return kernel(op, domain, codomain)
 
     monkeypatch.setattr(cohomology, "block_pivots", counting)
     for g in (m0(12), m2(12)):
@@ -250,9 +248,9 @@ def test_commuting_square_models_by_blocks(monkeypatch):
     built = []
     image_columns = cohomology.image_columns
 
-    def counted(gens, domain, row):
+    def counted(op, domain, row):
         built.append(len(domain))
-        return image_columns(gens, domain, row)
+        return image_columns(op, domain, row)
 
     monkeypatch.setattr(cohomology, "_generators_conjugate", lambda d1, d2: False)
     monkeypatch.setattr(cohomology, "image_columns", counted)
@@ -412,7 +410,8 @@ def test_cached_differential_and_values_refuse_changes():
         d.images[7] = frozenset()
     with pytest.raises(TypeError):
         del d.images[7]
-    for name in ("images", "ambient"):
+    assert type(d._pairs) is tuple
+    for name in ("images", "ambient", "_pairs"):
         with pytest.raises(AttributeError):
             setattr(d, name, {})
         with pytest.raises(AttributeError):
@@ -425,6 +424,17 @@ def test_cached_differential_and_values_refuse_changes():
     assert differential(g) is d
     assert betti(g).b == (1, 2, 4, 7, 7, 4, 2, 1)
     assert betti(g) == betti(m0(7)) and row == m0(7).row()
+
+
+def test_derivation_pairs_are_its_images():
+    # the pairs image_columns reads are the differential's own images, one
+    # (bit of e^i, images of e^i) per nonzero generator
+    for n in range(5, 15):
+        for g in enumerate_algebras(n):
+            d = differential(g)
+            assert {bit.bit_length(): imgs for bit, imgs in d._pairs} == dict(d.images), g
+            assert len(d._pairs) == len(d.images), g
+            assert all(bit.bit_count() == 1 for bit, _ in d._pairs), g
 
 
 def test_result_records_keep_fields_equality_and_immutability():

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from vergne import core
 from vergne.core import (
     JacobiViolation,
     RowVector,
@@ -66,6 +67,20 @@ def test_dimension_cap():
     assert m0(MAX_AMBIENT).n == MAX_AMBIENT
     with pytest.raises(ValueError, match="dimension must be in"):
         VergneAlgebra(MAX_AMBIENT + 1, ())
+
+
+def test_oversized_row_is_refused_before_completion(monkeypatch):
+    # RowVector refuses both ends itself, so from_row never completes a row
+    # the algebra would reject
+    def work(*args):
+        raise AssertionError("row completion started")
+
+    monkeypatch.setattr(core, "_complete_row", work)
+    with pytest.raises(ValueError, match="5..64"):
+        from_row(RowVector([0] * 99))
+    with pytest.raises(ValueError, match="5..64"):
+        RowVector([0] * 3)
+    assert RowVector([0] * (MAX_AMBIENT - 1)).n == MAX_AMBIENT
 
 
 def test_pair_range_validation():
@@ -319,7 +334,7 @@ def test_jacobi_holds_models():
 
 def test_jacobi_holds_rejects_bad_tables():
     row = RowVector((0, 1, 0, 1, 0, 0))
-    assert not jacobi_holds(_complete_row(row), 7)
+    assert not jacobi_holds(dict.fromkeys(_complete_row(row), 1), 7)
     assert not jacobi_holds({(3, 3): 1}, 7)
     with pytest.raises(ValueError):
         jacobi_holds({(2, 6): 1}, 7)  # out of range with nonzero value
@@ -337,7 +352,7 @@ def test_jacobi_holds_matches_differential_square():
             d_squares = all(
                 not d.apply_masks(d.apply_mask(1 << (k - 1))) for k in range(3, n + 1)
             )
-            assert jacobi_holds(table, n) == d_squares, row
+            assert jacobi_holds(dict.fromkeys(table, 1), n) == d_squares, row
 
 
 def _kind(exc):
@@ -366,7 +381,7 @@ def test_validation_matches_oracle_on_every_row():
             except JacobiViolation as exc:
                 got = exc
                 kinds.add(_kind(exc))
-            want = jacobi_failure(_complete_row(row), n)
+            want = jacobi_failure(dict.fromkeys(_complete_row(row), 1), n)
             assert _same_violation(got, want), (row, got, want)
     assert kinds == {"index", "triple"}
 
