@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import classify, extensions
-from .cohomology import betti, verify_commuting_square
+from .cohomology import betti, square_failures
 from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
 from .exterior import MAX_AMBIENT, AmbientMismatch, ImageOutsideCodomain
 from .extensions import decompose, has_codim1_abelian_ideal, partner, partners
@@ -214,7 +214,7 @@ def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> Non
                 # a wrong partner fails the check; the square would refuse it as bad input
                 fault = f"dimension {g2.n}"
             else:
-                bad = [k for k in range(2, n + 1) if not verify_commuting_square(g1, g2, k)]
+                bad = list(square_failures(g1, g2))
                 fault = f"k={bad}" if bad else ""
             lines.append(
                 f"diagrams n={n} {classify.label(g1)} ~ {classify.label(g2)} "
@@ -227,6 +227,7 @@ def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> Non
 def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> None:
     for n in range(5, max_dim + 1):
         recorded = len(failures)
+        top = n * (n + 1) // 2  # the degree of e^1^...^e^n
         for g in classify.enumerate_algebras(n):
             table = betti(g)
             bad = table.violations()
@@ -237,6 +238,10 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
             if not duality:
                 # observed regularity, reported loudly but tracked as a failure
                 failures.append(f"duality n={n} {g.row()}: b != reversed(b)")
+            elif any(table.graded.get((n - k, top - m), 0) != v
+                     for (k, m), v in table.graded.items()):
+                # the graded refinement, read only where its sums over m agree
+                failures.append(f"graded duality n={n} {g.row()}: H^k_m != H^(n-k)_({top}-m)")
             if table.b[1] != 2:
                 failures.append(f"consistency n={n} {g.row()}: b_1 = {table.b[1]} != 2")
         status = "ok" if len(failures) == recorded else "FAIL"

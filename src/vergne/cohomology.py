@@ -27,6 +27,7 @@ from .exterior import (
 __all__ = [
     "BettiTable",
     "betti",
+    "square_failures",
     "verify_commuting_square",
 ]
 
@@ -70,24 +71,36 @@ class BettiTable(_Frozen):
         return f"BettiTable(n={self.n}, b={self.b}, graded={dict(self.graded)}, z={self.z})"
 
     def violations(self) -> list[str]:
-        """Internal-consistency failures; empty when the table is sound."""
+        """Internal-consistency failures; empty when the table is sound.
+
+        One pass over the graded entries: their sums per k must be b_k, and
+        each degree m is a finite subcomplex, so sum_k (-1)^k dim H^k_m must
+        be sum_k (-1)^k |C^k_m| (the Euler characteristic)."""
         out = []
         n = self.n
         if self.b[0] != 1:
             out.append(f"b_0 = {self.b[0]} != 1")
         if any(v < 0 for v in self.b):
             out.append("negative Betti number")
-        for k in range(n + 1):
-            total = sum(v for (kk, m), v in self.graded.items() if kk == k)
-            if total != self.b[k]:
-                out.append(f"graded sum {total} != b_{k} = {self.b[k]}")
+        totals = [0] * (n + 1)
+        euler: dict[int, int] = {}
         lo = lambda k: k * (k + 1) // 2
         hi = lambda k: k * n - k * (k - 1) // 2
         for (k, m), v in self.graded.items():
+            if 0 <= k <= n:
+                totals[k] += v
+            euler[m] = euler.get(m, 0) + (-1) ** k * v
             if v < 0:
                 out.append(f"negative graded dimension at {(k, m)}")
             if not lo(k) <= m <= hi(k):
                 out.append(f"graded degree {m} outside [{lo(k)}, {hi(k)}] for k={k}")
+        for k in range(n + 1):
+            if totals[k] != self.b[k]:
+                out.append(f"graded sum {totals[k]} != b_{k} = {self.b[k]}")
+            for m, masks in graded_masks(n, k).items():
+                euler[m] = euler.get(m, 0) - (-1) ** k * len(masks)
+        out.extend(f"Euler characteristic in degree {m} off by {e}"
+                   for m, e in sorted(euler.items()) if e)
         alternating = sum((-1) ** k * bk for k, bk in enumerate(self.b))
         if alternating != 0:
             out.append(f"alternating sum {alternating} != 0")
@@ -187,7 +200,13 @@ def _generators_conjugate(d1: Derivation, d2: Derivation) -> bool:
 
 
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
-    """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h.
+    """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
+    ``square_failures`` decides every k at once by the same steps."""
+    return not _square_failures(g1, g2, (k,))
+
+
+def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
+    """The k in 2..n where d2∘f != f∘d1; empty when the square commutes.
 
     d1, d2 are the differentials of g1, g2 and f the involution.  Since f
     is an involution this single orientation decides the square both ways.
@@ -215,32 +234,43 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
       row(m2(n)).
     - Conversely, on h = e^1^e^i the right side is e^1^P(e^i) +
       e^2^L(δ(e^i)), and δ(e^i) is free of e^1, so the square fails at
-      k = 2 whenever the test fails.  It may still hold at other k, so
-      then this k is decided block by block.
-
-    Block check: f is linear and preserves k and the degree m, so both
-    sides of block (k, m) are int columns over the positions of the
-    (k+1)-monomials of degree m, built by ``image_columns``.  With
-    N(h) = f(h) + h: f(d1(h)) is the column of d1(h) read through
-    ``frow``, which maps each codomain monomial q to the positions of
-    f(q); and d2(f(h)) is the column of d2(h) plus those of d2(u) for u in
-    N(h).
+      k = 2 whenever the test fails.  It may hold at other k, so then
+      each k is decided block by block (``_block_square_holds``).
 
     Both differentials are first checked to map each e^i to 2-factor
     monomials of degree i, the shape the proof and the block slices rely
     on; otherwise ImageOutsideCodomain is raised, so a grading bug never
     reads as a failed square.
     """
+    return _square_failures(g1, g2, range(2, g1.n + 1))
+
+
+def _square_failures(g1: VergneAlgebra, g2: VergneAlgebra, ks: Iterable[int]) -> tuple[int, ...]:
+    """The k of ``ks`` where the square fails; blocks only if the generator test fails."""
     if g1.n != g2.n:
         raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
     n = g1.n
-    if not 2 <= k <= n:
-        raise ValueError(f"the involution needs topological degree 2..{n}, got {k}")
+    for k in ks:
+        if not 2 <= k <= n:
+            raise ValueError(f"the involution needs topological degree 2..{n}, got {k}")
     d1, d2 = differential(g1), differential(g2)
     _check_generator_images(d1)
     _check_generator_images(d2)
     if _generators_conjugate(d1, d2):
-        return True
+        return ()
+    return tuple(k for k in ks if not _block_square_holds(d1, d2, n, k))
+
+
+def _block_square_holds(d1: Derivation, d2: Derivation, n: int, k: int) -> bool:
+    """The square at one k, block by block.
+
+    f is linear and preserves k and the degree m, so both sides of block
+    (k, m) are int columns over the positions of the (k+1)-monomials of
+    degree m, built by ``image_columns``.  With N(h) = f(h) + h: f(d1(h))
+    is the column of d1(h) read through ``frow``, which maps each codomain
+    monomial q to the positions of f(q); and d2(f(h)) is the column of
+    d2(h) plus those of d2(u) for u in N(h).
+    """
     target = graded_masks(n, k + 1) if k < n else {}
     for m, domain in graded_masks(n, k).items():
         row = {q: 1 << r for r, q in enumerate(target.get(m, ()))}

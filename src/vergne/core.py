@@ -156,7 +156,7 @@ class VergneAlgebra(_Frozen):
     then cyclic triples.
     """
 
-    __slots__ = ("n", "c", "_diff", "_betti")
+    __slots__ = ("n", "c", "_diff", "_betti", "_row")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if not MIN_DIMENSION <= n <= MAX_AMBIENT:
@@ -178,6 +178,7 @@ class VergneAlgebra(_Frozen):
         object.__setattr__(self, "c", frozenset(table))
         object.__setattr__(self, "_diff", d)
         object.__setattr__(self, "_betti", None)
+        object.__setattr__(self, "_row", None)
 
     def structure_constant(self, i: int, j: int) -> int:
         """c_{i,j}, symmetrized; zero for i = j and out-of-range pairs."""
@@ -200,7 +201,11 @@ class VergneAlgebra(_Frozen):
         return (0, 0)
 
     def row(self) -> RowVector:
-        return RowVector(self.structure_constant(2, j) for j in range(2, self.n + 1))
+        """The e_2 row; built on the first call, then read from its slot."""
+        if self._row is None:
+            row = RowVector(self.structure_constant(2, j) for j in range(2, self.n + 1))
+            object.__setattr__(self, "_row", row)
+        return self._row
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VergneAlgebra):

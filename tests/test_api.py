@@ -1,6 +1,9 @@
 """The public surface: what ``vergne`` exports, and what it no longer does."""
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +60,38 @@ def test_the_differential_has_one_representation():
         assert not hasattr(vergne.exterior, name), name
     assert not hasattr(vergne.core, "_symmetric_get")
     assert not hasattr(vergne.RowVector, "bit")
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_constant(filename, name):
+    """A literal assigned at the top level of a perfbench file, read without importing it."""
+    tree = ast.parse((PERFBENCH / filename).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/{filename} no longer assigns {name}")
+
+
+def test_names_the_benchmark_reaches_still_resolve():
+    # the tracer patches these by name and the worker wraps the verify
+    # suites to time each line; a rename otherwise shows up only as a worker
+    # error in the traced benchmark jobs
+    for module, attr, _ in _perfbench_constant("tracer.py", "TARGETS"):
+        owner = importlib.import_module(f"vergne.{module}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"perfbench/tracer.py TARGETS: vergne.{module}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"perfbench/tracer.py TARGETS: vergne.{module}.{attr}"
+    cli = importlib.import_module("vergne.cli")
+    for suite in _perfbench_constant("worker.py", "SUITES"):
+        fn = getattr(cli, f"_verify_{suite}", None)
+        assert fn is not None, f"perfbench/worker.py SUITES: cli._verify_{suite} is gone"
+        params = list(inspect.signature(fn).parameters)
+        assert params == ["max_dim", "lines", "failures"], (
+            f"perfbench/worker.py wraps cli._verify_{suite}(max_dim, lines, failures), "
+            f"which now takes {params}"
+        )

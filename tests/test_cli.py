@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import classify, cli, core, extensions
+from vergne import classify, cli, cohomology, core, extensions
 from vergne.cli import main
 from vergne.cohomology import betti
 from vergne.core import m0, m2
@@ -365,6 +365,48 @@ def test_verify_diagrams_fails_a_partner_of_another_dimension(capsys, monkeypatc
     assert "4 check(s) failed:" in lines
 
 
+def test_verify_diagrams_fails_an_algebra_paired_with_itself(capsys, monkeypatch):
+    # m0(6) as its own partner: the pair is decided once and fails at the k
+    # the per-k check names, as (m2(6), m2(6)) does
+    real = cli.partners
+    monkeypatch.setattr(cli, "partners", lambda family: {**real(family), m0(6): m0(6)})
+    code, out, err = run(capsys, "verify", "--suite", "diagrams", "--max-dim", "6")
+    assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
+    lines = out.splitlines()
+    assert "diagrams n=6 m0(6) ~ m0(6) FAIL at k=[2, 3, 4]" in lines
+    assert "1 check(s) failed:" in lines
+    for g in (m0(6), m2(6)):
+        per_k = [k for k in range(2, 7) if not cohomology.verify_commuting_square(g, g, k)]
+        assert per_k == [2, 3, 4], g
+
+
+def test_verify_consistency_reports_broken_graded_duality(capsys, monkeypatch):
+    # one unit of dim H^1_1 moved to degree 3 keeps every b_k and every sum
+    # per k, so only the Euler identity and the graded duality can see it
+    real = cli.betti
+
+    def moved(g):
+        table = real(g)
+        if g != m0(6):
+            return table
+        graded = dict(table.graded)
+        del graded[(1, 1)]
+        graded[(1, 3)] = 1
+        return cohomology.BettiTable(table.n, table.b, graded, table.z)
+
+    monkeypatch.setattr(cli, "betti", moved)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--max-dim", "6")
+    assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
+    lines = out.splitlines()
+    euler = ["Euler characteristic in degree 1 off by 1",
+             "Euler characteristic in degree 3 off by -1"]
+    assert f"consistency n=6 m0(6) FAIL {euler}" in lines
+    assert "consistency n=6 FAIL (2 algebras)" in lines
+    assert "consistency n=5 ok (2 algebras)" in lines
+    assert "2 check(s) failed:" in lines
+    assert "  graded duality n=6 [0, 0, 0, 0, 0]: H^k_m != H^(n-k)_(21-m)" in lines
+
+
 def test_verify_consistency_line_reports_recorded_failures(capsys, monkeypatch):
     # a duality or b_1 failure is recorded without a FAIL line of its own,
     # so the per-n line must say FAIL too
@@ -426,7 +468,7 @@ def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):
         raise AssertionError("work started")
 
     for target, name in ((cli, "betti"), (cli, "partner"), (cli, "partners"),
-                         (cli, "verify_commuting_square"), (cli.classify, "enumerate_algebras")):
+                         (cli, "square_failures"), (cli.classify, "enumerate_algebras")):
         monkeypatch.setattr(target, name, work)
     zeros = "[" + ", ".join(["0"] * 29) + "]"
     for argv in (

@@ -11,7 +11,7 @@ import pytest
 
 from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras, extension_tree
-from vergne.cohomology import betti, verify_commuting_square
+from vergne.cohomology import betti, square_failures, verify_commuting_square
 from vergne.core import differential, from_row, involution, m0, m2
 from vergne.exterior import (
     Derivation,
@@ -206,6 +206,43 @@ def test_betti_table_consistency():
             )
 
 
+def _moved_unit(table, k, m, to):
+    """The table with one unit of dim H^k_m moved to degree ``to``."""
+    graded = dict(table.graded)
+    graded[(k, m)] -= 1
+    graded[(k, to)] = graded.get((k, to), 0) + 1
+    return cohomology.BettiTable(table.n, table.b, {km: v for km, v in graded.items() if v},
+                                 table.z)
+
+
+def test_euler_identity_names_a_moved_degree():
+    # moving a unit within one k keeps every sum per k, so only the Euler
+    # characteristic of the two degrees can see it
+    table = betti(m0(6))
+    assert table.violations() == []
+    for k, m, to in ((1, 1, 3), (3, 9, 12), (4, 16, 14)):
+        moved = _moved_unit(table, k, m, to)
+        assert moved.b == table.b
+        assert sorted(moved.violations()) == sorted(
+            f"Euler characteristic in degree {d} off by {e}"
+            for d, e in ((m, -(-1) ** k), (to, (-1) ** k))), (k, m, to)
+
+
+def test_graded_table_without_the_exact_part_is_caught():
+    # entries |C^k_m| - rank(k, m), dim Z^k_m, miss the rank(k-1, m) term
+    g = m2(7)
+    d, table = differential(g), betti(g)
+    cocycles = {}
+    for k in range(8):
+        for m in graded_masks(7, k):
+            columns = matrix_of(d, monomials(7, k, m), monomials(7, k + 1, m))
+            if z := len(columns) - rank_naive(columns):
+                cocycles[(k, m)] = z
+    bad = cohomology.BettiTable(7, table.b, cocycles, table.z).violations()
+    assert any(v.startswith("graded sum ") for v in bad)
+    assert any(v.startswith("Euler characteristic in degree ") for v in bad)
+
+
 def test_b2_on_other_algebras_is_reported_not_assumed():
     # the floor formula for b_2 is specific to the models; record where the
     # other algebras stand instead of asserting it
@@ -280,6 +317,59 @@ def test_commuting_square_agrees_with_oracle_on_all_ordered_pairs():
     assert held == sum(len(enumerate_algebras(n)) for n in range(5, 10)) == 18
     # 58 of the 76 pairs fail, in 298 (pair, k) squares
     assert failed == 298, failed
+
+
+def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
+    # every ordered pair with n <= 9, plus the models up to 12: the pair-level
+    # answer is the list of k where the per-k check fails, and the pairs that
+    # are not partners reach the block check
+    blocks = []
+    block_square_holds = cohomology._block_square_holds
+
+    def counted(d1, d2, n, k):
+        blocks.append(k)
+        return block_square_holds(d1, d2, n, k)
+
+    monkeypatch.setattr(cohomology, "_block_square_holds", counted)
+    pairs = [(g1, g2) for n in range(5, 10) for g1 in enumerate_algebras(n)
+             for g2 in enumerate_algebras(n)]
+    pairs += [(a(n), b(n)) for n in range(10, 13) for a in (m0, m2) for b in (m0, m2)]
+    for g1, g2 in pairs:
+        blocks.clear()
+        got = square_failures(g1, g2)
+        mates = g2 == partner(g1)
+        assert blocks == ([] if mates else list(range(2, g1.n + 1))), (g1, g2)
+        assert type(got) is tuple and (got == ()) == mates, (g1, g2)
+        assert list(got) == [k for k in range(2, g1.n + 1)
+                             if not verify_commuting_square(g1, g2, k)], (g1, g2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        square_failures(m0(5), m0(6))
+
+
+def test_diagrams_decide_each_pair_once(monkeypatch, capsys):
+    # 52 pairs at --max-dim 12: each checks both generator tables and runs
+    # the generator test once, and no partner pair needs the block check
+    calls = {"images": 0, "conjugate": 0}
+    check_images, conjugate = cohomology._check_generator_images, cohomology._generators_conjugate
+
+    def images(d):
+        calls["images"] += 1
+        return check_images(d)
+
+    def conjugate_once(d1, d2):
+        calls["conjugate"] += 1
+        return conjugate(d1, d2)
+
+    def no_blocks(*args):
+        raise AssertionError("block check reached")
+
+    monkeypatch.setattr(cohomology, "_check_generator_images", images)
+    monkeypatch.setattr(cohomology, "_generators_conjugate", conjugate_once)
+    monkeypatch.setattr(cohomology, "_block_square_holds", no_blocks)
+    assert cli.main(["verify", "--suite", "diagrams", "--max-dim", "12"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert sum(line.startswith("diagrams n=") for line in out.splitlines()) == 52
+    assert calls == {"images": 104, "conjugate": 52}
 
 
 def test_commuting_square_requires_conjugation():
@@ -417,8 +507,9 @@ def test_cached_differential_and_values_refuse_changes():
         with pytest.raises(AttributeError):
             delattr(d, name)
     row = g.row()
+    assert g._row is row
     for value, name in ((parse_form("e1^e2", 7), "terms"), (row, "bits"), (g, "c"),
-                        (g, "_diff"), (g, "_betti")):
+                        (g, "_diff"), (g, "_betti"), (g, "_row")):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert differential(g) is d

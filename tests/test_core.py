@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 
 from vergne import core
+from vergne.classify import enumerate_algebras
 from vergne.core import (
     JacobiViolation,
     RowVector,
@@ -158,6 +159,20 @@ def test_row_of_round_trips():
     for n in range(5, 10):
         for g in (m0(n), m2(n)):
             assert from_row(g.row()) == g
+
+
+def test_row_is_computed_once_per_algebra():
+    # the first call fills the slot; later calls hand out the same row
+    g = from_row("[0, 0, 0, 1, 0, 0, 0, 0]")
+    assert g._row is None
+    row = g.row()
+    assert g.row() is row is g._row
+    with pytest.raises(AttributeError):
+        g._row = None
+    for n in range(5, 15):
+        for g in enumerate_algebras(n):
+            built = RowVector([g.structure_constant(2, j) for j in range(2, n + 1)])
+            assert g.row() is g.row() and g.row() == built, g
 
 
 # ---------------------------------------------------------------- differential
