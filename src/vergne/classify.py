@@ -13,9 +13,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cohomology import betti
-from .core import MIN_DIMENSION, RowVector, VergneAlgebra, m0, m2
+from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _m2_bits, m0, m2
 from .exterior import MAX_AMBIENT
-from .extensions import admissible_cocycles, central_extension, reduce
+from .extensions import _truncation, admissible_cocycles, central_extension
 
 __all__ = [
     "ExtensionTree",
@@ -97,7 +97,7 @@ def _row_label(row: RowVector) -> str:
     n, bits = row.n, row.bits
     if not any(bits):
         return f"m0({n})"
-    if bits == tuple(1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)):
+    if bits == _m2_bits(n):
         return f"m2({n})"
     return _LABELS.get((n, bits), str(row))
 
@@ -127,8 +127,7 @@ def extension_tree(n_max: int) -> ExtensionTree:
             nodes[(n, g.row().bits)] = node_id
             labels[node_id] = label(g)
             if n > MIN_DIMENSION:
-                base, _ = reduce(g)
-                edges.append((node_id, nodes[(n - 1, base.row().bits)]))
+                edges.append((node_id, nodes[(n - 1, _truncation(g, n - 1).row().bits)]))
     return ExtensionTree(nodes=nodes, edges=tuple(edges), labels=labels)
 
 

@@ -15,7 +15,7 @@ from . import classify, extensions
 from .cohomology import betti, square_failures
 from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
 from .exterior import MAX_AMBIENT, AmbientMismatch, ImageOutsideCodomain
-from .extensions import decompose, has_codim1_abelian_ideal, partner, partners
+from .extensions import _truncation, has_codim1_abelian_ideal, partner, partners
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -124,8 +124,9 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     _check_feasible("--dim", args.dim)
     g = _algebra_from_arg(f"row:{args.row}", args.dim)
     p = partner(g)
-    print(f"input:   {g.row()}  label {classify.label(g)}  root {classify.label(decompose(g).root)}")
-    print(f"partner: {p.row()}  label {classify.label(p)}  root {classify.label(decompose(p).root)}")
+    for name, a in (("input:  ", g), ("partner:", p)):
+        print(f"{name} {a.row()}  label {classify.label(a)}  "
+              f"root {classify.label(_truncation(a, MIN_DIMENSION))}")
     print(f"betti(input):   {list(betti(g).b)}")
     print(f"betti(partner): {list(betti(p).b)}")
     return EXIT_OK

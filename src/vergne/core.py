@@ -224,9 +224,14 @@ def m0(n: int) -> VergneAlgebra:
     return VergneAlgebra(n, ())
 
 
+def _m2_bits(n: int) -> tuple[int, ...]:
+    """The e_2 row of m2(n): c_{2,j} = 1 exactly for 3 <= j <= n-2."""
+    return tuple([1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)])
+
+
 def m2(n: int) -> VergneAlgebra:
     """The model algebra with the extra relations [e_2, e_j] = e_{j+2}."""
-    return from_row(RowVector(1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)))
+    return from_row(RowVector(_m2_bits(n)))
 
 
 def _complete_row(row: RowVector) -> set[tuple[int, int]]:

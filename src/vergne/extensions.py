@@ -12,6 +12,7 @@ involution yields a different algebra with the same Betti numbers.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .core import (
@@ -145,10 +146,15 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     return forms
 
 
+def _truncation(g: VergneAlgebra, m: int) -> VergneAlgebra:
+    """g cut at dimension m: the algebra that keeps the c_{i,j} with i+j <= m."""
+    return VergneAlgebra(m, [(i, j) for (i, j) in g.c if i + j <= m])
+
+
 def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
     """Invert one extension: drop e_n and recover the cocycle.
 
-    The base keeps every c_{i,j} with i+j <= n-1.  The cocycle is d(e^n),
+    The base is the truncation of g at n-1.  The cocycle is d(e^n),
     read in the base's ambient: e^1^e^{n-1} plus the c_{i,j} e^i^e^j with
     i+j = n, whose indices are all below n.  Extending the base by it gives
     g back exactly.
@@ -156,20 +162,20 @@ def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
     n = g.n
     if n <= MIN_DIMENSION:
         raise ValueError(f"cannot reduce below dimension {MIN_DIMENSION}")
-    base = VergneAlgebra(n - 1, [(i, j) for (i, j) in g.c if i + j <= n - 1])
-    return base, Form(n - 1, differential(g).images[n])
+    return _truncation(g, n - 1), Form(n - 1, differential(g).images[n])
 
 
 def decompose(g: VergneAlgebra) -> Decomposition:
-    """Peel extensions down to the dimension-5 root and record the chain."""
-    steps: list[ExtensionStep] = []
-    cur = g
-    while cur.n > MIN_DIMENSION:
-        base, omega = reduce(cur)
-        steps.append(ExtensionStep(base, omega))
-        cur = base
-    steps.reverse()
-    return Decomposition(root=cur, steps=tuple(steps))
+    """The truncations of g at m = 5..n-1, each with its cocycle d_g(e^{m+1}).
+
+    This is the chain that iterating ``reduce`` builds: every index in
+    d_g(e^{m+1}) and in the kept c_{i,j} is <= m, so the cut at m+1 has g's
+    d(e^{m+1}), and cutting it at m keeps what cutting g at m keeps.
+    """
+    images = differential(g).images
+    steps = tuple([ExtensionStep(_truncation(g, m), Form(m, images[m + 1]))
+                   for m in range(MIN_DIMENSION, g.n)])
+    return Decomposition(root=steps[0].base if steps else g, steps=steps)
 
 
 def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgebra]:
@@ -182,12 +188,14 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     squares transport along the extensions, so the Betti numbers agree at
     every dimension.  Involutive: the partner of the partner is g.
 
-    Recursion: let (base, omega) = reduce(g).  ``decompose`` iterates
-    ``reduce``, and ``reduce`` reads only the c-table, so equal algebras
-    have equal chains and the chain of g is the chain of base followed by
-    the step (base, omega); both end at the same root.  The partner folds
-    central_extension(., f(omega_i)) over the steps from the swapped root,
-    and the fold over all but the last step is the partner of base, so
+    Recursion: let (base, omega) = reduce(g).  The chain of g is its
+    truncations with the cocycles d_g(e^{m+1}) (see ``decompose``), read
+    off the c-table alone, so equal algebras have equal chains.  The base
+    _truncation(g, n-1) has exactly g's chain below n-1, so the chain of g
+    is the chain of base followed by the step (base, omega), from the same
+    root.  The partner folds central_extension(., f(omega_i)) over the
+    steps from the swapped root, and the fold over all but the last step
+    is the partner of base, so
 
         partner(g) = central_extension(partner(base), f(omega)).
 
@@ -235,17 +243,11 @@ def has_codim1_abelian_ideal(g: VergneAlgebra) -> bool:
         for i in u:
             for j in w:
                 c, k = g.bracket_index(i, j)
-                if c:
-                    coeffs ^= 1 << k
+                coeffs ^= c << k
         return coeffs == 0
 
     tail = [(k,) for k in range(3, n + 1)]
     for head in ((1,), (2,), (1, 2)):
-        members = [head] + tail
-        if all(
-            brackets_to_zero(members[a], members[b])
-            for a in range(len(members))
-            for b in range(a + 1, len(members))
-        ):
+        if all(brackets_to_zero(u, w) for u, w in combinations([head] + tail, 2)):
             return True
     return False

@@ -69,12 +69,7 @@ class Monomial(NamedTuple):
     @property
     def degree(self) -> int:
         """Sum of the generator indices."""
-        total, mask = 0, self.mask
-        while mask:
-            low = mask & -mask
-            total += low.bit_length()
-            mask ^= low
-        return total
+        return sum(_indices(self.mask))
 
     def __str__(self) -> str:
         if not self.mask:
@@ -238,12 +233,10 @@ class Derivation(_Frozen):
         return acc
 
     def __call__(self, x: Union[Form, Monomial]) -> Form:
-        if isinstance(x, Monomial):
-            if x.ambient != self.ambient:
-                raise AmbientMismatch(f"{x.ambient} != {self.ambient}")
-            return _from_masks(self.ambient, self.apply_mask(x.mask))
         if x.ambient != self.ambient:
             raise AmbientMismatch(f"{x.ambient} != {self.ambient}")
+        if isinstance(x, Monomial):
+            return _from_masks(self.ambient, self.apply_mask(x.mask))
         return _from_masks(self.ambient, self.apply_masks(x.terms))
 
     def __repr__(self) -> str:

@@ -1,6 +1,7 @@
 """Shared test utilities: the Form-level exterior toolkit the library does
 not need (masks and monomials from indices, wedge, the text syntax, the
-lowering derivations), random generators and a mini DOT parser."""
+lowering derivations), random generators, a mini DOT parser and a counter
+of ``extensions.reduce`` calls."""
 
 from __future__ import annotations
 
@@ -161,3 +162,26 @@ def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
             continue
         raise ValueError(f"unparseable DOT line: {ln!r}")
     return nodes, edges
+
+
+def count_reduce_calls(monkeypatch) -> list[int]:
+    """Count every ``extensions.reduce`` call for the rest of the test.
+
+    Patches the name in ``extensions`` and in ``classify`` or ``cli`` when
+    either holds it, so a module that imported ``reduce`` directly is
+    counted too.  The returned list
+    gets the dimension of each reduced algebra.
+    """
+    from vergne import classify, cli, extensions
+
+    calls: list[int] = []
+    original = extensions.reduce
+
+    def counted(g):
+        calls.append(g.n)
+        return original(g)
+
+    for module in (extensions, classify, cli):
+        if getattr(module, "reduce", None) is original:
+            monkeypatch.setattr(module, "reduce", counted)
+    return calls

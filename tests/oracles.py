@@ -15,6 +15,8 @@ on Forms, one monomial at a time, independently of the block-level
 ``verify_commuting_square``.  ``partner_by_decomposition`` is the partner
 by the paper's construction over the whole chain, step by step from the
 swapped root, independently of the sweep in ``extensions.partners``.
+``decompose_by_reduce`` builds the chain by peeling one extension at a time
+with ``reduce``, independently of ``decompose``'s read of the c-table.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from itertools import product
 from typing import Mapping
 
 from vergne.core import (
+    MIN_DIMENSION,
     JacobiViolation,
     RowVector,
     VergneAlgebra,
@@ -34,7 +37,7 @@ from vergne.core import (
     m2,
 )
 from vergne.exterior import Derivation, Form, Monomial, matrix_of
-from vergne.extensions import central_extension, decompose
+from vergne.extensions import Decomposition, ExtensionStep, central_extension, decompose, reduce
 
 from helpers import _mask_from_indices, lowering_operator, monomials, wedge
 
@@ -198,3 +201,16 @@ def partner_by_decomposition(g: VergneAlgebra) -> VergneAlgebra:
     for step in dec.steps:
         cur = central_extension(cur, involution(step.omega))
     return cur
+
+
+def decompose_by_reduce(g: VergneAlgebra) -> Decomposition:
+    """The chain of g by iterating ``reduce`` down to dimension 5, then
+    reversing the steps into bottom-up order."""
+    steps = []
+    cur = g
+    while cur.n > MIN_DIMENSION:
+        base, omega = reduce(cur)
+        steps.append(ExtensionStep(base, omega))
+        cur = base
+    steps.reverse()
+    return Decomposition(root=cur, steps=tuple(steps))

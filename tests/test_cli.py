@@ -12,7 +12,7 @@ from vergne.cohomology import betti
 from vergne.core import m0, m2
 from vergne.exterior import AmbientMismatch, ImageOutsideCodomain
 
-from helpers import parse_dot
+from helpers import count_reduce_calls, parse_dot
 
 
 def run(capsys, *argv):
@@ -195,68 +195,81 @@ def test_verify_all_transcript_is_byte_identical(capsys):
     assert out == ref.read_text()
 
 
-def test_verify_diagrams_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `verify --suite diagrams --max-dim 14` as the
-    # block-by-block check of every square at every k printed it
-    code, out, _ = run(capsys, "verify", "--suite", "diagrams", "--max-dim", "14")
+# SHA-256 of the stdout of each command, taken when it was first pinned:
+# - verify-diagrams-14: as the block-by-block check of every square at
+#   every k printed it
+# - verify-all-14: as printed when thm1 and thm2 ranked fresh model and
+#   partner instances
+# - betti-m2-16-graded-json: where clearing skips the most columns, as the
+#   level-by-level rank cache printed it
+# - pair-12: g(12,1), both labels, both roots and both Betti vectors
+# - reduce-12: g(12,1), the base row and omega, which is d(e^12) read in
+#   the base's ambient
+# - tree-14: one truncation edge per algebra
+# - enumerate-13: a label, a row and a Betti vector per algebra
+PINNED_TRANSCRIPTS = [
+    pytest.param(
+        ("verify", "--suite", "diagrams", "--max-dim", "14"),
+        "5ff89f8a062a22e70ac0134b73dee523e6c8835f216a12281f0bd7023c0c9190",
+        id="verify-diagrams-14",
+    ),
+    pytest.param(
+        ("verify", "--suite", "all", "--max-dim", "14"),
+        "801c7996f527af2c8b9170de5d2f2b506abf011591fcb0b397f62e8db4514a29",
+        id="verify-all-14",
+    ),
+    pytest.param(
+        ("betti", "--dim", "16", "--algebra", "m2", "--graded", "--format", "json"),
+        "87bf43fc20da3167a7baafd585891478c92059aad41839143cc6b8df87026759",
+        id="betti-m2-16-graded-json",
+    ),
+    pytest.param(
+        ("pair", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]"),
+        "8c5a66ff83563a8cac661ec5ade32d1d7e7c4e66228c34b585ac98249e839d62",
+        id="pair-12",
+    ),
+    pytest.param(
+        ("reduce", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]"),
+        "3b008a1e0a7e3d6d05a7de178f279c99a7fda9fdeba9b3a6d9e37b2fb40ca22a",
+        id="reduce-12",
+    ),
+    pytest.param(
+        ("tree", "--max-dim", "14"),
+        "6ec1276d569e6d7141a72d3ec1e7a84d6073fdcf21f314bd35c52b938a2b9b5f",
+        id="tree-14",
+    ),
+    pytest.param(
+        ("enumerate", "--dim", "13"),
+        "075c0e38e0fdc3ae7b382438e78b2f4e48455fbd1d65b92d108776414285e65f",
+        id="enumerate-13",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_TRANSCRIPTS)
+def test_transcript_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "5ff89f8a062a22e70ac0134b73dee523e6c8835f216a12281f0bd7023c0c9190"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_verify_all_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `verify --suite all --max-dim 14` as it was
-    # printed when thm1 and thm2 ranked fresh model and partner instances
-    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "14")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "801c7996f527af2c8b9170de5d2f2b506abf011591fcb0b397f62e8db4514a29"
-
-
-def test_betti_graded_json_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `betti --dim 16 --algebra m2 --graded --format
-    # json`, where clearing skips the most columns, as the level-by-level
-    # rank cache printed it
-    code, out, _ = run(capsys, "betti", "--dim", "16", "--algebra", "m2", "--graded",
-                       "--format", "json")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "87bf43fc20da3167a7baafd585891478c92059aad41839143cc6b8df87026759"
-
-
-def test_pair_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `pair --dim 12` on g(12,1): both labels, both
-    # decompose roots and both Betti vectors
+def test_pair_reduces_only_in_the_partner_walk(capsys, monkeypatch):
+    # partner(g) peels g(12,1) down to dimension 5 (7 reduce calls); each
+    # printed root is the 5-dimensional truncation, read with no reduce call
+    calls = count_reduce_calls(monkeypatch)
     code, out, _ = run(capsys, "pair", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]")
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "8c5a66ff83563a8cac661ec5ade32d1d7e7c4e66228c34b585ac98249e839d62"
+    assert "root m0(5)" in out and "root m2(5)" in out
+    assert calls == [12, 11, 10, 9, 8, 7, 6]
 
 
-def test_reduce_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `reduce --dim 12` on g(12,1): the base row and
-    # omega, which is d(e^12) read in the base's ambient
-    code, out, _ = run(capsys, "reduce", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "3b008a1e0a7e3d6d05a7de178f279c99a7fda9fdeba9b3a6d9e37b2fb40ca22a"
-
-
-def test_tree_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `tree --max-dim 14`: one reduce edge per algebra
+def test_tree_makes_no_reduce_calls(capsys, monkeypatch):
+    # each edge keys the parent by the row of the child's truncation
+    calls = count_reduce_calls(monkeypatch)
     code, out, _ = run(capsys, "tree", "--max-dim", "14")
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "6ec1276d569e6d7141a72d3ec1e7a84d6073fdcf21f314bd35c52b938a2b9b5f"
-
-
-def test_enumerate_text_transcript_is_pinned(capsys):
-    # SHA-256 of the stdout of `enumerate --dim 13`: a label, a row and a
-    # Betti vector per algebra
-    code, out, _ = run(capsys, "enumerate", "--dim", "13")
-    assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "075c0e38e0fdc3ae7b382438e78b2f4e48455fbd1d65b92d108776414285e65f"
+    assert out.count(" -> ") == sum(len(classify.enumerate_algebras(n)) for n in range(6, 15))
+    assert calls == []
 
 
 def test_oversized_row_is_refused_before_completion(capsys, monkeypatch):

@@ -22,8 +22,8 @@ from vergne.extensions import (
     reduce,
 )
 
-from helpers import parse_form
-from oracles import partner_by_decomposition
+from helpers import count_reduce_calls, parse_form
+from oracles import decompose_by_reduce, partner_by_decomposition
 
 
 def F(text, n):
@@ -200,6 +200,35 @@ def test_decompose_of_root_is_trivial():
     dec = decompose(m2(5))
     assert dec.root == m2(5)
     assert dec.steps == ()
+
+
+def test_decompose_equals_the_reduce_walk():
+    # the truncations and their cocycles d_g(e^{m+1}) are the chain that
+    # peeling one extension at a time with reduce builds
+    for n in range(5, 17):
+        for g in enumerate_algebras(n):
+            dec, want = decompose(g), decompose_by_reduce(g)
+            assert dec.root == want.root, g
+            assert [s.base for s in dec.steps] == [s.base for s in want.steps], g
+            assert [s.omega for s in dec.steps] == [s.omega for s in want.steps], g
+
+
+def test_decompose_root_is_the_first_base():
+    for n in range(5, 13):
+        for g in enumerate_algebras(n):
+            dec = decompose(g)
+            if n == 5:
+                assert dec.root is g
+            else:
+                assert dec.root is dec.steps[0].base
+
+
+def test_decompose_makes_no_reduce_calls(monkeypatch):
+    calls = count_reduce_calls(monkeypatch)
+    for n in range(5, 13):
+        for g in enumerate_algebras(n):
+            decompose(g)
+    assert calls == []
 
 
 # ---------------------------------------------------------------- partner
