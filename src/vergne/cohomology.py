@@ -201,8 +201,10 @@ def _generators_conjugate(d1: Derivation, d2: Derivation) -> bool:
 
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
-    ``square_failures`` decides every k at once by the same steps."""
-    return not _square_failures(g1, g2, (k,))
+    read off ``square_failures``."""
+    if not 2 <= k <= g1.n:
+        raise ValueError(f"the involution needs topological degree 2..{g1.n}, got {k}")
+    return k not in square_failures(g1, g2)
 
 
 def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
@@ -242,23 +244,15 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     on; otherwise ImageOutsideCodomain is raised, so a grading bug never
     reads as a failed square.
     """
-    return _square_failures(g1, g2, range(2, g1.n + 1))
-
-
-def _square_failures(g1: VergneAlgebra, g2: VergneAlgebra, ks: Iterable[int]) -> tuple[int, ...]:
-    """The k of ``ks`` where the square fails; blocks only if the generator test fails."""
     if g1.n != g2.n:
         raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
     n = g1.n
-    for k in ks:
-        if not 2 <= k <= n:
-            raise ValueError(f"the involution needs topological degree 2..{n}, got {k}")
     d1, d2 = differential(g1), differential(g2)
     _check_generator_images(d1)
     _check_generator_images(d2)
     if _generators_conjugate(d1, d2):
         return ()
-    return tuple(k for k in ks if not _block_square_holds(d1, d2, n, k))
+    return tuple(k for k in range(2, n + 1) if not _block_square_holds(d1, d2, n, k))
 
 
 def _block_square_holds(d1: Derivation, d2: Derivation, n: int, k: int) -> bool:

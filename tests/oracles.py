@@ -12,11 +12,14 @@ used by the cocycle identity checks.  ``involution_from_definition`` is f on
 Forms, built from the lowering derivation, independently of the mask-level
 ``core.involution``; ``commuting_square_failures`` checks the square with it
 on Forms, one monomial at a time, independently of the block-level
-``verify_commuting_square``.  ``partner_by_decomposition`` is the partner
+``square_failures``.  ``partner_by_decomposition`` is the partner
 by the paper's construction over the whole chain, step by step from the
 swapped root, independently of the sweep in ``extensions.partners``.
 ``decompose_by_reduce`` builds the chain by peeling one extension at a time
 with ``reduce``, independently of ``decompose``'s read of the c-table.
+``codim1_abelian_ideal_brute`` tests the kernel of every nonzero functional
+with ``bracket_index``, independently of the derived-algebra argument behind
+``has_codim1_abelian_ideal``.
 """
 
 from __future__ import annotations
@@ -214,3 +217,30 @@ def decompose_by_reduce(g: VergneAlgebra) -> Decomposition:
         cur = base
     steps.reverse()
     return Decomposition(root=cur, steps=tuple(steps))
+
+
+def codim1_abelian_ideal_brute(g: VergneAlgebra) -> bool:
+    """Whether some hyperplane ker(phi), phi a nonzero functional on g, is an
+    abelian ideal.  Vectors are int masks with bit i for e_i; ker(phi) is
+    spanned by the e_i with phi(e_i) = 0 and e_i + e_t for the other i, where
+    t is the first index with phi(e_t) = 1."""
+    n = g.n
+    basis = [1 << i for i in range(1, n + 1)]
+
+    def bracket(u: int, w: int) -> int:
+        out = 0
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if u >> i & 1 and w >> j & 1:
+                    c, k = g.bracket_index(i, j)
+                    out ^= c << k
+        return out
+
+    for phi in range(2, 1 << (n + 1), 2):
+        t = phi & -phi
+        kernel = [e if not e & phi else e | t for e in basis if e != t]
+        in_kernel = lambda v: not (v & phi).bit_count() & 1
+        if all(in_kernel(bracket(x, y)) for x in basis for y in kernel) and \
+                all(not bracket(y, z) for y in kernel for z in kernel):
+            return True
+    return False

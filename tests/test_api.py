@@ -60,6 +60,8 @@ def test_the_differential_has_one_representation():
         assert not hasattr(vergne.exterior, name), name
     assert not hasattr(vergne.core, "_symmetric_get")
     assert not hasattr(vergne.RowVector, "bit")
+    # and the square has one path: verify_commuting_square reads square_failures
+    assert not hasattr(vergne.cohomology, "_square_failures")
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -280,8 +280,8 @@ def test_commuting_square_models(monkeypatch):
 
 
 def test_commuting_square_models_by_blocks(monkeypatch):
-    # the same squares with the generator test switched off, so the block
-    # check is what decides them
+    # the same pairs with the generator test switched off, so the block
+    # check decides every k of each pair in one square_failures call
     built = []
     image_columns = cohomology.image_columns
 
@@ -291,7 +291,9 @@ def test_commuting_square_models_by_blocks(monkeypatch):
 
     monkeypatch.setattr(cohomology, "_generators_conjugate", lambda d1, d2: False)
     monkeypatch.setattr(cohomology, "image_columns", counted)
-    _check_partner_squares()
+    for n in range(5, 11):
+        for g in enumerate_algebras(n):
+            assert square_failures(g, partner(g)) == (), g
     assert sum(built) == 2 * sum(2 ** n - n - 1 for n in range(5, 11)
                                  for _ in enumerate_algebras(n))
 
@@ -321,8 +323,8 @@ def test_commuting_square_agrees_with_oracle_on_all_ordered_pairs():
 
 def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
     # every ordered pair with n <= 9, plus the models up to 12: the pair-level
-    # answer is the list of k where the per-k check fails, and the pairs that
-    # are not partners reach the block check
+    # answer is the list of k where the Form-level oracle finds a failing
+    # monomial, and the pairs that are not partners reach the block check
     blocks = []
     block_square_holds = cohomology._block_square_holds
 
@@ -341,7 +343,7 @@ def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
         assert blocks == ([] if mates else list(range(2, g1.n + 1))), (g1, g2)
         assert type(got) is tuple and (got == ()) == mates, (g1, g2)
         assert list(got) == [k for k in range(2, g1.n + 1)
-                             if not verify_commuting_square(g1, g2, k)], (g1, g2)
+                             if commuting_square_failures(g1, g2, k)], (g1, g2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         square_failures(m0(5), m0(6))
 

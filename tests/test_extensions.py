@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from vergne import exterior
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import betti
 from vergne.core import differential, from_row, m0, m2
@@ -23,7 +24,7 @@ from vergne.extensions import (
 )
 
 from helpers import count_reduce_calls, parse_form
-from oracles import decompose_by_reduce, partner_by_decomposition
+from oracles import codim1_abelian_ideal_brute, decompose_by_reduce, partner_by_decomposition
 
 
 def F(text, n):
@@ -70,6 +71,45 @@ def test_central_extension_homogeneity_errors():
         central_extension(m0(6), F("e1^e6 + e1^e4", 6))  # degree 5 term
     with pytest.raises(AmbientMismatch):
         central_extension(m0(6), F("e1^e6", 7))
+
+
+def test_not_a_cocycle_exactly_off_the_admissible_cocycles():
+    # every omega = e^1^e^n + S, S any set of the other degree-(n+1)
+    # 2-monomials, on every base with n <= 12: the extension's own
+    # validation refuses exactly the forms admissible_cocycles leaves out
+    refused = accepted = 0
+    for n in range(5, 13):
+        others = [1 << (i - 1) | 1 << (n - i) for i in range(2, n // 2 + 1)]
+        for g in enumerate_algebras(n):
+            admissible = set(admissible_cocycles(g))
+            for pick in range(1 << len(others)):
+                picked = [m for t, m in enumerate(others) if pick >> t & 1]
+                omega = Form(n, [1 | 1 << (n - 1)] + picked)
+                if omega in admissible:
+                    assert central_extension(g, omega).n == n + 1
+                    accepted += 1
+                    continue
+                with pytest.raises(NotACocycle) as info:
+                    central_extension(g, omega)
+                assert str(info.value) == f"d({omega}) != 0"
+                refused += 1
+    # each algebra of dimension 6..13 extends exactly one base by one omega
+    assert accepted == sum(len(enumerate_algebras(n)) for n in range(6, 14)) == 58
+    assert refused == 626
+
+
+def test_partners_make_no_derivation_calls(monkeypatch):
+    # the cocycle is decided inside the extension's validation, so the
+    # library never applies a Derivation to a Form
+    def no_call(self, x):
+        raise AssertionError("Derivation.__call__ reached")
+
+    monkeypatch.setattr(exterior.Derivation, "__call__", no_call)
+    family = [g for n in range(5, 13) for g in enumerate_algebras(n)]
+    found = partners(family)
+    for g in family:
+        flip = m2(g.n).row().bits
+        assert found[g].row().bits == tuple(a ^ b for a, b in zip(g.row().bits, flip)), g
 
 
 # ------------------------------------------------------- admissible_cocycles
@@ -296,6 +336,20 @@ def test_codim1_abelian_ideal_examples():
     assert has_codim1_abelian_ideal(m2(9)) is False
     # any nonzero c kills all three candidate hyperplanes
     assert has_codim1_abelian_ideal(from_row("[0, 0, 0, 1, 0, 0]")) is False
+
+
+def test_codim1_abelian_ideal_matches_brute_force():
+    # every hyperplane ker(phi) tested directly, on the 44 algebras with n <= 12
+    algebras = [g for n in range(5, 13) for g in enumerate_algebras(n)]
+    assert len(algebras) == 44
+    for g in algebras:
+        assert has_codim1_abelian_ideal(g) == codim1_abelian_ideal_brute(g), g
+
+
+def test_codim1_abelian_ideal_only_on_m0():
+    for n in range(5, 21):
+        for g in enumerate_algebras(n):
+            assert has_codim1_abelian_ideal(g) == (g == m0(n)), g
 
 
 def test_extension_step_fields():
