@@ -13,8 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cohomology import betti
-from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _m2_bits, m0, m2
-from .exterior import MAX_AMBIENT
+from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _check_dimension, _m2_bits, m0, m2
 from .extensions import _truncation, admissible_cocycles, central_extension
 
 __all__ = [
@@ -68,8 +67,7 @@ def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
     The two models at dimension 5; above it, every algebra of dimension
     n-1 extended by each of its admissible cocycles.
     """
-    if not MIN_DIMENSION <= n <= MAX_AMBIENT:
-        raise ValueError(f"dimension must be in {MIN_DIMENSION}..{MAX_AMBIENT}, got {n}")
+    _check_dimension(n)
     if n == MIN_DIMENSION:
         return (m0(n), m2(n))
     level = [
@@ -116,8 +114,7 @@ class ExtensionTree(NamedTuple):
 
 
 def extension_tree(n_max: int) -> ExtensionTree:
-    if not MIN_DIMENSION <= n_max <= MAX_AMBIENT:
-        raise ValueError(f"n_max must be in {MIN_DIMENSION}..{MAX_AMBIENT}, got {n_max}")
+    _check_dimension(n_max, "n_max")
     nodes: dict[tuple[int, tuple[int, ...]], int] = {}
     labels: dict[int, str] = {}
     edges: list[tuple[int, int]] = []

@@ -1,17 +1,18 @@
 """Command line surface: betti, enumerate, pair, tree, verify, reduce.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input, 3 I/O
-failure, 4 internal error.  Output is deterministic for identical
-invocations.
+failure (stdout or a --dot file), 4 internal error.  Output is
+deterministic for identical invocations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import classify, extensions
+from . import classify, core, extensions
 from .cohomology import betti, square_failures
 from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
 from .exterior import MAX_AMBIENT, AmbientMismatch, ImageOutsideCodomain
@@ -28,19 +29,16 @@ EXIT_INTERNAL = 4
 MAX_BETTI_DIM = 22
 
 
-def _check_feasible(flag: str, n: int) -> None:
-    if n > MAX_BETTI_DIM:
-        raise ValueError(
-            f"{flag} {n} is past the feasibility bound: Betti tables are computed "
-            f"up to dimension {MAX_BETTI_DIM}"
-        )
-
-
-def _check_tree_bound(max_dim: int) -> None:
-    if not MIN_DIMENSION <= max_dim <= MAX_AMBIENT:
-        raise ValueError(
-            f"--max-dim must be at least {MIN_DIMENSION} and at most {MAX_AMBIENT}, got {max_dim}"
-        )
+def _dimension(hi: int):
+    """argparse type: an int in MIN_DIMENSION..hi, refused while parsing."""
+    def dimension(text: str) -> int:
+        n = int(text)
+        try:
+            core._check_dimension(n, hi=hi)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return n
+    return dimension
 
 
 def _algebra_from_arg(arg: str, n: int) -> VergneAlgebra:
@@ -57,7 +55,6 @@ def _algebra_from_arg(arg: str, n: int) -> VergneAlgebra:
 
 
 def _cmd_betti(args: argparse.Namespace) -> int:
-    _check_feasible("--dim", args.dim)
     g = _algebra_from_arg(args.algebra, args.dim)
     table = betti(g)
     if args.format == "json":
@@ -83,11 +80,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    _check_feasible("--dim", args.dim)
     if not args.tree and (args.max_dim is not None or args.dot is not None):
         raise ValueError("--max-dim and --dot need --tree")
-    if args.max_dim is not None:
-        _check_tree_bound(args.max_dim)
     algebras = classify.enumerate_algebras(args.dim)
     if args.format == "json":
         print(json.dumps(classify.dimension_json_dict(args.dim), indent=2))
@@ -98,11 +92,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     if args.tree:
         return _emit_tree(args.dim if args.max_dim is None else args.max_dim, args.dot)
     return EXIT_OK
-
-
-def _cmd_tree(args: argparse.Namespace) -> int:
-    _check_tree_bound(args.max_dim)
-    return _emit_tree(args.max_dim, args.dot)
 
 
 def _emit_tree(max_dim: int, dot_path: str | None) -> int:
@@ -121,7 +110,6 @@ def _emit_tree(max_dim: int, dot_path: str | None) -> int:
 
 
 def _cmd_pair(args: argparse.Namespace) -> int:
-    _check_feasible("--dim", args.dim)
     g = _algebra_from_arg(f"row:{args.row}", args.dim)
     p = partner(g)
     for name, a in (("input:  ", g), ("partner:", p)):
@@ -250,9 +238,6 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_dim < MIN_DIMENSION:
-        raise ValueError(f"--max-dim must be at least {MIN_DIMENSION}, got {args.max_dim}")
-    _check_feasible("--max-dim", args.max_dim)
     lines: list[str] = []
     failures: list[str] = []
     if args.suite in ("thm1", "all"):
@@ -282,38 +267,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("betti", help="Betti table of one algebra")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension(MAX_BETTI_DIM), required=True)
     p.add_argument("--algebra", required=True, help="m0, m2 or row:<rowstring>")
     p.add_argument("--graded", action="store_true")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("enumerate", help="all algebras of one dimension")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension(MAX_BETTI_DIM), required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--tree", action="store_true", help="also emit the extension tree")
-    p.add_argument("--max-dim", type=int, default=None)
+    p.add_argument("--max-dim", type=_dimension(MAX_AMBIENT), default=None)
     p.add_argument("--dot", default=None, help="write DOT here instead of stdout")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("tree", help="extension tree as DOT")
-    p.add_argument("--max-dim", type=int, required=True)
+    p.add_argument("--max-dim", type=_dimension(MAX_AMBIENT), required=True)
     p.add_argument("--dot", default=None)
-    p.set_defaults(func=_cmd_tree)
+    p.set_defaults(func=lambda args: _emit_tree(args.max_dim, args.dot))
 
     p = sub.add_parser("pair", help="Betti partner of a row")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension(MAX_BETTI_DIM), required=True)
     p.add_argument("--row", required=True)
     p.set_defaults(func=_cmd_pair)
 
     p = sub.add_parser("reduce", help="strip one central extension")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension(MAX_AMBIENT), required=True)
     p.add_argument("--row", required=True)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=("thm1", "thm2", "diagrams", "all"), required=True)
-    p.add_argument("--max-dim", type=int, default=12)
+    p.add_argument("--max-dim", type=_dimension(MAX_BETTI_DIM), default=12)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -325,9 +310,19 @@ def _internal_error(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return exc.code  # 2 for a usage error, 0 after --help
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except OSError as exc:  # stdout: the library does no I/O, and --dot reports its own
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:  # drop the buffer, or the exit's flush fails: 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except (ImageOutsideCodomain, AmbientMismatch) as exc:
         # ValueErrors, but raised by the library's own grading bookkeeping:
         # no command line input can cause them.

@@ -13,7 +13,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .core import VergneAlgebra, _involution_delta, differential
+from .core import VergneAlgebra, _check_involution_degree, _involution_delta, differential
 from .exterior import (
     Derivation,
     ImageOutsideCodomain,
@@ -202,8 +202,7 @@ def _generators_conjugate(d1: Derivation, d2: Derivation) -> bool:
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
     read off ``square_failures``."""
-    if not 2 <= k <= g1.n:
-        raise ValueError(f"the involution needs topological degree 2..{g1.n}, got {k}")
+    _check_involution_degree(k, g1.n)
     return k not in square_failures(g1, g2)
 
 

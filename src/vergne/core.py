@@ -44,6 +44,12 @@ __all__ = [
 MIN_DIMENSION = 5
 
 
+def _check_dimension(n: int, name: str = "dimension", hi: int = MAX_AMBIENT) -> None:
+    """The one statement of the dimension range: refuse n outside 5..hi."""
+    if not MIN_DIMENSION <= n <= hi:
+        raise ValueError(f"{name} must be in {MIN_DIMENSION}..{hi}, got {n}")
+
+
 class JacobiViolation(ValueError):
     """The given structure constants do not define a Lie algebra.
 
@@ -78,11 +84,7 @@ class RowVector(_Frozen):
             raise ValueError("row entries must be 0 or 1")
         bits = tuple([int(b) for b in raw])
         n = len(bits) + 1
-        if not MIN_DIMENSION <= n <= MAX_AMBIENT:
-            raise ValueError(
-                f"row of length {len(bits)} encodes dimension {n}, "
-                f"outside {MIN_DIMENSION}..{MAX_AMBIENT}"
-            )
+        _check_dimension(n, "row dimension")
         if bits[0] != 0:
             raise JacobiViolation("row position 2 must be 0 (c_{2,2} = 0)", index=2)
         if bits[-2] != 0 or bits[-1] != 0:
@@ -159,8 +161,7 @@ class VergneAlgebra(_Frozen):
     __slots__ = ("n", "c", "_diff", "_betti", "_row")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
-        if not MIN_DIMENSION <= n <= MAX_AMBIENT:
-            raise ValueError(f"dimension must be in {MIN_DIMENSION}..{MAX_AMBIENT}, got {n}")
+        _check_dimension(n)
         table = set()
         for i, j in pairs:
             if i > j:
@@ -305,6 +306,12 @@ def _involution_masks(masks: Iterable[int]) -> set[int]:
     return acc
 
 
+def _check_involution_degree(k: int, n: int) -> None:
+    """The involution's domain, shared with the commuting-square check."""
+    if not 2 <= k <= n:
+        raise ValueError(f"the involution needs topological degree 2..{n}, got {k}")
+
+
 def involution(h: Form) -> Form:
     """The degree-preserving involution f on homogeneous k-forms, k in 2..n.
 
@@ -312,13 +319,10 @@ def involution(h: Form) -> Form:
     e^1, e^2, it returns e^1^x + e^2^(y + D(x)) + z where D lowers every
     generator index by one.  Applying it twice gives h back.
     """
-    n = h.ambient
     if not h.terms:
         return h
     tds = {m.bit_count() for m in h.terms}
     if len(tds) != 1:
         raise ValueError("involution needs a homogeneous topological degree")
-    k = tds.pop()
-    if not 2 <= k <= n:
-        raise ValueError(f"involution defined for topological degree 2..{n}, got {k}")
-    return _from_masks(n, _involution_masks(h.terms))
+    _check_involution_degree(tds.pop(), h.ambient)
+    return _from_masks(h.ambient, _involution_masks(h.terms))

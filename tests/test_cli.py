@@ -1,7 +1,12 @@
 """Command line wiring: verbs, formats, exit codes, determinism."""
 
+import errno
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,11 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def zeros(n):
+    """The row of m0(n) as a --row argument."""
+    return "[" + ", ".join(["0"] * (n - 1)) + "]"
 
 
 def test_betti_text(capsys):
@@ -115,7 +125,7 @@ def test_enumerate_tree_max_dim_zero_is_refused(capsys):
     code, out, err = run(capsys, "enumerate", "--dim", "6", "--tree", "--max-dim", "0")
     assert code == 2
     assert out == ""
-    assert "--max-dim must be at least 5" in err
+    assert "argument --max-dim: dimension must be in 5..64, got 0" in err
     code, _, _ = run(capsys, "tree", "--max-dim", "0")
     assert code == 2
     code, out, _ = run(capsys, "enumerate", "--dim", "6", "--tree")
@@ -133,7 +143,7 @@ def test_enumerate_tree_options_need_tree(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_tree_stdout_and_io_failure(tmp_path, capsys):
+def test_tree_stdout_and_io_failure(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "tree", "--max-dim", "6")
     assert code == 0
     nodes, edges = parse_dot(out)
@@ -143,7 +153,75 @@ def test_tree_stdout_and_io_failure(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "x.dot"
     code, _, err = run(capsys, "tree", "--max-dim", "5", "--dot", str(missing))
     assert code == 3
-    assert "cannot write" in err
+    assert f"cannot write {missing}" in err
+
+    # a full disk fails fh.write, whose OSError carries no filename
+    class FullFile(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: FullFile(), raising=False)
+    code, out, err = run(capsys, "tree", "--max-dim", "5", "--dot", "x.dot")
+    assert (code, out) == (cli.EXIT_IO, "")
+    assert err == "error: cannot write x.dot: [Errno 28] No space left on device\n"
+
+
+class FailingStdout(io.StringIO):
+    """A stdout whose ``write`` or ``flush`` raises, as a closed pipe or a
+    full disk does."""
+
+    def __init__(self, method, exc):
+        super().__init__()
+        self.method, self.exc = method, exc
+
+    def write(self, text):
+        if self.method == "write":
+            raise self.exc
+        return super().write(text)
+
+    def flush(self):
+        if self.method == "flush":
+            raise self.exc
+
+
+def test_stdout_write_failure_exits_3(capsys, monkeypatch):
+    # buffered output fails only at the flush, which main makes before it returns
+    for exc in (BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                OSError(errno.ENOSPC, "No space left on device")):
+        for method in ("write", "flush"):
+            for argv in (["betti", "--dim", "6", "--algebra", "m0"], ["tree", "--max-dim", "6"],
+                         ["verify", "--suite", "thm1", "--max-dim", "6"]):
+                monkeypatch.setattr(sys, "stdout", FailingStdout(method, exc))
+                assert main(argv) == cli.EXIT_IO == 3, (exc, method, argv)
+                assert capsys.readouterr().err == f"error: cannot write stdout: {exc}\n"
+
+
+def test_broken_pipe_exits_3_without_shutdown_noise():
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "vergne.cli"]
+    # `enumerate --dim 14 | head -1`, each line its own write: the pipe
+    # closes while the Betti tables are still being ranked
+    child = subprocess.Popen(command + ["enumerate", "--dim", "14"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=dict(env, PYTHONUNBUFFERED="1"))
+    head = subprocess.Popen(["head", "-1"], stdin=child.stdout, stdout=subprocess.PIPE)
+    child.stdout.close()  # head holds the only read end
+    assert head.communicate(timeout=120)[0] == b"dimension 14: 14 algebras\n"
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == cli.EXIT_IO
+    assert err.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    # buffered output to a pipe with no reader fails at main's flush, and
+    # the bytes left in the buffer must not fail the exit's flush again
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(command + ["betti", "--dim", "6", "--algebra", "m0"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert done.returncode == cli.EXIT_IO
+    assert done.stderr.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_pair(capsys):
@@ -447,7 +525,7 @@ def test_verify_rejects_max_dim_below_minimum(capsys):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-dim", "3")
         assert code == 2
         assert out == ""
-        assert "--max-dim must be at least 5" in err
+        assert "argument --max-dim: dimension must be in 5..22, got 3" in err
 
 
 def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
@@ -483,45 +561,91 @@ def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):
     for target, name in ((cli, "betti"), (cli, "partner"), (cli, "partners"),
                          (cli, "square_failures"), (cli.classify, "enumerate_algebras")):
         monkeypatch.setattr(target, name, work)
-    zeros = "[" + ", ".join(["0"] * 29) + "]"
+    assert cli.MAX_BETTI_DIM == 22  # the messages below spell it out
+    # the bounded flag and its value come first: argv[1:3]
     for argv in (
         ["betti", "--dim", "30", "--algebra", "m0"],
-        ["betti", "--dim", str(cli.MAX_BETTI_DIM + 1), "--algebra", "m2"],
+        ["betti", "--dim", "23", "--algebra", "m2"],
+        ["betti", "--dim", "4", "--algebra", "m0"],
         ["enumerate", "--dim", "30"],
         ["enumerate", "--dim", "30", "--format", "json"],
-        ["pair", "--dim", "30", "--row", zeros],
-        ["verify", "--suite", "diagrams", "--max-dim", "30"],
+        ["enumerate", "--dim", "23"],
+        ["enumerate", "--dim", "4"],
+        ["pair", "--dim", "30", "--row", zeros(30)],
+        ["pair", "--dim", "23", "--row", zeros(23)],
+        ["pair", "--dim", "4", "--row", zeros(4)],
+        ["verify", "--max-dim", "30", "--suite", "diagrams"],
+        ["verify", "--max-dim", "23", "--suite", "all"],
+        ["verify", "--max-dim", "4", "--suite", "thm2"],
     ):
+        flag, value = argv[1:3]
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_BAD_INPUT == 2, argv
         assert out == ""
-        assert "past the feasibility bound" in err and str(cli.MAX_BETTI_DIM) in err
-    # the bound itself is accepted: the work starts (and here fails)
-    code, _, err = run(capsys, "betti", "--dim", str(cli.MAX_BETTI_DIM), "--algebra", "m0")
-    assert code == cli.EXIT_INTERNAL and "work started" in err
+        assert f"argument {flag}: dimension must be in 5..22, got {value}" in err, argv
+    code, out, err = run(capsys, "betti", "--dim", "abc", "--algebra", "m0")
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert "argument --dim: invalid dimension value: 'abc'" in err
+    # the bounds themselves are accepted: the work starts (and here fails)
+    for argv in (
+        ["betti", "--dim", "5", "--algebra", "m0"],
+        ["betti", "--dim", "22", "--algebra", "m2"],
+        ["enumerate", "--dim", "5"],
+        ["enumerate", "--dim", "22", "--format", "json"],
+        ["pair", "--dim", "5", "--row", zeros(5)],
+        ["pair", "--dim", "22", "--row", zeros(22)],
+        ["verify", "--max-dim", "5", "--suite", "thm1"],
+        ["verify", "--max-dim", "22", "--suite", "diagrams"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_INTERNAL and "work started" in err, argv
 
 
 def test_tree_bound_is_refused_before_any_work(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work started")
 
+    # reduce's work starts with the completion of its row
     monkeypatch.setattr(cli.classify, "enumerate_algebras", work)
+    monkeypatch.setattr(core, "_complete_row", work)
+    # the bounded flag and its value come first: argv[1:3]
     for argv in (
         ["tree", "--max-dim", "65"],
-        ["enumerate", "--dim", "6", "--tree", "--max-dim", "65"],
+        ["tree", "--max-dim", "4"],
+        ["enumerate", "--max-dim", "65", "--dim", "6", "--tree"],
+        ["enumerate", "--max-dim", "4", "--dim", "6", "--tree"],
+        ["reduce", "--dim", "65", "--row", zeros(65)],
+        ["reduce", "--dim", "4", "--row", zeros(4)],
     ):
+        flag, value = argv[1:3]
         code, out, err = run(capsys, *argv)
         assert code == cli.EXIT_BAD_INPUT == 2, argv
         assert out == ""
-        assert "at most 64, got 65" in err
+        assert f"argument {flag}: dimension must be in 5..64, got {value}" in err, argv
+    code, out, err = run(capsys, "reduce", "--dim", "abc", "--row", zeros(5))
+    assert (code, out) == (cli.EXIT_BAD_INPUT, "")
+    assert "argument --dim: invalid dimension value: 'abc'" in err
+    # the bounds themselves are accepted: the work starts (and here fails)
+    for argv in (
+        ["tree", "--max-dim", "5"],
+        ["tree", "--max-dim", "64"],
+        ["enumerate", "--max-dim", "5", "--dim", "6", "--tree"],
+        ["enumerate", "--max-dim", "64", "--dim", "6", "--tree"],
+        ["reduce", "--dim", "5", "--row", zeros(5)],
+        ["reduce", "--dim", "64", "--row", zeros(64)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == cli.EXIT_INTERNAL and "work started" in err, argv
     with pytest.raises(ValueError, match="5..64, got 65"):
         classify.extension_tree(65)
 
 
 def test_unknown_verb_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    # main returns argparse's exit codes instead of raising SystemExit
+    assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: vergne")
 
 
 def test_identical_invocations_are_byte_identical(capsys):
