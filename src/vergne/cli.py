@@ -8,6 +8,8 @@ deterministic for identical invocations.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
@@ -310,13 +312,31 @@ def _internal_error(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    stdout = sys.stdout
+    if stdout is sys.__stdout__ and isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered (python -u): sys.stdout drops the count of a short write
+        # to a pipe that closes, so write through a BufferedWriter, which
+        # retries the rest and raises.  Line-buffered, the nearest to unbuffered.
+        sys.stdout = open(stdout.fileno(), "w", buffering=1, encoding=stdout.encoding,
+                          errors=stdout.errors, closefd=False)
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code  # 2 for a usage error, 0 after --help
+        return _run(argv)
+    finally:
+        if sys.stdout is not stdout:
+            with contextlib.suppress(OSError):  # _run reported what is left unwritten
+                sys.stdout.close()
+            sys.stdout = stdout
+
+
+def _run(argv: list[str] | None) -> int:
     try:
-        code = args.func(args)
-        sys.stdout.flush()
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code  # 2 for a usage error, 0 after --help
+        else:
+            code = args.func(args)
+        sys.stdout.flush()  # --help's text too: argparse drops its write errors
         return code
     except OSError as exc:  # stdout: the library does no I/O, and --dot reports its own
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)

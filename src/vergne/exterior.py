@@ -14,9 +14,9 @@ block-diagonal cohomology computation possible.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -35,7 +35,8 @@ __all__ = [
     "block_pivots",
 ]
 
-# One machine word per monomial; far above the interesting range n <= 14.
+# A representation limit, one 64-bit lane per monomial mask; Betti work is
+# bounded far lower, by cli.MAX_BETTI_DIM.
 MAX_AMBIENT = 64
 
 
@@ -243,6 +244,9 @@ class Derivation(_Frozen):
         return f"Derivation(ambient={self.ambient}, generators={sorted(self.images)})"
 
 
+_LANE_ONE = array("Q", [1]).tobytes()
+
+
 @lru_cache(maxsize=None)
 def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     """Degree -> masks of the k-monomials of that degree (index sum).
@@ -252,20 +256,49 @@ def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     Each bucket is a read-only memoryview of packed 64-bit masks over
     immutable bytes: about a third of the memory of a tuple of ints, and
     no caller can change a cached bucket.
+
+    Built by the lowest-generator recurrence, for 0 < k < n:
+
+        bucket(n, k, m) = [2x + 1 for x in bucket(n-1, k-1, m-k)]
+                       ++ [2x     for x in bucket(n-1, k,   m-k)]
+
+    Proof.  In lexicographic order the k-monomials that contain e^1 come
+    first.  Dropping e^1 and lowering every other index by one maps them,
+    in order, onto the (k-1)-monomials of dimension n-1; as masks,
+    x -> 2x + 1 inverts it.  Lowering every index by one maps the rest, in
+    order, onto the k-monomials of dimension n-1, inverted by x -> 2x.
+    Each map lowers the index sum by k (k-1 indices lowered and the 1
+    dropped, or k indices lowered).  The base cases are k = 0 (the empty
+    monomial, degree 0) and k = n (every index, degree n(n+1)/2).
+
+    Each half is built at once on packed bytes: a mask of dimension
+    n-1 <= 63 leaves bit 63 of its lane clear, so shifting the whole buffer,
+    read as one int in native byte order, left by one moves every lane up
+    with no carry between lanes, and OR-ing a 1 into every lane sets bit 0.
+    The recursion reads dimension n-1 through this cache, so the cache also
+    keeps the levels below n that it read.  Those hold at most
+    sum(2^n' for n' < n) < 2^n masks, so once every k of dimension n is
+    built, as a Betti table does, the cache holds less than twice the
+    packed bytes of dimension n.
     """
     _check_ambient(n)
     if not 0 <= k <= n:
         raise ValueError(f"topological degree {k} outside 0..{n}")
-    buckets: dict[int, list[int]] = {}
-    for c in combinations(range(n), k):
-        mask = 0
-        for i in c:
-            mask |= 1 << i
-        buckets.setdefault(sum(c) + k, []).append(mask)
-    return MappingProxyType({
-        m: memoryview(array("Q", v).tobytes()).cast("Q")
-        for m, v in sorted(buckets.items())
-    })
+    if k == 0 or k == n:
+        packed = array("Q", [(1 << k) - 1]).tobytes()
+        return MappingProxyType({k * (k + 1) // 2: memoryview(packed).cast("Q")})
+    order = sys.byteorder
+    parts: dict[int, list[bytes]] = {}
+    for m, bucket in graded_masks(n - 1, k - 1).items():
+        size = len(bucket.obj)
+        ones = int.from_bytes(_LANE_ONE * (size // 8), order)
+        shifted = int.from_bytes(bucket.obj, order) << 1 | ones
+        parts[m + k] = [shifted.to_bytes(size, order)]
+    for m, bucket in graded_masks(n - 1, k).items():
+        size = len(bucket.obj)
+        shifted = int.from_bytes(bucket.obj, order) << 1
+        parts.setdefault(m + k, []).append(shifted.to_bytes(size, order))
+    return MappingProxyType({m: memoryview(b"".join(parts[m])).cast("Q") for m in sorted(parts)})
 
 
 # perfbench/ patches this by name; it goes with the benchmark upkeep (ROADMAP item 1).

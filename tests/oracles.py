@@ -19,13 +19,17 @@ swapped root, independently of the sweep in ``extensions.partners``.
 with ``reduce``, independently of ``decompose``'s read of the c-table.
 ``codim1_abelian_ideal_brute`` tests the kernel of every nonzero functional
 with ``bracket_index``, independently of the derived-algebra argument behind
-``has_codim1_abelian_ideal``.
+``has_codim1_abelian_ideal``.  ``graded_masks_brute`` buckets every k-subset
+from ``itertools.combinations``, independently of the lowest-generator
+recurrence and the packed shifts in ``graded_masks``.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Mapping
+from array import array
+from itertools import combinations, product
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from vergne.core import (
     MIN_DIMENSION,
@@ -51,6 +55,22 @@ def _symmetric_get(c: Mapping[tuple[int, int], int], i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return c.get((i, j), 0)
+
+
+def graded_masks_brute(n: int, k: int) -> Mapping[int, Sequence[int]]:
+    """Degree -> masks of the k-monomials of that degree, in the form of
+    ``graded_masks``: ascending keys, lexicographic buckets, each a read-only
+    memoryview of packed 64-bit masks over bytes."""
+    buckets: dict[int, list[int]] = {}
+    for c in combinations(range(n), k):
+        mask = 0
+        for i in c:
+            mask |= 1 << i
+        buckets.setdefault(sum(c) + k, []).append(mask)
+    return MappingProxyType({
+        m: memoryview(array("Q", v).tobytes()).cast("Q")
+        for m, v in sorted(buckets.items())
+    })
 
 
 def jacobi_failure(c: Mapping[tuple[int, int], int], n: int) -> JacobiViolation | None:

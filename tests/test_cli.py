@@ -196,15 +196,35 @@ def test_stdout_write_failure_exits_3(capsys, monkeypatch):
                 assert capsys.readouterr().err == f"error: cannot write stdout: {exc}\n"
 
 
-def test_broken_pipe_exits_3_without_shutdown_noise():
+CLI = [sys.executable, "-m", "vergne.cli"]
+
+
+def child_env(unbuffered):
+    """The environment of a `python -m vergne.cli` child, buffered or not."""
     src = str(Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.pop("PYTHONUNBUFFERED", None)
-    command = [sys.executable, "-m", "vergne.cli"]
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def run_into_closed_pipe(argv, env):
+    """Run the CLI with stdout a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(CLI + argv, stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=120)
+    finally:
+        os.close(write_end)
+
+
+def test_broken_pipe_exits_3_without_shutdown_noise():
     # `enumerate --dim 14 | head -1`, each line its own write: the pipe
     # closes while the Betti tables are still being ranked
-    child = subprocess.Popen(command + ["enumerate", "--dim", "14"], stdout=subprocess.PIPE,
-                             stderr=subprocess.PIPE, env=dict(env, PYTHONUNBUFFERED="1"))
+    child = subprocess.Popen(CLI + ["enumerate", "--dim", "14"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=child_env(unbuffered=True))
     head = subprocess.Popen(["head", "-1"], stdin=child.stdout, stdout=subprocess.PIPE)
     child.stdout.close()  # head holds the only read end
     assert head.communicate(timeout=120)[0] == b"dimension 14: 14 algebras\n"
@@ -213,15 +233,49 @@ def test_broken_pipe_exits_3_without_shutdown_noise():
     assert err.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
     # buffered output to a pipe with no reader fails at main's flush, and
     # the bytes left in the buffer must not fail the exit's flush again
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = subprocess.run(command + ["betti", "--dim", "6", "--algebra", "m0"],
-                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
-    finally:
-        os.close(write_end)
+    done = run_into_closed_pipe(["betti", "--dim", "6", "--algebra", "m0"],
+                                child_env(unbuffered=False))
     assert done.returncode == cli.EXIT_IO
     assert done.stderr.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_that_cannot_be_written_exits_3(unbuffered):
+    # argparse drops the write error of --help; buffered, the exit's flush
+    # used to fail (exit 120), unbuffered the text was lost with exit 0
+    env = child_env(unbuffered)
+    done = run_into_closed_pipe(["--help"], env)
+    assert done.returncode == cli.EXIT_IO
+    assert done.stderr.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    if os.path.exists("/dev/full"):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(CLI + ["betti", "--help"], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        assert done.returncode == cli.EXIT_IO
+        assert done.stderr.decode() == (
+            "error: cannot write stdout: [Errno 28] No space left on device\n")
+    done = subprocess.run(CLI + ["--help"], capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode() == cli.build_parser().format_help()
+    done = subprocess.run(CLI + ["betti", "--dim", "3"], capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (cli.EXIT_BAD_INPUT, b"")
+    assert "dimension must be in 5..22, got 3" in done.stderr.decode()
+
+
+def test_short_unbuffered_write_exits_3():
+    # `tree --max-dim 40` is one write of 411 KB, more than a pipe holds: the
+    # reader closes while it blocks, and the write returns short
+    child = subprocess.Popen(CLI + ["tree", "--max-dim", "40"], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, env=child_env(unbuffered=True))
+    try:
+        assert child.stdout.readline() == b"digraph vergne_extensions {\n"
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == cli.EXIT_IO
+    assert err.decode() == "error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 def test_pair(capsys):

@@ -19,6 +19,7 @@ from vergne.exterior import (
 )
 
 from helpers import from_indices, lowering_operator, monomials, parse_form, random_form, wedge
+from oracles import graded_masks_brute
 
 
 def F(text, n):
@@ -130,6 +131,20 @@ def test_graded_masks_are_plain_ints_bucketing_basis():
     with pytest.raises(TypeError):
         bucket[0] = 0
     assert list(graded_masks(6, 3)[9]) == before
+
+
+def test_graded_masks_equal_brute_force_byte_for_byte():
+    cases = [(n, k) for n in range(17) for k in range(n + 1)]
+    # at n = 64 the shift sets bit 63 of a lane
+    cases += [(n, k) for n in (63, 64) for k in (0, 1, 2, n - 2, n - 1, n)]
+    for n, k in cases:
+        got, want = graded_masks(n, k), graded_masks_brute(n, k)
+        assert list(got) == list(want), (n, k)
+        for m, bucket in got.items():
+            assert type(bucket.obj) is bytes and bucket.readonly
+            assert bucket.obj == want[m].obj, (n, k, m)
+            with pytest.raises(TypeError):
+                bucket[0] = 0
 
 
 def test_basis_validation():
