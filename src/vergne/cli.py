@@ -313,6 +313,9 @@ def _internal_error(exc: Exception) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     stdout = sys.stdout
+    if stdout is None:  # started with fd 1 closed
+        print("error: cannot write stdout", file=sys.stderr)
+        return EXIT_IO
     if stdout is sys.__stdout__ and isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
         # Unbuffered (python -u): sys.stdout drops the count of a short write
         # to a pipe that closes, so write through a BufferedWriter, which

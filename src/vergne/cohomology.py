@@ -13,16 +13,9 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .core import VergneAlgebra, _check_involution_degree, _involution_delta, differential
-from .exterior import (
-    Derivation,
-    ImageOutsideCodomain,
-    Monomial,
-    _Frozen,
-    block_pivots,
-    graded_masks,
-    image_columns,
-)
+from .core import (VergneAlgebra, _check_involution_degree, _involution_masks, _m2_table,
+                   differential)
+from .exterior import Derivation, _Frozen, block_pivots, graded_masks
 
 __all__ = [
     "BettiTable",
@@ -173,32 +166,6 @@ def betti(g: VergneAlgebra) -> BettiTable:
     return table
 
 
-def _check_generator_images(d: Derivation) -> None:
-    """Raise ImageOutsideCodomain unless every term of every d(e^i) is a
-    2-factor monomial of degree i.  Then e^1 can occur only in e^1^e^{i-1},
-    and every Leibniz term of d on a k-monomial of degree m lies in the
-    (k+1, m) slice, so no column of the block check can leave its codomain.
-    """
-    for i, imgs in d.images.items():
-        for t in imgs:
-            low = t & -t
-            if t.bit_count() != 2 or low.bit_length() + (t ^ low).bit_length() != i:
-                raise ImageOutsideCodomain(
-                    f"image term {Monomial(t, d.ambient)} of e{i} not in codomain"
-                )
-
-
-def _generators_conjugate(d1: Derivation, d2: Derivation) -> bool:
-    """Whether d1(e^i) + d2(e^i) = e^2^e^{i-2} for i >= 5 and
-    d1(e^i) = d2(e^i) for i <= 4: row(g2) is row(g1) XOR row(m2(n))."""
-    empty = frozenset()
-    for i in range(1, d1.ambient + 1):
-        want = {2 | 1 << (i - 3)} if i >= 5 else empty
-        if d1.images.get(i, empty) ^ d2.images.get(i, empty) != want:
-            return False
-    return True
-
-
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
     read off ``square_failures``."""
@@ -212,71 +179,52 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     d1, d2 are the differentials of g1, g2 and f the involution.  Since f
     is an involution this single orientation decides the square both ways.
 
-    The square is decided from the n generator images.  Work over GF(2),
-    so there are no signs.  Let δ = d1 + d2, let L be the derivation with
-    L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for i <= 2, and let ι be
-    contraction by e_1, so that f = id + e^2^L∘ι (see
-    ``core._involution_delta``).  Each d is a differential (d∘d = 0 is
-    checked on construction) whose e^1-part on generators is e^1^L, so
-    dι + ιd = L (both sides are derivations and agree on every e^i), and
-    dL = dιd = Ld.  With d(e^2) = 0 this gives
+    The square holds at every k exactly when the c-tables of g1 and g2
+    differ by m2(n)'s table {(2, j) : 3 <= j <= n-2}.  Work over GF(2), so
+    there are no signs.  Each differential is built as
+
+        d(e^1) = d(e^2) = 0,  d(e^k) = e^1^e^{k-1} + sum of e^i^e^j
+                              over (i, j) in c with i + j = k
+
+    (``core._raw_differential``), so δ = d1 + d2 maps e^k to the sum of
+    e^i^e^j over the pairs (i, j) of c1 △ c2 with i + j = k.  Let L be the
+    derivation with L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for
+    i <= 2, and let ι be contraction by e_1, so that f = id + e^2^L∘ι (see
+    ``core._involution_delta``).  The e^1-part of each d on generators is
+    e^1^L, so dι + ιd = L (both sides are derivations and agree on every
+    e^i), and with d∘d = 0 (checked on construction) dL = dιd = Ld.  With
+    d(e^2) = 0 this gives
 
         d2 f + f d1 = δ + e^2^(d2 L ι + L ι d1) = δ + e^2^L(δι + L).
 
     Write h = y + e^1^x with x, y free of e^1, so ιh = x.  Then the right
     side of h is P(h) + e^2^L(δx), where P = δ + e^2^L².  P is a
     derivation: in characteristic 2, L² is one and so is e^2^D for any
-    derivation D.
-    - If δ(e^i) = e^2^L²(e^i) for every i, that is δ(e^i) = e^2^e^{i-2}
-      for i >= 5 and δ(e^i) = 0 for i <= 4 (L²(e^4) = e^2), then P
-      vanishes on the generators and hence everywhere, and
-      e^2^L(δx) = e^2^L(e^2^L²x) = 0 because L(e^2) = 0.  So the square
-      holds at every k.  In terms of rows: row(g2) = row(g1) XOR
-      row(m2(n)).
-    - Conversely, on h = e^1^e^i the right side is e^1^P(e^i) +
-      e^2^L(δ(e^i)), and δ(e^i) is free of e^1, so the square fails at
-      k = 2 whenever the test fails.  It may hold at other k, so then
-      each k is decided block by block (``_block_square_holds``).
-
-    Both differentials are first checked to map each e^i to 2-factor
-    monomials of degree i, the shape the proof and the block slices rely
-    on; otherwise ImageOutsideCodomain is raised, so a grading bug never
-    reads as a failed square.
+    derivation D.  On generators e^2^L²(e^k) is e^2^e^{k-2} for k >= 5
+    and 0 for k <= 4 (L²(e^4) = e^2), the image of e^k under m2(n)'s
+    pairs.  Distinct pairs give distinct monomials, so:
+    - If c1 △ c2 is m2(n)'s table, then P vanishes on the generators and
+      hence everywhere, and e^2^L(δx) = e^2^L(e^2^L²x) = 0 because
+      L(e^2) = 0.  So the square holds at every k.
+    - Otherwise P(e^i) != 0 for some i.  On h = e^1^e^i the right side is
+      e^1^P(e^i) + e^2^L(δ(e^i)), where P(e^i) and L(δ(e^i)) are free of
+      e^1, so it is not zero and the square fails at k = 2.  It may hold at other k, so then each
+      k is decided from the definition (``_square_holds``).
     """
     if g1.n != g2.n:
         raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
     n = g1.n
-    d1, d2 = differential(g1), differential(g2)
-    _check_generator_images(d1)
-    _check_generator_images(d2)
-    if _generators_conjugate(d1, d2):
+    if g1.c ^ g2.c == _m2_table(n):
         return ()
-    return tuple(k for k in range(2, n + 1) if not _block_square_holds(d1, d2, n, k))
+    d1, d2 = differential(g1), differential(g2)
+    return tuple(k for k in range(2, n + 1) if not _square_holds(d1, d2, n, k))
 
 
-def _block_square_holds(d1: Derivation, d2: Derivation, n: int, k: int) -> bool:
-    """The square at one k, block by block.
-
-    f is linear and preserves k and the degree m, so both sides of block
-    (k, m) are int columns over the positions of the (k+1)-monomials of
-    degree m, built by ``image_columns``.  With N(h) = f(h) + h: f(d1(h))
-    is the column of d1(h) read through ``frow``, which maps each codomain
-    monomial q to the positions of f(q); and d2(f(h)) is the column of
-    d2(h) plus those of d2(u) for u in N(h).
-    """
-    target = graded_masks(n, k + 1) if k < n else {}
-    for m, domain in graded_masks(n, k).items():
-        row = {q: 1 << r for r, q in enumerate(target.get(m, ()))}
-        frow = {}
-        for q, bits in row.items():
-            for u in _involution_delta(q):
-                bits ^= row[u]
-            frow[q] = bits
-        c2 = dict(zip(domain, image_columns(d2, domain, row)))
-        for h, right in zip(domain, image_columns(d1, domain, frow)):
-            left = c2[h]
-            for u in _involution_delta(h):
-                left ^= c2[u]
-            if left != right:
+def _square_holds(d1: Derivation, d2: Derivation, n: int, k: int) -> bool:
+    """The square at one k, by its definition: d2(f(h)) = f(d1(h)) for
+    every basis k-monomial h."""
+    for masks in graded_masks(n, k).values():
+        for h in masks:
+            if d2.apply_masks(_involution_masks((h,))) != _involution_masks(d1.apply_mask(h)):
                 return False
     return True

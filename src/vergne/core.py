@@ -225,14 +225,24 @@ def m0(n: int) -> VergneAlgebra:
     return VergneAlgebra(n, ())
 
 
+def _m2_table(n: int) -> frozenset[tuple[int, int]]:
+    """The c-table of m2(n): c_{2,j} = 1 exactly for 3 <= j <= n-2.
+
+    The completion rule adds nothing to this row: c_{3,j} = c_{2,j} +
+    c_{2,j+1} is 0 for 4 <= j <= n-3, and c_{3,n-2} is out of range.
+    """
+    return frozenset([(2, j) for j in range(3, n - 1)])
+
+
 def _m2_bits(n: int) -> tuple[int, ...]:
-    """The e_2 row of m2(n): c_{2,j} = 1 exactly for 3 <= j <= n-2."""
-    return tuple([1 if 3 <= j <= n - 2 else 0 for j in range(2, n + 1)])
+    """The e_2 row of m2(n), read off ``_m2_table``."""
+    table = _m2_table(n)
+    return tuple([1 if (2, j) in table else 0 for j in range(2, n + 1)])
 
 
 def m2(n: int) -> VergneAlgebra:
     """The model algebra with the extra relations [e_2, e_j] = e_{j+2}."""
-    return from_row(RowVector(_m2_bits(n)))
+    return VergneAlgebra(n, _m2_table(n))
 
 
 def _complete_row(row: RowVector) -> set[tuple[int, int]]:

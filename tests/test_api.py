@@ -60,8 +60,30 @@ def test_the_differential_has_one_representation():
         assert not hasattr(vergne.exterior, name), name
     assert not hasattr(vergne.core, "_symmetric_get")
     assert not hasattr(vergne.RowVector, "bit")
-    # and the square has one path: verify_commuting_square reads square_failures
-    assert not hasattr(vergne.cohomology, "_square_failures")
+    # and the square has one path: verify_commuting_square reads square_failures,
+    # which compares the c-tables and has no generator or column checks of its own
+    for name in ("_square_failures", "_check_generator_images", "_generators_conjugate",
+                 "_block_square_holds"):
+        assert not hasattr(vergne.cohomology, name), name
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "vergne"
+
+
+# __init__.py imports to re-export, and __future__ imports change the
+# compiler, so neither needs a use
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -262,6 +262,17 @@ def test_help_that_cannot_be_written_exits_3(unbuffered):
     assert "dimension must be in 5..22, got 3" in done.stderr.decode()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_3(unbuffered):
+    # started with fd 1 closed, the child has no sys.stdout: the command is
+    # refused before it runs, and --help's text does not go to stderr
+    for argv in (["betti", "--dim", "6", "--algebra", "m0"], ["--help"]):
+        done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *CLI, *argv],
+                              stderr=subprocess.PIPE, env=child_env(unbuffered), timeout=120)
+        assert done.returncode == cli.EXIT_IO, argv
+        assert done.stderr.decode() == "error: cannot write stdout\n", argv
+
+
 def test_short_unbuffered_write_exits_3():
     # `tree --max-dim 40` is one write of 411 KB, more than a pipe holds: the
     # reader closes while it blocks, and the write returns short

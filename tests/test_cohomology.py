@@ -20,7 +20,7 @@ from vergne.exterior import (
     graded_masks,
     matrix_of,
 )
-from vergne.extensions import Decomposition, decompose, partner
+from vergne.extensions import Decomposition, _truncation, decompose, partner, partners
 
 from helpers import monomials, parse_form
 from oracles import (
@@ -135,13 +135,10 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
         assert min(built) > 0, g
 
 
-def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
+def test_degree_breaking_differential_is_refused(monkeypatch):
     # nothing is cleared at k = 1, so every generator column is built there
     # and a generator image that is not a 2-factor monomial of the
-    # generator's degree raises before any column is skipped.  The square
-    # checks every generator image of both sides before its verdict, so
-    # there the bug is an internal error (exit 4) too, never a failed
-    # square (exit 1).
+    # generator's degree raises before any column is skipped
     images = dict(differential(m0(6)).images)
     for bad in (parse_form("e2^e3", 6), parse_form("e1^e2^e3", 6)):
         op = Derivation(6, {**images, 6: images[6] | bad.terms})
@@ -150,18 +147,6 @@ def test_degree_breaking_differential_is_refused(monkeypatch, capsys):
         with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
             betti(g)
         assert g._betti is None
-        with pytest.raises(ImageOutsideCodomain, match="not in codomain"):
-            verify_commuting_square(m0(6), m2(6), 2)
-        # one broken side is enough, in either orientation
-        with monkeypatch.context() as one_side:
-            one_side.setattr(cohomology, "differential",
-                             lambda g: op if g == m2(6) else differential(g))
-            for g1, g2 in ((m0(6), m2(6)), (m2(6), m0(6))):
-                with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
-                    verify_commuting_square(g1, g2, 2)
-        assert cli.main(["verify", "--suite", "diagrams", "--max-dim", "6"]) == cli.EXIT_INTERNAL
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("internal error: ImageOutsideCodomain: ")
 
 
 def test_betti_ranks_each_table_once(monkeypatch):
@@ -259,9 +244,34 @@ def test_b2_on_other_algebras_is_reported_not_assumed():
     assert any(v != (n + 1) // 2 for (n, _), v in observed.items())
 
 
-def _check_partner_squares():
+def no_monomial_check(*args):
+    raise AssertionError("per-monomial check reached")
+
+
+def test_differential_has_the_shape_the_square_reads():
+    # d(e^1) = d(e^2) = 0 and d(e^k) = e^1^e^{k-1} + the c_{i,j} e^i^e^j
+    # with i + j = k, on every algebra the library builds: enumerated,
+    # truncated and partnered.  The c-table test of square_failures rests
+    # on this shape, and each partner pair passes that test.
+    family = [g for n in range(5, 17) for g in enumerate_algebras(n)]
+    mate = partners(family)
+    assert len(family) == 112
+    algebras = set(family) | set(mate.values())
+    algebras |= {_truncation(g, m) for g in family for m in range(5, g.n)}
+    for g in algebras:
+        want = {k: frozenset({1 | 1 << (k - 2)} | {1 << (i - 1) | 1 << (j - 1)
+                                                  for i, j in g.c if i + j == k})
+                for k in range(3, g.n + 1)}
+        assert dict(differential(g).images) == want, g
+    for g in family:
+        assert g.c ^ mate[g].c == m2(g.n).c, g
+
+
+def test_commuting_square_models(monkeypatch):
     # every partner pair, m0(n) ~ m2(n) and m2(n) ~ m0(n) among them, at
-    # every k, against the Form-level oracle
+    # every k, against the Form-level oracle; decided from the c-tables,
+    # so no monomial is checked
+    monkeypatch.setattr(cohomology, "_square_holds", no_monomial_check)
     for n in range(5, 11):
         for g in enumerate_algebras(n):
             p = partner(g)
@@ -270,37 +280,30 @@ def _check_partner_squares():
                 assert commuting_square_holds(g, p, k), (g, k)
 
 
-def test_commuting_square_models(monkeypatch):
-    # decided from the generator images: no block column is built
-    def no_blocks(*args):
-        raise AssertionError("block check reached")
+def test_commuting_square_models_by_monomials(monkeypatch):
+    # the same pairs through the per-monomial check, which the c-table test
+    # otherwise skips: every basis k-monomial of every k >= 2 is checked,
+    # with f applied once on each side
+    checked = []
+    involution_masks = cohomology._involution_masks
 
-    monkeypatch.setattr(cohomology, "image_columns", no_blocks)
-    _check_partner_squares()
+    def counted(masks):
+        checked.append(1)
+        return involution_masks(masks)
 
-
-def test_commuting_square_models_by_blocks(monkeypatch):
-    # the same pairs with the generator test switched off, so the block
-    # check decides every k of each pair in one square_failures call
-    built = []
-    image_columns = cohomology.image_columns
-
-    def counted(op, domain, row):
-        built.append(len(domain))
-        return image_columns(op, domain, row)
-
-    monkeypatch.setattr(cohomology, "_generators_conjugate", lambda d1, d2: False)
-    monkeypatch.setattr(cohomology, "image_columns", counted)
+    monkeypatch.setattr(cohomology, "_involution_masks", counted)
     for n in range(5, 11):
         for g in enumerate_algebras(n):
-            assert square_failures(g, partner(g)) == (), g
-    assert sum(built) == 2 * sum(2 ** n - n - 1 for n in range(5, 11)
-                                 for _ in enumerate_algebras(n))
+            d1, d2 = differential(g), differential(partner(g))
+            for k in range(2, n + 1):
+                assert cohomology._square_holds(d1, d2, n, k), (g, k)
+    assert len(checked) == 2 * sum(2 ** n - n - 1 for n in range(5, 11)
+                                   for _ in enumerate_algebras(n))
 
 
 def test_commuting_square_agrees_with_oracle_on_all_ordered_pairs():
     # every ordered pair with n <= 9, the models and partners among them,
-    # at every k; the generator test holds exactly when every k does
+    # at every k; the c-table test holds exactly when every k does
     held = failed = 0
     for n in range(5, 10):
         algebras = enumerate_algebras(n)
@@ -312,9 +315,9 @@ def test_commuting_square_agrees_with_oracle_on_all_ordered_pairs():
                     got = verify_commuting_square(g1, g2, k)
                     assert got == (not commuting_square_failures(g1, g2, k)), (g1, g2, k)
                     verdicts.append(got)
-                generators = cohomology._generators_conjugate(differential(g1), differential(g2))
-                assert generators == all(verdicts) == (g2 == partner(g1)), (g1, g2)
-                held += generators
+                tables = g1.c ^ g2.c == m2(n).c
+                assert tables == all(verdicts) == (g2 == partner(g1)), (g1, g2)
+                held += tables
                 failed += verdicts.count(False)
     assert held == sum(len(enumerate_algebras(n)) for n in range(5, 10)) == 18
     # 58 of the 76 pairs fail, in 298 (pair, k) squares
@@ -324,23 +327,24 @@ def test_commuting_square_agrees_with_oracle_on_all_ordered_pairs():
 def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
     # every ordered pair with n <= 9, plus the models up to 12: the pair-level
     # answer is the list of k where the Form-level oracle finds a failing
-    # monomial, and the pairs that are not partners reach the block check
-    blocks = []
-    block_square_holds = cohomology._block_square_holds
+    # monomial, and the pairs that are not partners reach the per-monomial
+    # check at every k
+    reached = []
+    square_holds = cohomology._square_holds
 
     def counted(d1, d2, n, k):
-        blocks.append(k)
-        return block_square_holds(d1, d2, n, k)
+        reached.append(k)
+        return square_holds(d1, d2, n, k)
 
-    monkeypatch.setattr(cohomology, "_block_square_holds", counted)
+    monkeypatch.setattr(cohomology, "_square_holds", counted)
     pairs = [(g1, g2) for n in range(5, 10) for g1 in enumerate_algebras(n)
              for g2 in enumerate_algebras(n)]
     pairs += [(a(n), b(n)) for n in range(10, 13) for a in (m0, m2) for b in (m0, m2)]
     for g1, g2 in pairs:
-        blocks.clear()
+        reached.clear()
         got = square_failures(g1, g2)
         mates = g2 == partner(g1)
-        assert blocks == ([] if mates else list(range(2, g1.n + 1))), (g1, g2)
+        assert reached == ([] if mates else list(range(2, g1.n + 1))), (g1, g2)
         assert type(got) is tuple and (got == ()) == mates, (g1, g2)
         assert list(got) == [k for k in range(2, g1.n + 1)
                              if commuting_square_failures(g1, g2, k)], (g1, g2)
@@ -349,29 +353,20 @@ def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
 
 
 def test_diagrams_decide_each_pair_once(monkeypatch, capsys):
-    # 52 pairs at --max-dim 12: each checks both generator tables and runs
-    # the generator test once, and no partner pair needs the block check
-    calls = {"images": 0, "conjugate": 0}
-    check_images, conjugate = cohomology._check_generator_images, cohomology._generators_conjugate
+    # 52 pairs at --max-dim 12: each is decided by one square_failures call,
+    # and none reaches the per-monomial check
+    calls = []
 
-    def images(d):
-        calls["images"] += 1
-        return check_images(d)
+    def once(g1, g2):
+        calls.append((g1, g2))
+        return square_failures(g1, g2)
 
-    def conjugate_once(d1, d2):
-        calls["conjugate"] += 1
-        return conjugate(d1, d2)
-
-    def no_blocks(*args):
-        raise AssertionError("block check reached")
-
-    monkeypatch.setattr(cohomology, "_check_generator_images", images)
-    monkeypatch.setattr(cohomology, "_generators_conjugate", conjugate_once)
-    monkeypatch.setattr(cohomology, "_block_square_holds", no_blocks)
+    monkeypatch.setattr(cohomology, "_square_holds", no_monomial_check)
+    monkeypatch.setattr(cli, "square_failures", once)
     assert cli.main(["verify", "--suite", "diagrams", "--max-dim", "12"]) == cli.EXIT_OK
     out = capsys.readouterr().out
     assert sum(line.startswith("diagrams n=") for line in out.splitlines()) == 52
-    assert calls == {"images": 104, "conjugate": 52}
+    assert len(calls) == 52
 
 
 def test_commuting_square_requires_conjugation():
