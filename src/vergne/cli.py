@@ -26,8 +26,9 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# Largest n whose cold `betti --dim n --algebra m2` finishes within a minute:
-# 26-31 s at n = 22 and 91 s at n = 23 on a 2-core Xeon VM with CPython 3.11.
+# Bound on the size of one Betti table.  A cold `betti --dim 22 --algebra m2`
+# takes 9.5-9.8 s and 98 MB, and betti(m2(23)) 39 s and 215 MB, on a 2-core
+# AMD EPYC VM with CPython 3.11.7; each further n costs about 4 times the time.
 MAX_BETTI_DIM = 22
 
 

@@ -16,7 +16,10 @@ An algebra is validated once, on construction, by d(d(e^k)) = 0 for the
 Chevalley-Eilenberg differential d.  That single identity is the whole
 Jacobi identity: the e^1^e^i^e^j coefficients of d(d(e^k)) are the
 completion identities (the derived diagonal when j = i+1) and the other
-coefficients are the cyclic triples.
+coefficients are the cyclic triples.  d(d(e^k)) is computed by applying d,
+term by term, to the stored image d(e^k): the Leibniz expansion of the
+lone generator e^k replaces its one factor by d(e^k), so it would only
+copy that image first.
 """
 
 from __future__ import annotations
@@ -152,7 +155,9 @@ class VergneAlgebra(_Frozen):
     """Immutable, validated Vergne-type algebra: dimension plus c-table.
 
     Construction checks d(d(e^k)) = 0 for every generator, so any held
-    instance is a genuine Lie algebra.  A failure reports the
+    instance is a genuine Lie algebra.  d is applied term by term to the
+    stored image d(e^k), which is the expansion of e^k itself, so this is
+    the same check with no copy of the image.  A failure reports the
     lexicographically smallest nonzero term of d(d(e^k)) over all k, which
     is the first failing constraint in the order completion identities,
     then cyclic triples.
@@ -172,7 +177,7 @@ class VergneAlgebra(_Frozen):
         d = _raw_differential(n, table)
         bad: set[int] = set()
         for k in range(3, n + 1):
-            bad |= d.apply_masks(d.apply_mask(1 << (k - 1)))
+            bad |= d.apply_masks(d.images[k])
         if bad:
             raise _violation(min(bad, key=_indices))
         object.__setattr__(self, "n", n)

@@ -20,7 +20,8 @@ from vergne.core import (
     m2,
     parse_row,
 )
-from vergne.exterior import MAX_AMBIENT, Form, Monomial, graded_masks
+from vergne.extensions import _truncation, admissible_cocycles, central_extension
+from vergne.exterior import MAX_AMBIENT, Derivation, Form, Monomial, graded_masks
 
 from helpers import (
     lowering_operator,
@@ -399,6 +400,36 @@ def test_validation_matches_oracle_on_every_row():
             want = jacobi_failure(dict.fromkeys(_complete_row(row), 1), n)
             assert _same_violation(got, want), (row, got, want)
     assert kinds == {"index", "triple"}
+
+
+def test_validation_expands_each_image_term_once(monkeypatch):
+    # d(d(e^k)) is d applied to the stored image d(e^k): one Leibniz
+    # expansion per image term, and none of the lone generator e^k
+    rows = [enumerate_algebras(n)[-1].row() for n in (10, 12, 14)]
+    base = enumerate_algebras(11)[-1]
+    omega = admissible_cocycles(base)[0]
+    cut = enumerate_algebras(14)[-1]
+    calls = 0
+    expand = Derivation.apply_mask
+
+    def counted(self, mask):
+        nonlocal calls
+        calls += 1
+        return expand(self, mask)
+
+    monkeypatch.setattr(Derivation, "apply_mask", counted)
+    builds = [lambda: m2(12)]
+    builds += [lambda row=row: from_row(row) for row in rows]
+    builds += [lambda: central_extension(base, omega), lambda: _truncation(cut, 10)]
+    counts = []
+    for build in builds:
+        calls = 0
+        g = build()
+        images = differential(g).images
+        assert sorted(images) == list(range(3, g.n + 1))
+        assert calls == sum(map(len, images.values())), g
+        counts.append(calls)
+    assert counts[0] == 18  # m2(12): two terms for k = 5..12, one for k = 3, 4
 
 
 def test_validation_matches_oracle_on_random_tables():
