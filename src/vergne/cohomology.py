@@ -13,7 +13,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .core import (VergneAlgebra, _check_involution_degree, _involution_masks, _m2_table,
+from .core import (VergneAlgebra, _check_involution_degree, _involution_masks, _m2_rows,
                    differential)
 from .exterior import Derivation, _Frozen, block_pivots, graded_masks
 
@@ -180,13 +180,16 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     is an involution this single orientation decides the square both ways.
 
     The square holds at every k exactly when the c-tables of g1 and g2
-    differ by m2(n)'s table {(2, j) : 3 <= j <= n-2}.  Work over GF(2), so
-    there are no signs.  Each differential is built as
+    differ by m2(n)'s table {(2, j) : 3 <= j <= n-2}.  Bit j of row i is
+    c_{i,j}, so the symmetric difference c1 △ c2 has the rows
+    g1.rows[i] ^ g2.rows[i], and the test compares them with m2(n)'s rows
+    (``core._m2_rows``).  Work over GF(2), so there are no signs.  Each
+    differential is built as
 
         d(e^1) = d(e^2) = 0,  d(e^k) = e^1^e^{k-1} + sum of e^i^e^j
                               over (i, j) in c with i + j = k
 
-    (``core._raw_differential``), so δ = d1 + d2 maps e^k to the sum of
+    (``core._differential``), so δ = d1 + d2 maps e^k to the sum of
     e^i^e^j over the pairs (i, j) of c1 △ c2 with i + j = k.  Let L be the
     derivation with L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for
     i <= 2, and let ι be contraction by e_1, so that f = id + e^2^L∘ι (see
@@ -208,13 +211,14 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
       L(e^2) = 0.  So the square holds at every k.
     - Otherwise P(e^i) != 0 for some i.  On h = e^1^e^i the right side is
       e^1^P(e^i) + e^2^L(δ(e^i)), where P(e^i) and L(δ(e^i)) are free of
-      e^1, so it is not zero and the square fails at k = 2.  It may hold at other k, so then each
-      k is decided from the definition (``_square_holds``).
+      e^1, so it is not zero and the square fails at k = 2.  It may hold
+      at other k, so then each k is decided from the definition
+      (``_square_holds``).
     """
     if g1.n != g2.n:
         raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
     n = g1.n
-    if g1.c ^ g2.c == _m2_table(n):
+    if tuple([r1 ^ r2 for r1, r2 in zip(g1.rows, g2.rows)]) == _m2_rows(n):
         return ()
     d1, d2 = differential(g1), differential(g2)
     return tuple(k for k in range(2, n + 1) if not _square_holds(d1, d2, n, k))

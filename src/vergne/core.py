@@ -25,7 +25,7 @@ copy that image first.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _from_masks, _indices
 
@@ -132,12 +132,24 @@ def parse_row(text: str) -> RowVector:
     return RowVector(int(p) for p in parts)
 
 
-def _raw_differential(n: int, pairs: Iterable[tuple[int, int]]) -> Derivation:
-    """Chevalley-Eilenberg differential of an unvalidated table of pairs
-    2 <= i < j with i + j <= n (the range ``VergneAlgebra`` checks)."""
-    images = {k: {1 | 1 << (k - 2)} for k in range(3, n + 1)}
-    for i, j in pairs:
-        images[i + j].add(1 << (i - 1) | 1 << (j - 1))
+def _image(rows: Sequence[int], k: int) -> list[int]:
+    """The terms of d(e^k), k >= 3, as masks: e^1^e^{k-1} and the e^i^e^j
+    with i < j, i + j = k and c_{i,j} = 1 (bit j of ``rows[i]``)."""
+    return [1 | 1 << (k - 2)] + [1 << (i - 1) | 1 << (k - i - 1)
+                                 for i in range(2, (k + 1) // 2) if rows[i] >> (k - i) & 1]
+
+
+def _differential(n: int, rows: Sequence[int]) -> Derivation:
+    """Chevalley-Eilenberg differential of the (unvalidated) table ``rows``:
+    each d(e^k) as ``_image`` gives it, filled from the set bits of the rows.
+    Rows i > (n-1)/2 hold no bit, since c_{i,j} needs i < j and i + j <= n."""
+    images = {k: [1 | 1 << (k - 2)] for k in range(3, n + 1)}
+    for i in range(2, (n + 1) // 2):
+        r = rows[i]
+        while r:
+            low = r & -r
+            r ^= low
+            images[i + low.bit_length() - 1].append(1 << (i - 1) | low >> 1)
     return Derivation(n, images)
 
 
@@ -154,6 +166,12 @@ def _violation(mask: int) -> JacobiViolation:
 class VergneAlgebra(_Frozen):
     """Immutable, validated Vergne-type algebra: dimension plus c-table.
 
+    The c-table is held as ``rows``, one int per index i in 0..n: bit j of
+    ``rows[i]`` is c_{i,j} for 2 <= i < j with i + j <= n, and every other
+    bit is 0, so equal tables have equal rows.  ``c`` is the same table as a
+    frozenset of pairs (i, j), i < j, built on each read.  No differential
+    is kept: ``differential`` builds one per call.
+
     Construction checks d(d(e^k)) = 0 for every generator, so any held
     instance is a genuine Lie algebra.  d is applied term by term to the
     stored image d(e^k), which is the expansion of e^k itself, so this is
@@ -163,66 +181,89 @@ class VergneAlgebra(_Frozen):
     then cyclic triples.
     """
 
-    __slots__ = ("n", "c", "_diff", "_betti", "_row")
+    __slots__ = ("n", "rows", "_betti", "_row")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         _check_dimension(n)
-        table = set()
+        rows = [0] * (n + 1)
         for i, j in pairs:
             if i > j:
                 i, j = j, i
             if not (2 <= i < j and i + j <= n):
                 raise ValueError(f"structure constant c[{i},{j}] out of range")
-            table.add((i, j))
-        d = _raw_differential(n, table)
-        bad: set[int] = set()
-        for k in range(3, n + 1):
-            bad |= d.apply_masks(d.images[k])
-        if bad:
-            raise _violation(min(bad, key=_indices))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "c", frozenset(table))
-        object.__setattr__(self, "_diff", d)
-        object.__setattr__(self, "_betti", None)
-        object.__setattr__(self, "_row", None)
+            rows[i] |= 1 << j
+        _fill(self, n, rows)
+
+    @property
+    def c(self) -> frozenset[tuple[int, int]]:
+        """The pairs (i, j), i < j, with c_{i,j} = 1, read off ``rows``."""
+        return frozenset([(i, j) for i, r in enumerate(self.rows)
+                          for j in range(r.bit_length()) if r >> j & 1])
 
     def structure_constant(self, i: int, j: int) -> int:
         """c_{i,j}, symmetrized; zero for i = j and out-of-range pairs."""
-        if i == j:
-            return 0
         if i > j:
             i, j = j, i
-        return 1 if (i, j) in self.c else 0
+        if 2 <= i < j and i + j <= self.n:
+            return self.rows[i] >> j & 1
+        return 0
 
     def bracket_index(self, i: int, j: int) -> tuple[int, int]:
         """[e_i, e_j] as (coefficient, target index); (0, 0) when zero."""
-        if i == j:
-            return (0, 0)
         if i > j:
             i, j = j, i
         if i == 1:
             return (1, j + 1) if 2 <= j <= self.n - 1 else (0, 0)
-        if i + j <= self.n and (i, j) in self.c:
+        if self.structure_constant(i, j):
             return (1, i + j)
         return (0, 0)
 
     def row(self) -> RowVector:
         """The e_2 row; built on the first call, then read from its slot."""
         if self._row is None:
-            row = RowVector(self.structure_constant(2, j) for j in range(2, self.n + 1))
+            r = self.rows[2]
+            row = RowVector([r >> j & 1 for j in range(2, self.n + 1)])
             object.__setattr__(self, "_row", row)
         return self._row
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VergneAlgebra):
             return NotImplemented
-        return self.n == other.n and self.c == other.c
+        return self.n == other.n and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.n, self.c))
+        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"VergneAlgebra(n={self.n}, row={self.row()})"
+
+
+def _fill(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
+    """Validate ``rows`` as an n-dimensional c-table and store them in g.
+
+    The one validation of both constructors: build d, check d(d(e^k)) = 0
+    at every k, and drop d.  The terms of d(e^k) all have degree k, and d
+    keeps the degree, so the d(d(e^k)) of different k share no term and
+    one sum over every image term is their union.  ``rows`` has n + 1
+    entries holding only the bits j of ``rows[i]`` with 2 <= i < j and
+    i + j <= n.
+    """
+    d = _differential(n, rows)
+    bad = d.apply_masks([t for image in d.images.values() for t in image])
+    if bad:
+        raise _violation(min(bad, key=_indices))
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "rows", tuple(rows))
+    object.__setattr__(g, "_betti", None)
+    object.__setattr__(g, "_row", None)
+    return g
+
+
+def _from_rows(n: int, rows: Sequence[int]) -> VergneAlgebra:
+    """The algebra of a c-table given as rows, validated as ``VergneAlgebra``
+    validates pairs; ``rows`` is in the form ``_fill`` states."""
+    _check_dimension(n)
+    return _fill(VergneAlgebra.__new__(VergneAlgebra), n, rows)
 
 
 def m0(n: int) -> VergneAlgebra:
@@ -230,44 +271,59 @@ def m0(n: int) -> VergneAlgebra:
     return VergneAlgebra(n, ())
 
 
-def _m2_table(n: int) -> frozenset[tuple[int, int]]:
-    """The c-table of m2(n): c_{2,j} = 1 exactly for 3 <= j <= n-2.
+def _m2_rows(n: int) -> tuple[int, ...]:
+    """The c-table of m2(n) as rows: c_{2,j} = 1 exactly for 3 <= j <= n-2.
 
     The completion rule adds nothing to this row: c_{3,j} = c_{2,j} +
     c_{2,j+1} is 0 for 4 <= j <= n-3, and c_{3,n-2} is out of range.
     """
-    return frozenset([(2, j) for j in range(3, n - 1)])
+    rows = [0] * (n + 1)
+    if n >= 5:  # m2 refuses a smaller n, which may have no row 2
+        rows[2] = (1 << (n - 1)) - 8  # bits 3..n-2
+    return tuple(rows)
 
 
 def _m2_bits(n: int) -> tuple[int, ...]:
-    """The e_2 row of m2(n), read off ``_m2_table``."""
-    table = _m2_table(n)
-    return tuple([1 if (2, j) in table else 0 for j in range(2, n + 1)])
+    """The e_2 row of m2(n), read off ``_m2_rows``."""
+    r = _m2_rows(n)[2]
+    return tuple([r >> j & 1 for j in range(2, n + 1)])
 
 
 def m2(n: int) -> VergneAlgebra:
     """The model algebra with the extra relations [e_2, e_j] = e_{j+2}."""
-    return VergneAlgebra(n, _m2_table(n))
+    return _from_rows(n, _m2_rows(n))
 
 
-def _complete_row(row: RowVector) -> set[tuple[int, int]]:
-    """Fill the full c-table from the e_2 row by the completion rule.
+def _complete_row(row: RowVector) -> list[int]:
+    """Fill the full c-table from the e_2 row by the completion rule, as rows.
 
-    Returns the set of pairs (i, j), i < j, with c_{i,j} = 1.  Purely
-    mechanical: derived diagonal entries are treated as zero, so the
+    Row 2 is the e_2 row: bit j is c_{2,j}, for j = 3..n-2.  Each later row
+    is one bitwise step from the row before:
+
+        rows[i+1] = (rows[i] ^ rows[i] >> 1) & window(i+2 .. n-i-1)
+
+    where window(a .. b) is the mask of bits a..b.  Proof.  The completion
+    rule c_{i+1,j} = c_{i,j} + c_{i,j+1} fills exactly the pairs (i+1, j)
+    with i+1 < j and (i+1) + j <= n, that is j in i+2..n-i-1, which is the
+    window.  Bit j of rows[i] ^ rows[i] >> 1 is bit j plus bit j+1 of
+    rows[i], that is c_{i,j} + c_{i,j+1}; both pairs are in range, since
+    i < j and i + (j+1) <= n.  Row i+1 reads only row i, so filling the
+    rows for i = 2, 3, ... in turn reads each row complete.  Once
+    2i + 3 > n the window is empty, and those rows stay 0.
+
+    Purely mechanical: the derived diagonal entry c_{i+1,i+1} (bit i+1 of
+    the step) is left out by the window, that is treated as zero, so the
     result may still violate the diagonal or triple constraints.  Those are
     caught by validation (the completion identities for the off-diagonal
-    pairs hold by construction).  The rule reads (i, j) and (i, j+1) with
-    j >= i + 2, both already in stored order.
+    pairs hold by construction).
     """
     n = row.n
-    c = {(2, j) for j in range(3, n - 1) if row.bits[j - 2]}
-    for i in range(2, n):
-        nxt = i + 1
-        for j in range(nxt + 1, n - nxt + 1):
-            if ((i, j) in c) != ((i, j + 1) in c):
-                c.add((nxt, j))
-    return c
+    rows = [0] * (n + 1)
+    rows[2] = sum([b << j for j, b in enumerate(row.bits, 2)])
+    for i in range(2, (n - 1) // 2):
+        r = rows[i]
+        rows[i + 1] = (r ^ r >> 1) & ((1 << (n - i)) - (1 << (i + 2)))
+    return rows
 
 
 def from_row(row: RowVector | str) -> VergneAlgebra:
@@ -278,7 +334,7 @@ def from_row(row: RowVector | str) -> VergneAlgebra:
     """
     if isinstance(row, str):
         row = parse_row(row)
-    return VergneAlgebra(row.n, _complete_row(row))
+    return _from_rows(row.n, _complete_row(row))
 
 
 def differential(g: VergneAlgebra) -> Derivation:
@@ -287,9 +343,10 @@ def differential(g: VergneAlgebra) -> Derivation:
     d(e^k) = e^1^e^{k-1} + sum over i+j = k, 1 < i < j of c_{i,j} e^i^e^j.
 
     Maps each graded slice of k-forms into the same-degree slice of
-    (k+1)-forms.
+    (k+1)-forms.  Built from ``g.rows`` on each call; the algebra keeps
+    no differential.
     """
-    return g._diff
+    return _differential(g.n, g.rows)
 
 
 def _involution_delta(h: int) -> list[int]:

@@ -18,6 +18,8 @@ from .core import (
     MIN_DIMENSION,
     JacobiViolation,
     VergneAlgebra,
+    _from_rows,
+    _image,
     differential,
     involution,
     m0,
@@ -104,13 +106,13 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     Its JacobiViolation is raised as NotACocycle.
     """
     _check_extension_cocycle(g, omega)
-    pairs = set(g.c)
+    rows = [*g.rows, 0]
     for mask in omega.terms:
         i, j = _indices(mask)
         if i != 1:  # the leading term is the new [e_1, e_n] = e_{n+1} relation
-            pairs.add((i, j))
+            rows[i] |= 1 << j
     try:
-        return VergneAlgebra(g.n + 1, pairs)
+        return _from_rows(g.n + 1, rows)
     except JacobiViolation:
         raise NotACocycle(f"d({omega}) != 0") from None
 
@@ -148,8 +150,9 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
 
 
 def _truncation(g: VergneAlgebra, m: int) -> VergneAlgebra:
-    """g cut at dimension m: the algebra that keeps the c_{i,j} with i+j <= m."""
-    return VergneAlgebra(m, [(i, j) for (i, j) in g.c if i + j <= m])
+    """g cut at dimension m: the algebra that keeps the c_{i,j} with i+j <= m,
+    that is the bits j <= m - i of each row i <= m."""
+    return _from_rows(m, [r & ((1 << (m - i + 1)) - 1) for i, r in enumerate(g.rows[:m + 1])])
 
 
 def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
@@ -163,7 +166,7 @@ def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
     n = g.n
     if n <= MIN_DIMENSION:
         raise ValueError(f"cannot reduce below dimension {MIN_DIMENSION}")
-    return _truncation(g, n - 1), Form(n - 1, differential(g).images[n])
+    return _truncation(g, n - 1), Form(n - 1, _image(g.rows, n))
 
 
 def decompose(g: VergneAlgebra) -> Decomposition:
@@ -173,8 +176,7 @@ def decompose(g: VergneAlgebra) -> Decomposition:
     d_g(e^{m+1}) and in the kept c_{i,j} is <= m, so the cut at m+1 has g's
     d(e^{m+1}), and cutting it at m keeps what cutting g at m keeps.
     """
-    images = differential(g).images
-    steps = tuple([ExtensionStep(_truncation(g, m), Form(m, images[m + 1]))
+    steps = tuple([ExtensionStep(_truncation(g, m), Form(m, _image(g.rows, m + 1)))
                    for m in range(MIN_DIMENSION, g.n)])
     return Decomposition(root=steps[0].base if steps else g, steps=steps)
 
@@ -231,12 +233,14 @@ def partner(g: VergneAlgebra) -> VergneAlgebra:
 
 
 def has_codim1_abelian_ideal(g: VergneAlgebra) -> bool:
-    """Whether g has an abelian ideal of codimension 1: exactly when g.c is empty.
+    """Whether g has an abelian ideal of codimension 1: exactly when every
+    row of g's c-table is 0.
 
     A codimension-1 ideal contains [g, g] = span(e_3..e_n), so over GF(2)
     it is span(e_3..e_n) together with e_1, e_2 or e_1 + e_2.  The first
     and the last are not abelian, since [e_1, e_3] and [e_1 + e_2, e_3]
     both contain e_4.  span(e_2..e_n) is abelian exactly when every
-    c_{i,j} is 0, because [e_i, e_j] = c_{i,j} e_{i+j} for 2 <= i < j.
+    c_{i,j} is 0, because [e_i, e_j] = c_{i,j} e_{i+j} for 2 <= i < j,
+    that is when every int of ``g.rows`` (bit j of row i is c_{i,j}) is 0.
     """
-    return not g.c
+    return not any(g.rows)

@@ -2,7 +2,10 @@
 
 ``jacobi_failure`` checks a structure-constant table one identity at a
 time (completion identities, then cyclic Jacobi triples), independently of
-the d o d = 0 validation in ``VergneAlgebra``.  ``enumerate_rows`` walks all
+the d o d = 0 validation in ``VergneAlgebra``.  ``complete_row_pairs``
+completes an e_2 row pair by pair, independently of the bitwise rows of
+``core._complete_row``, and ``raw_differential`` builds the differential
+of such a table, valid or not, from its pairs.  ``enumerate_rows`` walks all
 2^(n-4) e_2 rows and keeps those the table check accepts, independently of
 the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
 unpacked 0/1 lists, independently of ``gf2.echelon`` and of the block kernel
@@ -36,7 +39,6 @@ from vergne.core import (
     JacobiViolation,
     RowVector,
     VergneAlgebra,
-    _complete_row,
     differential,
     from_row,
     involution,
@@ -71,6 +73,30 @@ def graded_masks_brute(n: int, k: int) -> Mapping[int, Sequence[int]]:
         m: memoryview(array("Q", v).tobytes()).cast("Q")
         for m, v in sorted(buckets.items())
     })
+
+
+def complete_row_pairs(row: RowVector) -> set[tuple[int, int]]:
+    """The completed c-table of an e_2 row as pairs (i, j), i < j, filled
+    pair by pair by c_{i+1,j} = c_{i,j} + c_{i,j+1}, with the derived
+    diagonal treated as zero; independent of the bitwise rows of
+    ``core._complete_row``."""
+    n = row.n
+    c = {(2, j) for j in range(3, n - 1) if row.bits[j - 2]}
+    for i in range(2, n):
+        nxt = i + 1
+        for j in range(nxt + 1, n - nxt + 1):
+            if ((i, j) in c) != ((i, j + 1) in c):
+                c.add((nxt, j))
+    return c
+
+
+def raw_differential(n: int, pairs) -> Derivation:
+    """The differential d(e^k) = e^1^e^{k-1} + sum of e^i^e^j over the
+    pairs with i + j = k, for a table that need not be a Lie algebra."""
+    images = {k: {1 | 1 << (k - 2)} for k in range(3, n + 1)}
+    for i, j in pairs:
+        images[i + j].add(1 << (i - 1) | 1 << (j - 1))
+    return Derivation(n, images)
 
 
 def jacobi_failure(c: Mapping[tuple[int, int], int], n: int) -> JacobiViolation | None:
@@ -132,7 +158,8 @@ def enumerate_rows(n: int) -> tuple:
     """Brute force: the algebras of every row whose completed table passes
     ``jacobi_holds``, rows ascending."""
     return tuple(
-        from_row(row) for row in all_rows(n) if jacobi_holds(dict.fromkeys(_complete_row(row), 1), n)
+        from_row(row) for row in all_rows(n)
+        if jacobi_holds(dict.fromkeys(complete_row_pairs(row), 1), n)
     )
 
 

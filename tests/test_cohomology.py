@@ -12,7 +12,7 @@ import pytest
 from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras, extension_tree
 from vergne.cohomology import betti, square_failures, verify_commuting_square
-from vergne.core import differential, from_row, involution, m0, m2
+from vergne.core import _image, differential, from_row, involution, m0, m2
 from vergne.exterior import (
     Derivation,
     ImageOutsideCodomain,
@@ -263,6 +263,7 @@ def test_differential_has_the_shape_the_square_reads():
                                                   for i, j in g.c if i + j == k})
                 for k in range(3, g.n + 1)}
         assert dict(differential(g).images) == want, g
+        assert {k: frozenset(_image(g.rows, k)) for k in want} == want, g
     for g in family:
         assert g.c ^ mate[g].c == m2(g.n).c, g
 
@@ -489,10 +490,14 @@ def test_cached_betti_table_is_read_only():
 
 
 def test_cached_differential_and_values_refuse_changes():
-    # differential(g) is the algebra's own cached Derivation, so it may not
-    # be changed in place
+    # the algebra keeps its rows and no differential: differential(g) builds
+    # a fresh Derivation with the same images on each call, and neither it
+    # nor the algebra's fields may be changed in place
     g = m0(7)
     d = differential(g)
+    assert not hasattr(g, "_diff")
+    again = differential(g)
+    assert again is not d and dict(again.images) == dict(d.images)
     with pytest.raises(TypeError):
         d.images[7] = frozenset()
     with pytest.raises(TypeError):
@@ -506,10 +511,14 @@ def test_cached_differential_and_values_refuse_changes():
     row = g.row()
     assert g._row is row
     for value, name in ((parse_form("e1^e2", 7), "terms"), (row, "bits"), (g, "c"),
-                        (g, "_diff"), (g, "_betti"), (g, "_row")):
+                        (g, "rows"), (g, "_betti"), (g, "_row")):
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert differential(g) is d
+    for name in ("c", "rows"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, ())
+    assert type(g.rows) is tuple and type(g.c) is frozenset
+    assert dict(differential(g).images) == dict(d.images)
     assert betti(g).b == (1, 2, 4, 7, 7, 4, 2, 1)
     assert betti(g) == betti(m0(7)) and row == m0(7).row()
 

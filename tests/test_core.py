@@ -12,7 +12,6 @@ from vergne.core import (
     RowVector,
     VergneAlgebra,
     _complete_row,
-    _raw_differential,
     differential,
     from_row,
     involution,
@@ -33,9 +32,11 @@ from helpers import (
 )
 from oracles import (
     all_rows,
+    complete_row_pairs,
     involution_from_definition,
     jacobi_failure,
     jacobi_holds,
+    raw_differential,
     tail_operator,
 )
 
@@ -142,7 +143,7 @@ def test_from_row_jacobi_violation():
     assert exc.value.index == 3
     # oracle: the raw differential of the completed table fails d o d = 0
     row = RowVector((0, 1, 0, 0, 0, 0))
-    d = _raw_differential(7, _complete_row(row))
+    d = raw_differential(7, complete_row_pairs(row))
     assert any(
         d.apply_masks(d.apply_mask(1 << (k - 1))) for k in range(3, 8)
     )
@@ -350,7 +351,7 @@ def test_jacobi_holds_models():
 
 def test_jacobi_holds_rejects_bad_tables():
     row = RowVector((0, 1, 0, 1, 0, 0))
-    assert not jacobi_holds(dict.fromkeys(_complete_row(row), 1), 7)
+    assert not jacobi_holds(dict.fromkeys(complete_row_pairs(row), 1), 7)
     assert not jacobi_holds({(3, 3): 1}, 7)
     with pytest.raises(ValueError):
         jacobi_holds({(2, 6): 1}, 7)  # out of range with nonzero value
@@ -363,8 +364,8 @@ def test_jacobi_holds_matches_differential_square():
     for n in range(5, 11):
         for free in product((0, 1), repeat=n - 4):
             row = RowVector((0,) + free + (0, 0))
-            table = _complete_row(row)
-            d = _raw_differential(n, table)
+            table = complete_row_pairs(row)
+            d = raw_differential(n, table)
             d_squares = all(
                 not d.apply_masks(d.apply_mask(1 << (k - 1))) for k in range(3, n + 1)
             )
@@ -397,9 +398,77 @@ def test_validation_matches_oracle_on_every_row():
             except JacobiViolation as exc:
                 got = exc
                 kinds.add(_kind(exc))
-            want = jacobi_failure(dict.fromkeys(_complete_row(row), 1), n)
+            want = jacobi_failure(dict.fromkeys(complete_row_pairs(row), 1), n)
             assert _same_violation(got, want), (row, got, want)
     assert kinds == {"index", "triple"}
+
+
+def test_bitwise_completion_matches_pair_by_pair_oracle():
+    # core._complete_row fills each row by one bitwise step from the row
+    # before; every row with n <= 14, the ones that then fail included, must
+    # give the oracle's pairs and the same algebra or the same violation
+    failed = 0
+    for n in range(5, 15):
+        for row in all_rows(n):
+            rows = _complete_row(row)
+            pairs = complete_row_pairs(row)
+            assert len(rows) == n + 1, row
+            assert {(i, j) for i, r in enumerate(rows) for j in range(r.bit_length())
+                    if r >> j & 1} == pairs, row
+            outcomes = []
+            for build in (lambda: from_row(row), lambda: VergneAlgebra(n, pairs)):
+                try:
+                    outcomes.append(build())
+                except JacobiViolation as exc:
+                    outcomes.append((exc.index, exc.triple, str(exc)))
+            assert outcomes[0] == outcomes[1], (row, outcomes)
+            failed += isinstance(outcomes[0], tuple)
+    assert failed == sum(2 ** (n - 4) for n in range(5, 15)) - sum(
+        len(enumerate_algebras(n)) for n in range(5, 15))
+
+
+def _pair_structure_constant(c, i, j):
+    # the lookup on the frozenset of pairs that the algebra used to keep
+    if i == j:
+        return 0
+    if i > j:
+        i, j = j, i
+    return 1 if (i, j) in c else 0
+
+
+def _pair_bracket_index(c, n, i, j):
+    if i == j:
+        return (0, 0)
+    if i > j:
+        i, j = j, i
+    if i == 1:
+        return (1, j + 1) if 2 <= j <= n - 1 else (0, 0)
+    if i + j <= n and (i, j) in c:
+        return (1, i + j)
+    return (0, 0)
+
+
+def test_rows_answer_as_the_pair_table_did():
+    # lookups range-check before they index rows: a negative index must not
+    # wrap around to a real row
+    g = m2(9)
+    assert g.structure_constant(2, 3) == 1 and g.rows[-8] == g.rows[2]
+    assert g.bracket_index(-8, 3) == (0, 0)
+    assert g.structure_constant(-8, 3) == 0 and g.structure_constant(3, -7) == 0
+    for n in range(5, 13):
+        for g in enumerate_algebras(n):
+            c = g.c
+            for i in range(-n, 2 * n + 1):
+                for j in range(-n, 2 * n + 1):
+                    assert g.structure_constant(i, j) == _pair_structure_constant(c, i, j), (g, i, j)
+                    assert g.bracket_index(i, j) == _pair_bracket_index(c, n, i, j), (g, i, j)
+    for n in range(5, 15):
+        for g in enumerate_algebras(n):
+            assert type(g.c) is frozenset and g.c == complete_row_pairs(g.row()), g
+            assert type(g.rows) is tuple and len(g.rows) == n + 1, g
+            same = VergneAlgebra(g.n, g.c)
+            assert same == g and hash(same) == hash(g) and same.rows == g.rows, g
+            assert from_row(g.row()) == g, g
 
 
 def test_validation_expands_each_image_term_once(monkeypatch):

@@ -1,6 +1,9 @@
 """Central extensions, decomposition, the Betti partner, ideal witness."""
 
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -356,3 +359,27 @@ def test_extension_step_fields():
     step = ExtensionStep(base=m0(6), omega=F("e1^e6", 6))
     assert step.base == m0(6)
     assert step.omega == F("e1^e6", 6)
+
+
+SWEEP = """
+import sys, tracemalloc
+sys.path.insert(0, sys.argv[1])
+from vergne.classify import enumerate_algebras
+from vergne.extensions import partners
+tracemalloc.start()
+family = [g for n in range(5, 33) for g in enumerate_algebras(n)]
+mate = partners(family)
+print(len(family), len(set(mate.values())), tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_enumeration_and_partner_sweep_stay_small():
+    # every algebra with n = 5..32 and its partner stay alive to the end, and
+    # each holds its c-table rows, not a differential; a fresh interpreter,
+    # so no cache filled by another test hides or adds to the peak
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-I", "-c", SWEEP, src],
+                         capture_output=True, text=True, check=True).stdout.split()
+    algebras, mates, peak = map(int, out)
+    assert algebras == mates == 862
+    assert peak < 8 * 2 ** 20, f"traced peak {peak / 2 ** 20:.1f} MB"
