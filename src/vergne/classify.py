@@ -13,8 +13,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cohomology import betti
-from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _check_dimension, _m2_bits, m0, m2
-from .extensions import _truncation, admissible_cocycles, central_extension
+from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _check_dimension, _m2_rows, m0, m2
+from .extensions import admissible_cocycles, central_extension
 
 __all__ = [
     "ExtensionTree",
@@ -78,8 +78,7 @@ def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
     return tuple(sorted(level, key=lambda g: g.row().bits))
 
 
-# Former name of the forward search, kept for callers that still use it.
-# perfbench/ calls this by name; it goes with the benchmark upkeep (ROADMAP item 1).
+# Former name of the forward search, kept while perfbench/ calls it (ROADMAP item 1).
 enumerate_by_extension = enumerate_algebras
 
 
@@ -95,7 +94,7 @@ def _row_label(row: RowVector) -> str:
     n, bits = row.n, row.bits
     if not any(bits):
         return f"m0({n})"
-    if bits == _m2_bits(n):
+    if sum([b << j for j, b in enumerate(bits, 2)]) == _m2_rows(n)[2]:
         return f"m2({n})"
     return _LABELS.get((n, bits), str(row))
 
@@ -114,6 +113,12 @@ class ExtensionTree(NamedTuple):
 
 
 def extension_tree(n_max: int) -> ExtensionTree:
+    """The extension tree of the enumerated algebras of dimension 5..n_max.
+
+    The parent of g (dimension n > 5) is keyed by g's own row, building
+    nothing, as (n - 1, g.row().bits[:-3] + (0, 0)): the truncation at n-1
+    keeps c_{2,j} for j <= n-3, and positions n-2 and n-1 become padding.
+    """
     _check_dimension(n_max, "n_max")
     nodes: dict[tuple[int, tuple[int, ...]], int] = {}
     labels: dict[int, str] = {}
@@ -124,7 +129,7 @@ def extension_tree(n_max: int) -> ExtensionTree:
             nodes[(n, g.row().bits)] = node_id
             labels[node_id] = label(g)
             if n > MIN_DIMENSION:
-                edges.append((node_id, nodes[(n - 1, _truncation(g, n - 1).row().bits)]))
+                edges.append((node_id, nodes[(n - 1, g.row().bits[:-3] + (0, 0))]))
     return ExtensionTree(nodes=nodes, edges=tuple(edges), labels=labels)
 
 

@@ -283,12 +283,6 @@ def _m2_rows(n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _m2_bits(n: int) -> tuple[int, ...]:
-    """The e_2 row of m2(n), read off ``_m2_rows``."""
-    r = _m2_rows(n)[2]
-    return tuple([r >> j & 1 for j in range(2, n + 1)])
-
-
 def m2(n: int) -> VergneAlgebra:
     """The model algebra with the extra relations [e_2, e_j] = e_{j+2}."""
     return _from_rows(n, _m2_rows(n))

@@ -178,7 +178,7 @@ class Derivation(_Frozen):
     time by its image, sum the results mod 2) and additively on forms.
     Generators without an entry map to zero; scalars map to zero.
     ``images`` is a read-only view of generator index -> frozenset of
-    image masks, so a cached differential cannot be changed by its caller.
+    image masks, since a Derivation is an immutable public value.
     ``_pairs`` holds the same images as (bit of e^i, image masks of e^i),
     the form ``image_columns`` reads, built once here.
     """

@@ -24,7 +24,10 @@ with ``reduce``, independently of ``decompose``'s read of the c-table.
 with ``bracket_index``, independently of the derived-algebra argument behind
 ``has_codim1_abelian_ideal``.  ``graded_masks_brute`` buckets every k-subset
 from ``itertools.combinations``, independently of the lowest-generator
-recurrence and the packed shifts in ``graded_masks``.
+recurrence and the packed shifts in ``graded_masks``.  ``betti_m0_cone``
+derives the Betti numbers of m0(n) by a mapping cone over the abelian ideal
+span(e_2..e_n), independently of the differential and the block ranks of
+``cohomology.betti``.
 """
 
 from __future__ import annotations
@@ -291,3 +294,33 @@ def codim1_abelian_ideal_brute(g: VergneAlgebra) -> bool:
                 all(not bracket(y, z) for y in kernel for z in kernel):
             return True
     return False
+
+
+def betti_m0_cone(n: int, theta_zero: tuple[int, ...] = (2,)) -> tuple[int, ...]:
+    """b_k(m0(n)) = dim ker theta|L^k + dim ker theta|L^(k-1), for k = 0..n.
+
+    L is the exterior algebra on e^2..e^n and theta is the action of e_1,
+    the derivation with theta(e^a) = e^(a-1), except theta(e^a) = 0 for a in
+    ``theta_zero`` (only e^2 in m0).  Proof.  V = span(e_2..e_n) is an
+    abelian ideal, so C(m0) = L + e^1^L with d(x) = e^1^theta(x) and
+    d(e^1^y) = 0, over GF(2).  So Z_k = ker theta|L^k + e^1^L^(k-1) and
+    B_k = e^1^theta(L^(k-1)), whose quotient has dimension
+    dim ker theta|L^k + dim ker theta|L^(k-1).  The matrices come from
+    ``itertools.combinations``, one column per sorted index tuple.
+    """
+    kernels = []
+    for k in range(n + 1):
+        basis = list(combinations(range(2, n + 1), k))
+        index = {s: i for i, s in enumerate(basis)}
+        pivots: dict[int, int] = {}
+        for s in basis:
+            v = 0
+            for t, a in enumerate(s):
+                if a not in theta_zero and a - 1 not in s:
+                    v ^= 1 << index[s[:t] + (a - 1,) + s[t + 1:]]
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if v:
+                pivots[v.bit_length()] = v
+        kernels.append(len(basis) - len(pivots))
+    return tuple([kernels[k] + (kernels[k - 1] if k else 0) for k in range(n + 1)])

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from vergne import core
 from vergne.classify import (
     _LABELS,
     dimension_json_dict,
@@ -79,6 +80,11 @@ def test_labels():
     assert label(from_row("[0, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0]")) == "h(12,4)"
     assert label(m0(9)) == "m0(9)"
     assert label(m2(11)) == "m2(11)"
+    for n in range(5, 65):
+        assert (label(m0(n)), label(m2(n))) == (f"m0({n})", f"m2({n})")
+    labels = [label(g) for n in range(5, 25) for g in enumerate_algebras(n)]
+    m2_labels = [s for s in labels if s.startswith("m2(")]
+    assert m2_labels == [f"m2({n})" for n in range(5, 25)]
     # beyond the table the label falls back to the row string
     g13 = from_row("[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]")
     assert label(g13) == "[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]"
@@ -132,15 +138,33 @@ def test_tree_every_nonroot_has_one_parent():
 
 
 def test_tree_edges_are_truncations():
-    t = extension_tree(12)
+    t = extension_tree(20)
     algebras = {
         t.nodes[(g.n, g.row().bits)]: g
-        for n in range(5, 13) for g in enumerate_algebras(n)
+        for n in range(5, 21) for g in enumerate_algebras(n)
     }
     for child_id, parent_id in t.edges:
         child, parent = algebras[child_id], algebras[parent_id]
         assert parent.n == child.n - 1
         assert parent.c == {(i, j) for (i, j) in child.c if i + j < child.n}
+
+
+def test_tree_builds_no_algebra(monkeypatch):
+    # each parent is read off the child's own e_2 row; with the enumeration
+    # cached, no algebra is built or validated
+    for n in range(5, 41):
+        enumerate_algebras(n)
+    builds = []
+    fill = core._fill
+
+    def counted(g, n, rows):
+        builds.append(n)
+        return fill(g, n, rows)
+
+    monkeypatch.setattr(core, "_fill", counted)
+    for n_max in (20, 40):
+        tree = extension_tree(n_max)
+        assert builds == [] and len(tree.edges) == len(tree.nodes) - 2
 
 
 def test_tree_counts_through_twelve():

@@ -382,6 +382,11 @@ PINNED_TRANSCRIPTS = [
         id="tree-14",
     ),
     pytest.param(
+        ("tree", "--max-dim", "40"),
+        "53bfd947b0cf652837eb516877f6d4e4edf68e8e315e880d4d51be5e6f1eb220",
+        id="tree-40",
+    ),
+    pytest.param(
         ("enumerate", "--dim", "13"),
         "075c0e38e0fdc3ae7b382438e78b2f4e48455fbd1d65b92d108776414285e65f",
         id="enumerate-13",
@@ -407,7 +412,7 @@ def test_pair_reduces_only_in_the_partner_walk(capsys, monkeypatch):
 
 
 def test_tree_makes_no_reduce_calls(capsys, monkeypatch):
-    # each edge keys the parent by the row of the child's truncation
+    # each edge keys the parent by the child's own row, cut at n-1
     calls = count_reduce_calls(monkeypatch)
     code, out, _ = run(capsys, "tree", "--max-dim", "14")
     assert code == 0

@@ -24,6 +24,7 @@ from vergne.extensions import Decomposition, _truncation, decompose, partner, pa
 
 from helpers import monomials, parse_form
 from oracles import (
+    betti_m0_cone,
     cocycle_dim_full,
     commuting_square_failures,
     commuting_square_holds,
@@ -62,6 +63,18 @@ def test_betti_m0_5_against_full_complex_oracle():
     assert b == [1, 2, 3, 3, 2, 1]
     assert list(betti(m0(5)).b) == b
     assert list(betti(m0(5)).z) == z
+
+
+def test_criterion_01_by_the_mapping_cone():
+    # b_k(m0(n)) = dim ker theta|L^k + dim ker theta|L^(k-1), derived apart
+    # from the Chevalley-Eilenberg differential and its graded blocks
+    for n in range(5, 15):
+        assert betti_m0_cone(n) == betti(m0(n)).b == betti(m2(n)).b, n
+
+
+def test_mapping_cone_oracle_sees_a_wrong_theta():
+    # mutation: theta(e^3) = 0 as well must change some Betti vector in range
+    assert any(betti_m0_cone(n, (2, 3)) != betti(m0(n)).b for n in range(5, 15))
 
 
 def test_betti_first_numbers():
