@@ -244,12 +244,12 @@ def _fill(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
     The one validation of both constructors: build d, check d(d(e^k)) = 0
     at every k, and drop d.  The terms of d(e^k) all have degree k, and d
     keeps the degree, so the d(d(e^k)) of different k share no term and
-    one sum over every image term is their union.  ``rows`` has n + 1
-    entries holding only the bits j of ``rows[i]`` with 2 <= i < j and
-    i + j <= n.
+    one ``apply_masks`` over every term of d's stored images is their
+    union.  ``rows`` has n + 1 entries holding only the bits j of
+    ``rows[i]`` with 2 <= i < j and i + j <= n.
     """
     d = _differential(n, rows)
-    bad = d.apply_masks([t for image in d.images.values() for t in image])
+    bad = d.apply_masks([t for image in d._table.values() for t in image])
     if bad:
         raise _violation(min(bad, key=_indices))
     object.__setattr__(g, "n", n)

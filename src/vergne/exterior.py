@@ -135,10 +135,7 @@ class Form(_Frozen):
             return NotImplemented
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"{self.ambient} != {other.ambient}")
-        out = Form.__new__(Form)
-        object.__setattr__(out, "ambient", self.ambient)
-        object.__setattr__(out, "terms", self.terms ^ other.terms)
-        return out
+        return _from_masks(self.ambient, self.terms ^ other.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -177,13 +174,13 @@ class Derivation(_Frozen):
     Acts on a monomial by the Leibniz expansion (replace one factor at a
     time by its image, sum the results mod 2) and additively on forms.
     Generators without an entry map to zero; scalars map to zero.
-    ``images`` is a read-only view of generator index -> frozenset of
-    image masks, since a Derivation is an immutable public value.
-    ``_pairs`` holds the same images as (bit of e^i, image masks of e^i),
-    the form ``image_columns`` reads, built once here.
+    ``_table`` is the one store of the images: the bit of e^i
+    (``1 << (i-1)``) -> frozenset of image masks of e^i, for the nonzero
+    images in input order.  ``images`` is a read-only view of the same
+    images keyed by generator index, built on each read.
     """
 
-    __slots__ = ("ambient", "images", "_table", "_pairs")
+    __slots__ = ("ambient", "_table")
 
     def __init__(self, ambient: int, images: Mapping[int, Iterable[int]]):
         _check_ambient(ambient)
@@ -197,48 +194,45 @@ class Derivation(_Frozen):
                 if not 0 <= m < limit:
                     raise ValueError("image monomial outside ambient dimension")
             if ms:
-                table[i] = ms
+                table[1 << (i - 1)] = ms
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "images", MappingProxyType(table))
-        # apply_mask reads the dict itself: its get takes half the proxy's time
         object.__setattr__(self, "_table", table)
-        # from a list: tuple() of a generator resizes and fills the free lists (see RowVector)
-        object.__setattr__(self, "_pairs", tuple([(1 << (i - 1), ms) for i, ms in table.items()]))
+
+    @property
+    def images(self) -> Mapping[int, frozenset[int]]:
+        """Generator index -> frozenset of image masks, read-only."""
+        return MappingProxyType({bit.bit_length(): ms for bit, ms in self._table.items()})
+
+    def apply_masks(self, masks: Iterable[int]) -> set[int]:
+        """Leibniz expansion of the sum of ``masks``, as one set of masks."""
+        acc: set[int] = set()
+        table = self._table
+        for mask in masks:
+            m = mask
+            while m:
+                low = m & -m
+                m ^= low
+                imgs = table.get(low)
+                if imgs:
+                    rest = mask ^ low
+                    for img in imgs:
+                        if not img & rest:
+                            t = img | rest
+                            if t in acc:
+                                acc.remove(t)
+                            else:
+                                acc.add(t)
+        return acc
 
     def apply_mask(self, mask: int) -> set[int]:
         """Leibniz expansion of a single monomial, returned as a mask set."""
-        acc: set[int] = set()
-        images = self._table
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            imgs = images.get(low.bit_length())
-            if not imgs:
-                continue
-            rest = mask ^ low
-            for img in imgs:
-                if img & rest:
-                    continue
-                t = img | rest
-                if t in acc:
-                    acc.remove(t)
-                else:
-                    acc.add(t)
-        return acc
-
-    def apply_masks(self, masks: Iterable[int]) -> set[int]:
-        acc: set[int] = set()
-        for mask in masks:
-            acc ^= self.apply_mask(mask)
-        return acc
+        return self.apply_masks((mask,))
 
     def __call__(self, x: Union[Form, Monomial]) -> Form:
         if x.ambient != self.ambient:
             raise AmbientMismatch(f"{x.ambient} != {self.ambient}")
-        if isinstance(x, Monomial):
-            return _from_masks(self.ambient, self.apply_mask(x.mask))
-        return _from_masks(self.ambient, self.apply_masks(x.terms))
+        masks = (x.mask,) if isinstance(x, Monomial) else x.terms
+        return _from_masks(self.ambient, self.apply_masks(masks))
 
     def __repr__(self) -> str:
         return f"Derivation(ambient={self.ambient}, generators={sorted(self.images)})"
@@ -338,10 +332,13 @@ def image_columns(
 
     The column is the XOR of ``row[t]`` over the Leibniz terms t of the
     image, where ``row`` maps each codomain mask to its position bits.  No
-    set of terms is built.  Raises ImageOutsideCodomain when a Leibniz term
-    has no ``row`` entry, which always indicates a grading bookkeeping bug.
+    set of terms is built.  The derivation's bit-keyed table is read once
+    per call as a tuple of (bit of e^i, image masks of e^i), which every
+    domain mask then scans.  Raises ImageOutsideCodomain when a Leibniz
+    term has no ``row`` entry, which always indicates a grading bookkeeping
+    bug.
     """
-    gens = op._pairs
+    gens = tuple(op._table.items())
     for mask in domain:
         col = 0
         try:

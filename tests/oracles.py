@@ -27,7 +27,12 @@ from ``itertools.combinations``, independently of the lowest-generator
 recurrence and the packed shifts in ``graded_masks``.  ``betti_m0_cone``
 derives the Betti numbers of m0(n) by a mapping cone over the abelian ideal
 span(e_2..e_n), independently of the differential and the block ranks of
-``cohomology.betti``.
+``cohomology.betti``, and ``betti_cone`` derives the graded Betti table of
+any algebra by the mapping cone of theta on the cohomology of
+V = span(e_2..e_n), from its own full matrices read off ``g.c``.
+``leibniz_by_factors`` expands a derivation on a monomial factor by factor
+with ``helpers.wedge``, independently of the mask-level Leibniz loop in
+``Derivation.apply_masks``.
 """
 
 from __future__ import annotations
@@ -324,3 +329,114 @@ def betti_m0_cone(n: int, theta_zero: tuple[int, ...] = (2,)) -> tuple[int, ...]
                 pivots[v.bit_length()] = v
         kernels.append(len(basis) - len(pivots))
     return tuple([kernels[k] + (kernels[k - 1] if k else 0) for k in range(n + 1)])
+
+
+def leibniz_by_factors(d: Derivation, mask: int) -> Form:
+    """D(e^{i1}^...^e^{ik}) as the sum over t of the product of the factors
+    with the t-th one replaced by D(e^{it}), each product built one factor
+    at a time with ``wedge``; D(e^i) is read off the public ``images``."""
+    n = d.ambient
+    indices = Monomial(mask, n).indices
+    total = Form(n)
+    for t in indices:
+        term = Form(n, [0])
+        for i in indices:
+            term = wedge(term, Form(n, d.images.get(i, ())) if i == t else Form(n, [1 << (i - 1)]))
+        total = total + term
+    return total
+
+
+def betti_cone(g: VergneAlgebra, flip: frozenset = frozenset()) -> tuple[tuple[int, ...], dict]:
+    """(b, graded) of g, with ``graded`` in the form of ``BettiTable.graded``,
+    from the mapping cone of theta on H(V), V = span(e_2..e_n).
+
+    The c-table is ``g.c`` with the pairs in ``flip`` toggled.  L is the
+    exterior algebra on e^2..e^n, d_V(e^k) is the sum of c_{i,j} e^i^e^j
+    over i + j = k, 1 < i < j, and theta is the derivation with
+    theta(e^k) = e^(k-1) for k >= 3 and theta(e^2) = 0.  Proof.  V is an
+    ideal of g, since [g, g] lies in V.  So C(g) = L + e^1^L, with
+    d(x) = d_V(x) + e^1^theta(x) and d(e^1^y) = e^1^d_V(y) over GF(2), and
+    d o d = 0 says d_V o d_V = 0 and theta o d_V = d_V o theta.  The short
+    exact sequence 0 -> e^1^L -> C(g) -> L -> 0 has connecting map theta
+    on H(V), so b_k = dim ker(theta on H^k(V)) + dim coker(theta on
+    H^(k-1)(V)).  d_V keeps the weight (index sum) and theta lowers it by
+    one, so in weight m: dim H^k_m(g) = dim ker(theta: H^k_m -> H^k_(m-1))
+    + dim coker(theta: H^(k-1)_m -> H^(k-1)_(m-1)).  The rank of theta on
+    H^k_m is dim(theta(Z^k_m) + B^k_(m-1)) - dim B^k_(m-1).
+
+    Raises ValueError when the table breaks d_V o d_V = 0 or
+    theta o d_V = d_V o theta, that is when it is no Lie algebra.
+    """
+    n = g.n
+    pairs = set(g.c) ^ set(flip)
+    basis = [list(combinations(range(2, n + 1), k)) for k in range(n + 2)]
+    index = [{s: i for i, s in enumerate(b)} for b in basis]
+
+    def column(s: tuple[int, ...], images, shift: int) -> int:
+        # the Leibniz image of e^s, as bits over the basis of degree len(s) + shift
+        v = 0
+        for t, a in enumerate(s):
+            rest = s[:t] + s[t + 1:]
+            for img in images(a):
+                if not set(img) & set(rest):
+                    v ^= 1 << index[len(s) + shift][tuple(sorted(rest + img))]
+        return v
+
+    d_images = lambda a: [(i, a - i) for i in range(2, a) if (i, a - i) in pairs]
+    theta_images = lambda a: [(a - 1,)] if a >= 3 else []
+    d_v = [[column(s, d_images, 1) for s in b] for b in basis[:n]]
+    theta = [[column(s, theta_images, 0) for s in b] for b in basis[:n]]
+
+    def apply(columns: list[int], v: int) -> int:
+        out = 0
+        while v:
+            low = v & -v
+            out ^= columns[low.bit_length() - 1]
+            v ^= low
+        return out
+
+    for k in range(n - 1):
+        for j in range(len(basis[k])):
+            if apply(d_v[k + 1], d_v[k][j]):
+                raise ValueError(f"d_V o d_V != 0 on degree {k}")
+            if apply(d_v[k], theta[k][j]) != apply(theta[k + 1], d_v[k][j]):
+                raise ValueError(f"theta does not commute with d_V on degree {k}")
+
+    h: dict[tuple[int, int], int] = {}
+    theta_rank: dict[tuple[int, int], int] = {}
+    for k in range(n):
+        weights = sorted({sum(s) for s in basis[k]})
+        cycles: dict[int, list[int]] = {}
+        bounds: dict[int, list[int]] = {}
+        for m in weights:
+            # Z^k_m: eliminate (image, source) pairs; a zero image leaves a cycle
+            pivots: dict[int, tuple[int, int]] = {}
+            cycles[m] = []
+            for j, s in enumerate(basis[k]):
+                if sum(s) != m:
+                    continue
+                v, src = d_v[k][j], 1 << j
+                while v and v.bit_length() in pivots:
+                    pv, ps = pivots[v.bit_length()]
+                    v, src = v ^ pv, src ^ ps
+                if v:
+                    pivots[v.bit_length()] = (v, src)
+                else:
+                    cycles[m].append(src)
+            bounds[m] = [d_v[k - 1][j] for j, s in enumerate(basis[k - 1] if k else ())
+                         if sum(s) == m]
+            h[k, m] = len(cycles[m]) - rank_naive(bounds[m])
+        for m in weights:
+            below = bounds.get(m - 1, [])
+            image = [apply(theta[k], v) for v in cycles[m]]
+            theta_rank[k, m] = rank_naive(below + image) - rank_naive(below)
+
+    graded = {}
+    for k in range(n + 1):
+        for m in range(k * (k + 1) // 2, k * n - k * (k - 1) // 2 + 1):
+            kernel = h.get((k, m), 0) - theta_rank.get((k, m), 0)
+            coker = h.get((k - 1, m - 1), 0) - theta_rank.get((k - 1, m), 0)
+            if kernel + coker:
+                graded[k, m] = kernel + coker
+    b = [sum(v for (k, _), v in graded.items() if k == kk) for kk in range(n + 1)]
+    return tuple(b), graded

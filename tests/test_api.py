@@ -55,9 +55,12 @@ def test_retired_names_are_not_importable():
 
 def test_the_differential_has_one_representation():
     # image_columns and block_pivots read the Derivation itself; the second
-    # copy of its generator images and the row helpers are gone
+    # copy of its generator images and the row helpers are gone, and a
+    # Derivation holds its images in one table
     for name in ("GeneratorTable", "generator_table", "_mask_from_indices"):
         assert not hasattr(vergne.exterior, name), name
+    assert vergne.Derivation.__slots__ == ("ambient", "_table")
+    assert not hasattr(vergne.differential(vergne.m0(7)), "_pairs")
     assert not hasattr(vergne.core, "_symmetric_get")
     assert not hasattr(vergne.RowVector, "bit")
     # and the square has one path: verify_commuting_square reads square_failures,
@@ -68,11 +71,13 @@ def test_the_differential_has_one_representation():
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "vergne"
+TESTS = Path(__file__).resolve().parent
 
 
 # __init__.py imports to re-export, and __future__ imports change the
 # compiler, so neither needs a use
-@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+                         + sorted(TESTS.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())

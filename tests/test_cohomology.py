@@ -24,6 +24,7 @@ from vergne.extensions import Decomposition, _truncation, decompose, partner, pa
 
 from helpers import monomials, parse_form
 from oracles import (
+    betti_cone,
     betti_m0_cone,
     cocycle_dim_full,
     commuting_square_failures,
@@ -75,6 +76,35 @@ def test_criterion_01_by_the_mapping_cone():
 def test_mapping_cone_oracle_sees_a_wrong_theta():
     # mutation: theta(e^3) = 0 as well must change some Betti vector in range
     assert any(betti_m0_cone(n, (2, 3)) != betti(m0(n)).b for n in range(5, 15))
+
+
+def test_betti_tables_by_the_general_mapping_cone():
+    # b_k = dim ker(theta on H^k(V)) + dim coker(theta on H^(k-1)(V)), weight
+    # by weight, from full matrices of d_V on span(e^2..e^n) read off g.c
+    family = [g for n in range(5, 13) for g in enumerate_algebras(n)]
+    assert len(family) == 44
+    for g in family:
+        assert betti_cone(g) == (betti(g).b, dict(betti(g).graded)), g
+
+
+def test_general_mapping_cone_oracle_sees_a_flipped_constant():
+    # mutation: flipping one c_{i,j} breaks d_V o d_V = 0 or theta o d_V =
+    # d_V o theta, which the oracle refuses, or changes the table; the one
+    # exception swaps m0(5) and m2(5), whose tables are equal
+    refusals, agree = set(), set()
+    for n in range(5, 11):
+        for g in enumerate_algebras(n):
+            for i in range(2, n):
+                for j in range(i + 1, n - i + 1):
+                    try:
+                        got = betti_cone(g, frozenset({(i, j)}))
+                    except ValueError as exc:
+                        refusals.add(str(exc).split(" on ")[0])
+                        continue
+                    if got == (betti(g).b, dict(betti(g).graded)):
+                        agree.add((g, (i, j)))
+    assert agree == {(m0(5), (2, 3)), (m2(5), (2, 3))}
+    assert refusals == {"d_V o d_V != 0", "theta does not commute with d_V"}
 
 
 def test_betti_first_numbers():
@@ -515,8 +545,10 @@ def test_cached_differential_and_values_refuse_changes():
         d.images[7] = frozenset()
     with pytest.raises(TypeError):
         del d.images[7]
-    assert type(d._pairs) is tuple
-    for name in ("images", "ambient", "_pairs"):
+    # images is a fresh read-only view of the one table on each read
+    assert type(d.images) is MappingProxyType and d.images is not d.images
+    assert type(d._table) is dict
+    for name in ("images", "ambient", "_table"):
         with pytest.raises(AttributeError):
             setattr(d, name, {})
         with pytest.raises(AttributeError):
@@ -536,15 +568,15 @@ def test_cached_differential_and_values_refuse_changes():
     assert betti(g) == betti(m0(7)) and row == m0(7).row()
 
 
-def test_derivation_pairs_are_its_images():
-    # the pairs image_columns reads are the differential's own images, one
-    # (bit of e^i, images of e^i) per nonzero generator
+def test_derivation_table_is_its_images():
+    # the table apply_masks and image_columns read is the differential's
+    # images, one (bit of e^i, images of e^i) entry per nonzero generator
     for n in range(5, 15):
         for g in enumerate_algebras(n):
             d = differential(g)
-            assert {bit.bit_length(): imgs for bit, imgs in d._pairs} == dict(d.images), g
-            assert len(d._pairs) == len(d.images), g
-            assert all(bit.bit_count() == 1 for bit, _ in d._pairs), g
+            assert {bit.bit_length(): imgs for bit, imgs in d._table.items()} == dict(d.images), g
+            assert len(d._table) == len(d.images), g
+            assert all(bit.bit_count() == 1 and imgs for bit, imgs in d._table.items()), g
 
 
 def test_result_records_keep_fields_equality_and_immutability():

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from vergne.classify import enumerate_algebras
 from vergne.core import differential, m0
 from vergne.exterior import (
     AmbientMismatch,
@@ -19,7 +20,7 @@ from vergne.exterior import (
 )
 
 from helpers import from_indices, lowering_operator, monomials, parse_form, random_form, wedge
-from oracles import graded_masks_brute
+from oracles import graded_masks_brute, leibniz_by_factors
 
 
 def F(text, n):
@@ -174,6 +175,69 @@ def test_derivation_leibniz_property_random():
         assert d(wedge(a, b)) == wedge(d(a), b) + wedge(a, d(b))
 
 
+def random_derivation(rng, n):
+    """Images of mixed degree from a small pool of masks y: e^i maps to some
+    e^i^y and some y.  Two factors e^a, e^b with images e^a^y and e^b^y
+    give the same Leibniz term, so terms cancel.  An image lists its first
+    mask twice, and may be empty."""
+    pool = [sum(1 << b for b in rng.sample(range(n), rng.randrange(3))) for _ in range(3)]
+    images = {}
+    for i in rng.sample(range(1, n + 1), rng.randrange(n // 2, n + 1)):
+        masks = [y | 1 << (i - 1) for y in rng.sample(pool, rng.randrange(3))]
+        masks += rng.sample(pool, rng.randrange(2)) + masks[:1]
+        images[i] = masks
+    return Derivation(n, images)
+
+
+def leibniz_terms(d, mask):
+    """How many Leibniz terms of D(mask) survive before they are summed."""
+    return sum(not img & mask & ~(1 << (i - 1)) for i in Monomial(mask, d.ambient).indices
+               for img in d.images.get(i, ()))
+
+
+def test_derivation_expands_any_images_by_the_leibniz_rule():
+    rng = random.Random(41)
+    within = across = 0
+    for _ in range(300):
+        n = rng.randrange(3, 10)
+        d = random_derivation(rng, n)
+        masks = [rng.getrandbits(n) for _ in range(rng.randrange(1, 6))]
+        masks += rng.sample(masks, len(masks) // 2)
+        want = Form(n)
+        for mask in masks:
+            one = leibniz_by_factors(d, mask)
+            assert d.apply_mask(mask) == one.terms, (d, mask)
+            assert d(Monomial(mask, n)) == one, (d, mask)
+            want = want + one
+        assert d.apply_masks(masks) == want.terms, (d, masks)
+        assert d(Form(n, masks)) == want, (d, masks)
+        within += any(len(leibniz_by_factors(d, m)) < leibniz_terms(d, m) for m in masks)
+        across += len(want) < sum(len(leibniz_by_factors(d, m)) for m in masks)
+    # terms cancel both between the factors of one monomial and between monomials
+    assert within > 50 and across > 100, (within, across)
+
+
+def test_differentials_expand_two_forms_by_the_leibniz_rule():
+    for n in range(5, 11):
+        for g in enumerate_algebras(n):
+            d = differential(g)
+            for mono in monomials(n, 2):
+                want = leibniz_by_factors(d, mono.mask)
+                assert d.apply_mask(mono.mask) == want.terms, (g, mono)
+                assert d.apply_masks([mono.mask]) == want.terms, (g, mono)
+                assert d(mono) == want, (g, mono)
+
+
+def test_derivation_images_are_its_nonzero_images_as_frozensets():
+    rng = random.Random(43)
+    for _ in range(200):
+        n = rng.randrange(1, 10)
+        imgs = {i: [rng.getrandbits(n) for _ in range(rng.randrange(3))] * rng.randrange(1, 3)
+                for i in rng.sample(range(1, n + 1), rng.randrange(n + 1))}
+        want = {i: frozenset(v) for i, v in imgs.items() if v}
+        assert Derivation(n, imgs).images == want
+
+
 def test_square_of_derivation_is_derivation():
     # the composition D o D of an index-lowering derivation obeys Leibniz too
     rng = random.Random(31)
@@ -225,15 +289,17 @@ def test_block_pivots_image_outside_codomain():
 def test_form_addition_is_gf2():
     a = F("e1^e2 + e3", 5)
     assert a + a == Form(5)
+    with pytest.raises(TypeError):
+        a + a.terms
     assert a + Form(5) == a
     assert F("e1 + e2", 5) + F("e2 + e3", 5) == F("e1 + e3", 5)
 
 
 def test_building_derivations_leaves_no_tuples_behind():
-    # each Derivation builds its generator pairs once; built from a generator,
-    # that tuple resizes, and the freed tuples pile up in CPython's per-size
-    # free lists (about 0.56 MB here, 3.6 MB of peak RSS over the
-    # benchmark's classify run)
+    # a Derivation keeps one dict and builds no tuple of its generator
+    # pairs; such a tuple, built from a generator, resizes, and the freed
+    # tuples pile up in CPython's per-size free lists (about 0.56 MB here,
+    # 3.6 MB of peak RSS over the benchmark's classify run)
     tracemalloc.start()
     try:
         for _ in range(300):
