@@ -85,6 +85,8 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     if not args.tree and (args.max_dim is not None or args.dot is not None):
         raise ValueError("--max-dim and --dot need --tree")
+    if args.tree and args.format == "json":  # JSON then DOT would not parse as JSON
+        raise ValueError("--tree writes DOT and cannot follow --format json")
     algebras = classify.enumerate_algebras(args.dim)
     if args.format == "json":
         print(json.dumps(classify.dimension_json_dict(args.dim), indent=2))

@@ -192,11 +192,11 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     (``core._differential``), so δ = d1 + d2 maps e^k to the sum of
     e^i^e^j over the pairs (i, j) of c1 △ c2 with i + j = k.  Let L be the
     derivation with L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for
-    i <= 2, and let ι be contraction by e_1, so that f = id + e^2^L∘ι (see
-    ``core._involution_delta``).  The e^1-part of each d on generators is
-    e^1^L, so dι + ιd = L (both sides are derivations and agree on every
-    e^i), and with d∘d = 0 (checked on construction) dL = dιd = Ld.  With
-    d(e^2) = 0 this gives
+    i <= 2 (``core._LOWERING``), and let ι be contraction by e_1, so that
+    f = id + e^2^L∘ι, as ``core._involution_masks`` computes it.  The
+    e^1-part of each d on generators is e^1^L, so dι + ιd = L (both sides
+    are derivations and agree on every e^i), and with d∘d = 0 (checked on
+    construction) dL = dιd = Ld.  With d(e^2) = 0 this gives
 
         d2 f + f d1 = δ + e^2^(d2 L ι + L ι d1) = δ + e^2^L(δι + L).
 

@@ -343,33 +343,16 @@ def differential(g: VergneAlgebra) -> Derivation:
     return _differential(g.n, g.rows)
 
 
-def _involution_delta(h: int) -> list[int]:
-    """The terms of f(h) + h for one monomial mask h.
-
-    For h = e^1^x they are the terms of e^2^D(x), where D lowers one index
-    i >= 3 of x to i-1.  A term vanishes when it would repeat a factor:
-    i-1 in x, or i = 3 (e^2 twice).  So there are none when h lacks e^1
-    or holds e^2, and the rest are distinct, so nothing cancels.
-    """
-    if h & 3 != 1:
-        return []
-    x = h ^ 1
-    out = []
-    rest = x & ~7
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not x & low >> 1:
-            out.append(x ^ low ^ low >> 1 | 2)
-    return out
+# L: e^i -> e^{i-1} for i >= 3, at the representation limit, so every n reads it.
+_LOWERING = Derivation(MAX_AMBIENT, {i: (1 << (i - 2),) for i in range(3, MAX_AMBIENT + 1)})
 
 
 def _involution_masks(masks: Iterable[int]) -> set[int]:
-    """f on a set of monomial masks: each h plus its delta terms, mod 2."""
-    acc = set(masks)
-    for h in masks:
-        acc.symmetric_difference_update(_involution_delta(h))
-    return acc
+    """f = id + e^2^L∘ι on monomial masks: ι strips e^1 from the terms that
+    hold it and drops the rest, ``_LOWERING.apply_masks`` sums the L-terms
+    mod 2 across them all, and e^2^ drops each term that holds e^2."""
+    lowered = _LOWERING.apply_masks([h ^ 1 for h in masks if h & 1])
+    return set(masks) ^ {t | 2 for t in lowered if not t & 2}
 
 
 def _check_involution_degree(k: int, n: int) -> None:
@@ -381,9 +364,10 @@ def _check_involution_degree(k: int, n: int) -> None:
 def involution(h: Form) -> Form:
     """The degree-preserving involution f on homogeneous k-forms, k in 2..n.
 
-    Splitting h = e^1^x + e^2^y + z with x free of e^1 and y, z free of
-    e^1, e^2, it returns e^1^x + e^2^(y + D(x)) + z where D lowers every
-    generator index by one.  Applying it twice gives h back.
+    f = id + e^2^L∘ι, where ι contracts by e_1 and L is the derivation
+    lowering each index i >= 3 by one (L(e^1) = L(e^2) = 0).  Splitting
+    h = e^1^x + y with x, y free of e^1, f(h) = h + e^2^L(x).  Applying it
+    twice gives h back: e^2^L(x) is free of e^1, so ι kills it.
     """
     if not h.terms:
         return h

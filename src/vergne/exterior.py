@@ -173,8 +173,9 @@ class Derivation(_Frozen):
 
     Acts on a monomial by the Leibniz expansion (replace one factor at a
     time by its image, sum the results mod 2) and additively on forms.
-    Generators without an entry map to zero; scalars map to zero.
-    ``_table`` is the one store of the images: the bit of e^i
+    Generators without an entry map to zero; scalars map to zero.  Each
+    image is the sum of its masks mod 2, as in ``Form``: a repeated mask
+    cancels.  ``_table`` is the one store of the images: the bit of e^i
     (``1 << (i-1)``) -> frozenset of image masks of e^i, for the nonzero
     images in input order.  ``images`` is a read-only view of the same
     images keyed by generator index, built on each read.
@@ -189,10 +190,17 @@ class Derivation(_Frozen):
         for i, masks in images.items():
             if not 1 <= i <= ambient:
                 raise ValueError(f"generator index {i} outside 1..{ambient}")
+            try:
+                size = len(masks)
+            except TypeError:  # an iterator: read it once, into a list
+                masks = list(masks)
+                size = len(masks)
             ms = frozenset(masks)
             for m in ms:
                 if not 0 <= m < limit:
                     raise ValueError("image monomial outside ambient dimension")
+            if len(ms) != size:  # a repeated mask: sum the image mod 2, as Form does
+                ms = Form(ambient, masks).terms
             if ms:
                 table[1 << (i - 1)] = ms
         object.__setattr__(self, "ambient", ambient)

@@ -12,8 +12,12 @@ unpacked 0/1 lists, independently of ``gf2.echelon`` and of the block kernel
 ``exterior.block_pivots``; ``cocycle_dim_full`` ranks the single unsliced
 matrix with it.  ``tail_operator`` is the bracket part of the differential,
 used by the cocycle identity checks.  ``involution_from_definition`` is f on
-Forms, built from the lowering derivation, independently of the mask-level
-``core.involution``; ``commuting_square_failures`` checks the square with it
+Forms, h + e^2 ^ D(x), with the Form-level ``wedge`` and its own
+``helpers.lowering_operator`` for D, independently of ``core._LOWERING`` and
+of the mask-level formula in ``core.involution``.  It expands D by calling
+the derivation, so it shares ``Derivation.apply_masks`` with the library,
+and ``leibniz_by_factors`` is the check on that loop.
+``commuting_square_failures`` checks the square with it
 on Forms, one monomial at a time, independently of the block-level
 ``square_failures``.  ``partner_by_decomposition`` is the partner
 by the paper's construction over the whole chain, step by step from the

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,27 @@ def test_every_import_is_used(path):
             imported.update(a.asname or a.name for a in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+# `module.name` or ``module.name`` in prose, for the modules of the package
+CODE_REFERENCE = re.compile(r"`(classify|cohomology|core|exterior|extensions|gf2|cli)"
+                            r"\.(\w+(?:\.\w+)*)")
+
+
+def test_every_dotted_code_reference_in_the_docs_resolves():
+    paths = [*sorted(SRC.glob("*.py")), SRC.parents[1] / "README.md", TESTS / "oracles.py"]
+    refs = [(path.name, m.group(1), m.group(2))
+            for path in paths for m in CODE_REFERENCE.finditer(path.read_text())]
+    dangling = []
+    for where, module, dotted in refs:
+        owner = importlib.import_module(f"vergne.{module}")
+        for part in dotted.split("."):
+            if not hasattr(owner, part):
+                dangling.append(f"{where}: {module}.{dotted}")
+                break
+            owner = getattr(owner, part)
+    assert len(refs) >= 20, refs  # the pattern still finds the references
+    assert not dangling, dangling
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

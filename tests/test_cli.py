@@ -143,6 +143,36 @@ def test_enumerate_tree_options_need_tree(tmp_path, capsys):
     assert not target.exists()
 
 
+def test_enumerate_json_with_tree_is_refused(tmp_path, capsys, monkeypatch):
+    # JSON followed by DOT (or by "wrote <path>") is not one JSON document
+    def refused(n):
+        raise AssertionError("work started before the refusal")
+
+    monkeypatch.setattr(classify, "enumerate_algebras", refused)
+    target = tmp_path / "out.dot"
+    for extra in ([], ["--max-dim", "7"], ["--dot", str(target)]):
+        code, out, err = run(capsys, "enumerate", "--dim", "6", "--format", "json", "--tree",
+                             *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: --tree writes DOT and cannot follow --format json\n"
+    assert not target.exists()
+
+
+def test_enumerate_json_and_text_tree_are_unchanged(capsys):
+    # digests taken before the json/--tree refusal was added
+    for argv, digest in (
+        (("--dim", "7", "--format", "json"),
+         "0832f78d77f67083602b793b1ce72031ac66a706c0017de4a8a02984214231c3"),
+        (("--dim", "8", "--tree"),
+         "8d5d51b9b510a91919adaf813cc6765e4709ea4320d6067a0a02b0fecc1f9b00"),
+        (("--dim", "7", "--tree", "--max-dim", "9", "--format", "text"),
+         "b9933399989db4d4663727fe406b756e7d307d3c9d13524623ee2ab74713da48"),
+    ):
+        code, out, _ = run(capsys, "enumerate", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_tree_stdout_and_io_failure(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "tree", "--max-dim", "6")
     assert code == 0

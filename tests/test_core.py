@@ -19,7 +19,7 @@ from vergne.core import (
     m2,
     parse_row,
 )
-from vergne.extensions import _truncation, admissible_cocycles, central_extension
+from vergne.extensions import _truncation, admissible_cocycles, central_extension, partner
 from vergne.exterior import MAX_AMBIENT, Derivation, Form, Monomial, graded_masks
 
 from helpers import (
@@ -36,6 +36,7 @@ from oracles import (
     involution_from_definition,
     jacobi_failure,
     jacobi_holds,
+    partner_by_decomposition,
     raw_differential,
     tail_operator,
 )
@@ -329,6 +330,48 @@ def test_involution_matches_its_definition():
                        for t in h.terms)
         cancelled += separate > len(involution_from_definition(h) + h)
     assert checked >= 2000 and cancelled >= 200, (checked, cancelled)
+
+
+def test_lowering_is_stated_up_to_the_representation_limit():
+    assert core._LOWERING.ambient == MAX_AMBIENT
+    assert core._LOWERING.images == {i: {1 << (i - 2)} for i in range(3, MAX_AMBIENT + 1)}
+
+
+def test_involution_matches_its_definition_at_the_representation_limit():
+    # every term holds e^1 and one of the two top generators, which only a
+    # lowering stated up to n reaches.  Odd trials draw a few such terms;
+    # even trials draw a pair e^1^t^S^e^{a+1}^e^b and e^1^t^S^e^a^e^{b+1},
+    # whose corrections share e^2^t^S^e^a^e^b, which then cancels mod 2.
+    rng = random.Random(6064)
+    cancelled = 0
+    for trial in range(300):
+        n = rng.randrange(60, MAX_AMBIENT + 1)
+        top = rng.choice((n - 1, n))
+        if trial % 2:
+            k = rng.randrange(2, 7)
+            picks = [[top, *rng.sample([i for i in range(2, n + 1) if i != top], k - 2)]
+                     for _ in range(rng.randrange(1, 6))]
+        else:
+            a, b = sorted(rng.sample(range(3, n - 2), 2))
+            if b == a + 1:
+                continue
+            pool = [i for i in range(2, n - 1) if i not in (a, a + 1, b, b + 1)]
+            rest = [top, *rng.sample(pool, rng.randrange(3))]
+            picks = [rest + [a + 1, b], rest + [a, b + 1]]
+        h = Form(n, [sum(1 << (i - 1) for i in (1, *pick)) for pick in picks])
+        assert involution(h) == involution_from_definition(h), h
+        assert involution(involution(h)) == h, h
+        separate = sum(len(involution(Form(n, [t])) + Form(n, [t])) for t in h.terms)
+        cancelled += separate > len(involution(h) + h)
+    assert cancelled > 100, cancelled
+
+
+def test_partner_at_the_representation_limit():
+    for n in range(60, MAX_AMBIENT + 1):
+        for g in (m0(n), m2(n)):
+            p = partner(g)
+            assert p == partner_by_decomposition(g), g
+            assert partner(p) == g, g
 
 
 def test_involution_rejects_bad_degrees():

@@ -179,12 +179,12 @@ def random_derivation(rng, n):
     """Images of mixed degree from a small pool of masks y: e^i maps to some
     e^i^y and some y.  Two factors e^a, e^b with images e^a^y and e^b^y
     give the same Leibniz term, so terms cancel.  An image lists its first
-    mask twice, and may be empty."""
+    mask three times, which sums to once mod 2, and may be empty."""
     pool = [sum(1 << b for b in rng.sample(range(n), rng.randrange(3))) for _ in range(3)]
     images = {}
     for i in rng.sample(range(1, n + 1), rng.randrange(n // 2, n + 1)):
         masks = [y | 1 << (i - 1) for y in rng.sample(pool, rng.randrange(3))]
-        masks += rng.sample(pool, rng.randrange(2)) + masks[:1]
+        masks += rng.sample(pool, rng.randrange(2)) + masks[:1] * 2
         images[i] = masks
     return Derivation(n, images)
 
@@ -229,13 +229,23 @@ def test_differentials_expand_two_forms_by_the_leibniz_rule():
 
 
 def test_derivation_images_are_its_nonzero_images_as_frozensets():
+    # each image is the sum of its masks mod 2, as a Form folds them, so a
+    # repeated mask cancels and an image that cancels to 0 has no entry
+    assert Derivation(5, {3: [1, 1]}).images == {}
+    assert Derivation(5, {3: [1, 2, 1], 4: (4, 4, 4)}).images == {3: {2}, 4: {4}}
+    assert Derivation(5, {3: iter([1, 2, 1])}).images == {3: {2}}
     rng = random.Random(43)
+    repeated = 0
     for _ in range(200):
         n = rng.randrange(1, 10)
-        imgs = {i: [rng.getrandbits(n) for _ in range(rng.randrange(3))] * rng.randrange(1, 3)
+        imgs = {i: [rng.getrandbits(n) for _ in range(rng.randrange(4))] * rng.randrange(1, 4)
                 for i in rng.sample(range(1, n + 1), rng.randrange(n + 1))}
-        want = {i: frozenset(v) for i, v in imgs.items() if v}
+        want = {i: Form(n, v).terms for i, v in imgs.items() if Form(n, v)}
         assert Derivation(n, imgs).images == want
+        assert Derivation(n, {i: iter(v) for i, v in imgs.items()}).images == want
+        assert all(type(v) is frozenset for v in Derivation(n, imgs).images.values())
+        repeated += any(len(set(v)) < len(v) for v in imgs.values())
+    assert repeated > 50, repeated
 
 
 def test_square_of_derivation_is_derivation():
