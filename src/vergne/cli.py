@@ -134,7 +134,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
-    for n in range(5, max_dim + 1):
+    for n in range(MIN_DIMENSION, max_dim + 1):
         # the enumerated instance equal to each model, whose Betti table the
         # other suites read too, so each table is ranked once per run
         known = {g: g for g in classify.enumerate_algebras(n)}
@@ -172,9 +172,8 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
     involution.  A p outside the enumeration is not in the sweep, and
     ``partner`` builds its partner the same way.
     """
-    root_ok = (
-        has_codim1_abelian_ideal(m0(5)) and not has_codim1_abelian_ideal(m2(5))
-    )
+    root0, root2 = m0(MIN_DIMENSION), m2(MIN_DIMENSION)
+    root_ok = has_codim1_abelian_ideal(root0) and not has_codim1_abelian_ideal(root2)
     lines.append(f"thm2 roots distinguished by abelian ideal: {'ok' if root_ok else 'FAIL'}")
     if not root_ok:
         failures.append("thm2: dimension-5 roots not distinguished")
@@ -219,7 +218,7 @@ def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> Non
 
 
 def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> None:
-    for n in range(5, max_dim + 1):
+    for n in range(MIN_DIMENSION, max_dim + 1):
         recorded = len(failures)
         top = n * (n + 1) // 2  # the degree of e^1^...^e^n
         for g in classify.enumerate_algebras(n):

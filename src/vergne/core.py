@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _from_masks, _indices
+from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _indices
 
 __all__ = [
     "MIN_DIMENSION",
@@ -375,4 +375,4 @@ def involution(h: Form) -> Form:
     if len(tds) != 1:
         raise ValueError("involution needs a homogeneous topological degree")
     _check_involution_degree(tds.pop(), h.ambient)
-    return _from_masks(h.ambient, _involution_masks(h.terms))
+    return Form(h.ambient, _involution_masks(h.terms))

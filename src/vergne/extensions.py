@@ -78,41 +78,37 @@ def _leading_mask(n: int) -> int:
     return 1 | (1 << (n - 1))  # e^1 ^ e^n
 
 
-def _check_extension_cocycle(g: VergneAlgebra, omega: Form) -> None:
-    n = g.n
-    if omega.ambient != n:
-        raise AmbientMismatch(f"cocycle ambient {omega.ambient} != {n}")
-    for mask in omega.terms:
-        if mask.bit_count() != 2:
-            raise NotHomogeneousTopDegree(
-                f"term {Monomial(mask, n)} is not a 2-form"
-            )
-    if _leading_mask(n) not in omega.terms:
-        raise MissingLeadingTerm("cocycle has no e^1^e^n component")
-    for mask in omega.terms:
-        if sum(_indices(mask)) != n + 1:
-            raise NotHomogeneousTopDegree(f"term {Monomial(mask, n)} has degree != {n + 1}")
-
-
 def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     """The (n+1)-dimensional extension of g along omega.
 
     omega must be a homogeneous 2-cocycle of degree n+1 containing
     e^1^e^n; its other coefficients become the c_{i,j} with i+j = n+1.
+    The checks run in one pass, in this order: omega's ambient is n
+    (AmbientMismatch), it holds e^1^e^n (MissingLeadingTerm), and then
+    each term is a 2-form of degree n+1 (NotHomogeneousTopDegree).
 
     d_g(omega) = 0 is left to the extension's own check d(d(e^k)) = 0:
     its d is g's on e^1..e^n and sends e^{n+1} to omega, so with g valid
     the check holds at every k <= n and reads d_g(omega) = 0 at k = n+1.
     Its JacobiViolation is raised as NotACocycle.
     """
-    _check_extension_cocycle(g, omega)
+    n = g.n
+    if omega.ambient != n:
+        raise AmbientMismatch(f"cocycle ambient {omega.ambient} != {n}")
+    if _leading_mask(n) not in omega.terms:
+        raise MissingLeadingTerm("cocycle has no e^1^e^n component")
     rows = [*g.rows, 0]
     for mask in omega.terms:
-        i, j = _indices(mask)
+        indices = _indices(mask)
+        if len(indices) != 2:
+            raise NotHomogeneousTopDegree(f"term {Monomial(mask, n)} is not a 2-form")
+        i, j = indices
+        if i + j != n + 1:
+            raise NotHomogeneousTopDegree(f"term {Monomial(mask, n)} has degree != {n + 1}")
         if i != 1:  # the leading term is the new [e_1, e_n] = e_{n+1} relation
             rows[i] |= 1 << j
     try:
-        return _from_rows(g.n + 1, rows)
+        return _from_rows(n + 1, rows)
     except JacobiViolation:
         raise NotACocycle(f"d({omega}) != 0") from None
 

@@ -98,8 +98,9 @@ class _Frozen:
 class Form(_Frozen):
     """A GF(2) sum of monomials; the empty set is the zero form.
 
-    ``terms`` is a frozenset of monomial bitmasks.  The constructor accepts
-    masks or Monomial values and folds duplicates mod 2.
+    ``terms`` is a frozenset of monomial bitmasks.  The constructor, the
+    only one, accepts masks or Monomial values, refuses a mask outside the
+    ambient, and folds duplicates mod 2.
     """
 
     __slots__ = ("ambient", "terms")
@@ -135,7 +136,7 @@ class Form(_Frozen):
             return NotImplemented
         if self.ambient != other.ambient:
             raise AmbientMismatch(f"{self.ambient} != {other.ambient}")
-        return _from_masks(self.ambient, self.terms ^ other.terms)
+        return Form(self.ambient, self.terms ^ other.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -158,14 +159,6 @@ class Form(_Frozen):
 
     def __repr__(self) -> str:
         return f"Form({self.ambient}, {self})"
-
-
-def _from_masks(ambient: int, masks: Iterable[int]) -> Form:
-    # internal fast path: masks already deduplicated and range-checked
-    out = Form.__new__(Form)
-    object.__setattr__(out, "ambient", ambient)
-    object.__setattr__(out, "terms", frozenset(masks))
-    return out
 
 
 class Derivation(_Frozen):
@@ -239,8 +232,9 @@ class Derivation(_Frozen):
     def __call__(self, x: Union[Form, Monomial]) -> Form:
         if x.ambient != self.ambient:
             raise AmbientMismatch(f"{x.ambient} != {self.ambient}")
-        masks = (x.mask,) if isinstance(x, Monomial) else x.terms
-        return _from_masks(self.ambient, self.apply_masks(masks))
+        if isinstance(x, Monomial):  # Form refuses a mask outside the ambient
+            x = Form(self.ambient, (x,))
+        return Form(self.ambient, self.apply_masks(x.terms))
 
     def __repr__(self) -> str:
         return f"Derivation(ambient={self.ambient}, generators={sorted(self.images)})"

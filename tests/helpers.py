@@ -114,6 +114,14 @@ def matvec(rows: list[int], v: int) -> int:
     return out
 
 
+def rebuilds(f: Form) -> bool:
+    """Whether ``Form.__init__`` accepts f's own fields and builds f again.
+
+    A form built past the constructor could hold a mask outside its
+    ambient; rebuilding it then raises instead of returning False."""
+    return type(f) is Form and Form(f.ambient, f.terms) == f
+
+
 def random_form(rng, n: int, max_terms: int = 6) -> Form:
     """A random form with mixed topological degrees."""
     return Form(n, [rng.getrandbits(n) for _ in range(rng.randrange(max_terms + 1))])

@@ -92,6 +92,18 @@ def test_every_import_is_used(path):
     assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_form_is_built_by_its_constructor(path):
+    # Form.__init__ is the one constructor: a Form.__new__(Form) or
+    # object.__new__(Form) call would build a Form past its checks
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "__new__":
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            assert "Form" not in names, f"{path.name}:{node.lineno} calls __new__ on Form"
+    assert not hasattr(vergne.exterior, "_from_masks")
+    assert not hasattr(vergne.extensions, "_check_extension_cocycle")
+
+
 # `module.name` or ``module.name`` in prose, for the modules of the package
 CODE_REFERENCE = re.compile(r"`(classify|cohomology|core|exterior|extensions|gf2|cli)"
                             r"\.(\w+(?:\.\w+)*)")

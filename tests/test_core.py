@@ -28,6 +28,7 @@ from helpers import (
     parse_form,
     random_form,
     random_homogeneous_form,
+    rebuilds,
     wedge,
 )
 from oracles import (
@@ -364,6 +365,22 @@ def test_involution_matches_its_definition_at_the_representation_limit():
         separate = sum(len(involution(Form(n, [t])) + Form(n, [t])) for t in h.terms)
         cancelled += separate > len(involution(h) + h)
     assert cancelled > 100, cancelled
+
+
+def test_involution_hands_out_forms_the_constructor_accepts():
+    rng = random.Random(1729)
+    for _ in range(300):
+        n = rng.randrange(5, 17)
+        h = random_homogeneous_form(rng, n, rng.randrange(2, n + 1))
+        assert rebuilds(involution(h)), h
+    # at n = 60..64 every term holds e^1, so f lowers each one, and e^n,
+    # the highest index it lowers
+    for n in range(60, MAX_AMBIENT + 1):
+        for _ in range(40):
+            k = rng.randrange(2, 7)
+            h = Form(n, [1 | sum(1 << (i - 1) for i in (n, *rng.sample(range(2, n), k - 2)))
+                         for _ in range(rng.randrange(1, 6))])
+            assert rebuilds(involution(h)), h
 
 
 def test_partner_at_the_representation_limit():

@@ -26,7 +26,7 @@ from vergne.extensions import (
     reduce,
 )
 
-from helpers import count_reduce_calls, parse_form
+from helpers import count_reduce_calls, parse_form, rebuilds
 from oracles import codim1_abelian_ideal_brute, decompose_by_reduce, partner_by_decomposition
 
 
@@ -74,6 +74,18 @@ def test_central_extension_homogeneity_errors():
         central_extension(m0(6), F("e1^e6 + e1^e4", 6))  # degree 5 term
     with pytest.raises(AmbientMismatch):
         central_extension(m0(6), F("e1^e6", 7))
+
+
+def test_central_extension_checks_in_order():
+    # the ambient first, then the e^1^e^n term, then each term's shape and degree
+    with pytest.raises(AmbientMismatch):
+        central_extension(m0(6), F("e2^e3^e4", 7))
+    with pytest.raises(MissingLeadingTerm):
+        central_extension(m0(6), F("e2^e3^e4", 6))  # also not a 2-form
+    with pytest.raises(MissingLeadingTerm):
+        central_extension(m0(6), F("e2^e3", 6))  # also of degree 5
+    with pytest.raises(NotHomogeneousTopDegree, match="e5 is not a 2-form"):
+        central_extension(m0(6), F("e1^e6 + e5", 6))  # also of degree 5
 
 
 def test_not_a_cocycle_exactly_off_the_admissible_cocycles():
@@ -170,6 +182,15 @@ def test_admissible_cocycles_satisfy_step_invariants():
 
 
 # ---------------------------------------------------------------- reduce
+
+
+def test_cocycles_are_forms_the_constructor_accepts():
+    for n in range(5, 13):
+        for g in enumerate_algebras(n):
+            assert all(rebuilds(omega) for omega in admissible_cocycles(g)), g
+            if n > 5:
+                assert rebuilds(reduce(g)[1]), g
+            assert all(rebuilds(step.omega) for step in decompose(g).steps), g
 
 
 def test_reduce_example():

@@ -19,7 +19,15 @@ from vergne.exterior import (
     matrix_of,
 )
 
-from helpers import from_indices, lowering_operator, monomials, parse_form, random_form, wedge
+from helpers import (
+    from_indices,
+    lowering_operator,
+    monomials,
+    parse_form,
+    random_form,
+    rebuilds,
+    wedge,
+)
 from oracles import graded_masks_brute, leibniz_by_factors
 
 
@@ -215,6 +223,30 @@ def test_derivation_expands_any_images_by_the_leibniz_rule():
         across += len(want) < sum(len(leibniz_by_factors(d, m)) for m in masks)
     # terms cancel both between the factors of one monomial and between monomials
     assert within > 50 and across > 100, (within, across)
+
+
+def test_derivation_call_refuses_a_monomial_outside_its_ambient():
+    d = differential(m0(5))
+    # e3^e6^e7 and e6 at ambient 5: Form(5, ...) refuses both masks, and
+    # so does the derivation, rather than expanding or dropping them
+    for mask in (0b1100100, 1 << 5):
+        with pytest.raises(ValueError, match=f"monomial {mask:#x} outside ambient dimension 5"):
+            Form(5, [mask])
+        with pytest.raises(ValueError, match=f"monomial {mask:#x} outside ambient dimension 5"):
+            d(Monomial(mask, 5))
+    with pytest.raises(AmbientMismatch, match="6 != 5"):
+        d(Monomial(1, 6))
+    assert d(Monomial(0b10000, 5)) == F("e1^e4", 5)
+
+
+def test_derivation_calls_and_sums_hand_out_forms_the_constructor_accepts():
+    rng = random.Random(1105)
+    for _ in range(200):
+        n = rng.randrange(3, 10)
+        d = random_derivation(rng, n)
+        a, b = random_form(rng, n), random_form(rng, n)
+        for f in (d(a), d(Monomial(rng.getrandbits(n), n)), a + b, d(a) + d(b)):
+            assert rebuilds(f), f
 
 
 def test_differentials_expand_two_forms_by_the_leibniz_rule():
