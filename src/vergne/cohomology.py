@@ -142,7 +142,7 @@ def betti(g: VergneAlgebra) -> BettiTable:
     if g._betti is not None:
         return g._betti
     n = g.n
-    d = differential(g)
+    gens = tuple([(bit, tuple(imgs)) for bit, imgs in differential(g)._table.items()])
     z: list[int] = []
     graded: dict[tuple[int, int], int] = {}
     cleared: dict[int, int] = {}  # degree -> pivots of the block one level down
@@ -151,11 +151,10 @@ def betti(g: VergneAlgebra) -> BettiTable:
         pivots = {}
         for m, masks in graded_masks(n, k).items():
             skip = cleared.get(m, 0)
-            kept = [mask for r, mask in enumerate(masks) if not skip >> r & 1] if skip else masks
+            free = len(masks) - skip.bit_count()
             # a block with every column cleared has rank 0
-            p = pivots[m] = block_pivots(d, kept, target.get(m, ())) if kept else 0
-            v = len(masks) - p.bit_count() - skip.bit_count()
-            if v:
+            p = pivots[m] = block_pivots(gens, masks, skip, target.get(m, ())) if free else 0
+            if v := free - p.bit_count():
                 graded[(k, m)] = v
         z.append(comb(n, k) - sum(p.bit_count() for p in pivots.values()))
         cleared = pivots

@@ -25,7 +25,7 @@ from .core import (
     m0,
     m2,
 )
-from .exterior import AmbientMismatch, Form, Monomial, _indices, graded_masks, image_columns
+from .exterior import AmbientMismatch, Form, _indices, _outside_codomain, _text, graded_masks
 from .gf2 import solve_affine
 
 __all__ = [
@@ -101,10 +101,10 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     for mask in omega.terms:
         indices = _indices(mask)
         if len(indices) != 2:
-            raise NotHomogeneousTopDegree(f"term {Monomial(mask, n)} is not a 2-form")
+            raise NotHomogeneousTopDegree(f"term {_text(mask)} is not a 2-form")
         i, j = indices
         if i + j != n + 1:
-            raise NotHomogeneousTopDegree(f"term {Monomial(mask, n)} has degree != {n + 1}")
+            raise NotHomogeneousTopDegree(f"term {_text(mask)} has degree != {n + 1}")
         if i != 1:  # the leading term is the new [e_1, e_n] = e_{n+1} relation
             rows[i] |= 1 << j
     try:
@@ -118,13 +118,20 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
 
     Solved exactly: the e^1^e^n coefficient is pinned to 1 and d(omega)=0
     becomes an affine GF(2) system over the remaining slice coefficients.
-    The full solution coset is enumerated; empty when inconsistent.
+    The full solution coset is enumerated; empty when inconsistent.  A
+    term of d(slice) outside the degree-(n+1) 3-forms raises
+    ImageOutsideCodomain.
     """
     n = g.n
     lead = _leading_mask(n)
-    slice2 = graded_masks(n, 2)[n + 1]
+    d = differential(g)
     row = {q: 1 << r for r, q in enumerate(graded_masks(n, 3)[n + 1])}
-    columns = dict(zip(slice2, image_columns(differential(g), slice2, row)))
+    columns = {}
+    for mask in graded_masks(n, 2)[n + 1]:
+        try:  # distinct terms, so their position bits add without carries
+            columns[mask] = sum(row[t] for t in d.apply_mask(mask))
+        except KeyError as exc:
+            raise _outside_codomain(exc.args[0], mask) from None
     rhs = columns.pop(lead)
     others = list(columns)
     solved = solve_affine(list(columns.values()), rhs)
@@ -134,13 +141,8 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     coset = [particular]
     for v in kernel:
         coset += [x ^ v for x in coset]
-    forms = []
-    for x in coset:
-        masks = {lead}
-        for idx, mask in enumerate(others):
-            if (x >> idx) & 1:
-                masks.add(mask)
-        forms.append(Form(n, masks))
+    forms = [Form(n, [lead] + [mask for idx, mask in enumerate(others) if x >> idx & 1])
+             for x in coset]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import namedtuple
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Union
-
-from .gf2 import echelon
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "MAX_AMBIENT",
@@ -31,7 +30,6 @@ __all__ = [
     "Derivation",
     "graded_masks",
     "matrix_of",
-    "image_columns",
     "block_pivots",
 ]
 
@@ -57,11 +55,26 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-class Monomial(NamedTuple):
-    """A basis monomial, encoded as an index bitmask plus its ambient n."""
+def _text(mask: int) -> str:
+    """The monomial of ``mask`` as text, e1^e3 for 0b101, 1 for 0."""
+    return "^".join(f"e{i}" for i in _indices(mask)) or "1"
 
-    mask: int
-    ambient: int
+
+def _outside_codomain(term: int, mask: int) -> ImageOutsideCodomain:
+    return ImageOutsideCodomain(f"image term {_text(term)} of {_text(mask)} not in codomain")
+
+
+class Monomial(namedtuple("Monomial", "mask ambient")):
+    """A basis monomial: an index bitmask, refused outside its ambient n."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, mask: int, ambient: int):
+        _check_ambient(ambient)
+        if not 0 <= mask < 1 << ambient:
+            raise ValueError(f"monomial {mask:#x} outside ambient dimension {ambient}")
+        return super().__new__(cls, mask, ambient)
 
     @property
     def indices(self) -> tuple[int, ...]:
@@ -73,9 +86,7 @@ class Monomial(NamedTuple):
         return sum(_indices(self.mask))
 
     def __str__(self) -> str:
-        if not self.mask:
-            return "1"
-        return "^".join(f"e{i}" for i in self.indices)
+        return _text(self.mask)
 
 
 def _check_ambient(n: int) -> None:
@@ -307,7 +318,7 @@ def matrix_of(
 
     Column j is an int over codomain positions: bit r is set when
     ``codomain[r]`` occurs in op(domain[j]).  Built term by term from
-    ``Derivation.apply_mask``, independently of ``image_columns``, so the
+    ``Derivation.apply_mask``, independently of ``block_pivots``, so the
     tests use it as the column oracle.  Raises ImageOutsideCodomain when an
     image term is not a codomain element, which always indicates a grading
     bookkeeping bug upstream.
@@ -319,57 +330,44 @@ def matrix_of(
         for t in op.apply_mask(mono.mask):
             r = position.get(t)
             if r is None:
-                raise ImageOutsideCodomain(
-                    f"image term {Monomial(t, op.ambient)} of {mono} not in codomain"
-                )
+                raise _outside_codomain(t, mono.mask)
             bits |= 1 << r
         columns.append(bits)
     return columns
 
 
-def image_columns(
-    op: Derivation, domain: Iterable[int], row: Mapping[int, int]
-) -> Iterator[int]:
-    """The image of each ``domain`` mask under ``op`` as an int column.
+def block_pivots(gens: Sequence[tuple[int, Iterable[int]]], masks: Sequence[int], skip: int,
+                 codomain: Sequence[int]) -> int:
+    """Pivot positions of a derivation from the span of the ``masks`` at the
+    positions outside ``skip`` to the span of the ``codomain`` masks, as a
+    bitmask over codomain positions whose bit count is the GF(2) rank.
 
-    The column is the XOR of ``row[t]`` over the Leibniz terms t of the
-    image, where ``row`` maps each codomain mask to its position bits.  No
-    set of terms is built.  The derivation's bit-keyed table is read once
-    per call as a tuple of (bit of e^i, image masks of e^i), which every
-    domain mask then scans.  Raises ImageOutsideCodomain when a Leibniz
-    term has no ``row`` entry, which always indicates a grading bookkeeping
-    bug.
+    ``gens`` is the derivation's table as (bit of e^i, image masks of e^i)
+    pairs.  Each column, the XOR of the position bits of its Leibniz terms,
+    is reduced against the pivots as soon as it is built, until its leading
+    bit is new.  A Leibniz term outside the codomain, always a grading bug,
+    raises ImageOutsideCodomain.
     """
-    gens = tuple(op._table.items())
-    for mask in domain:
-        col = 0
-        try:
+    row = {mask: 1 << r for r, mask in enumerate(codomain)}
+    pivots: dict[int, int] = {}
+    try:
+        for r, mask in enumerate(masks):
+            if skip >> r & 1:
+                continue
+            col = 0
             for low, imgs in gens:
                 if mask & low:
                     rest = mask ^ low
                     for img in imgs:
                         if not img & rest:
                             col ^= row[img | rest]
-        except KeyError:
-            n = op.ambient
-            raise ImageOutsideCodomain(
-                f"image term {Monomial(img | rest, n)} of {Monomial(mask, n)} not in codomain"
-            ) from None
-        yield col
-
-
-def block_pivots(op: Derivation, domain: Iterable[int], codomain: Sequence[int]) -> int:
-    """Pivot positions of ``op`` from the span of the ``domain`` masks to
-    the span of the ``codomain`` masks, as a bitmask over codomain
-    positions; its bit count is the GF(2) rank.  No matrix is built.
-
-    Each image column from ``image_columns`` is eliminated by
-    ``gf2.echelon`` as it is built, so the pivots are an echelon basis of
-    the image with distinct leading (highest) positions.  Raises
-    ImageOutsideCodomain as ``image_columns`` does.
-    """
-    row = {mask: 1 << r for r, mask in enumerate(codomain)}
-    positions = 0
-    for top in echelon(image_columns(op, domain, row)):
-        positions |= 1 << (top - 1)
-    return positions
+            while col:
+                top = col.bit_length()
+                p = pivots.get(top)
+                if p is None:
+                    pivots[top] = col
+                    break
+                col ^= p
+    except KeyError:
+        raise _outside_codomain(img | rest, mask) from None
+    return sum(1 << (top - 1) for top in pivots)  # distinct leading bits

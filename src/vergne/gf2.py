@@ -2,8 +2,7 @@
 
 Vectors are bit-packed into Python integers (bit ``i`` of a vector is its
 entry at position ``i``), so adding two vectors is a single XOR.  One
-elimination, ``echelon``, serves every job: the ranks of the graded
-blocks and the affine cocycle system.
+elimination, ``echelon``, serves ``rank`` and the affine cocycle system.
 
 Everything here is pure and never modifies its input, so concurrent use
 is safe.

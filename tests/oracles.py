@@ -8,9 +8,12 @@ completes an e_2 row pair by pair, independently of the bitwise rows of
 of such a table, valid or not, from its pairs.  ``enumerate_rows`` walks all
 2^(n-4) e_2 rows and keeps those the table check accepts, independently of
 the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
-unpacked 0/1 lists, independently of ``gf2.echelon`` and of the block kernel
-``exterior.block_pivots``; ``cocycle_dim_full`` ranks the single unsliced
-matrix with it.  ``tail_operator`` is the bracket part of the differential,
+unpacked 0/1 lists, independently of ``gf2.echelon`` and of the elimination
+inside the block kernel ``exterior.block_pivots``.  The tests feed it the
+columns of ``exterior.matrix_of``, built from ``Derivation.apply_mask`` apart
+from the kernel's own column loop, and ``cocycle_dim_full`` ranks the single
+unsliced matrix with it.
+``tail_operator`` is the bracket part of the differential,
 used by the cocycle identity checks.  ``involution_from_definition`` is f on
 Forms, h + e^2 ^ D(x), with the Form-level ``wedge`` and its own
 ``helpers.lowering_operator`` for D, independently of ``core._LOWERING`` and

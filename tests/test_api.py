@@ -55,10 +55,10 @@ def test_retired_names_are_not_importable():
 
 
 def test_the_differential_has_one_representation():
-    # image_columns and block_pivots read the Derivation itself; the second
-    # copy of its generator images and the row helpers are gone, and a
-    # Derivation holds its images in one table
-    for name in ("GeneratorTable", "generator_table", "_mask_from_indices"):
+    # block_pivots reads the Derivation's own table; the second copy of its
+    # generator images, the row helpers and the separate column builder
+    # are gone, and a Derivation holds its images in one table
+    for name in ("GeneratorTable", "generator_table", "_mask_from_indices", "image_columns"):
         assert not hasattr(vergne.exterior, name), name
     assert vergne.Derivation.__slots__ == ("ambient", "_table")
     assert not hasattr(vergne.differential(vergne.m0(7)), "_pairs")

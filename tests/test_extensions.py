@@ -1,5 +1,6 @@
 """Central extensions, decomposition, the Betti partner, ideal witness."""
 
+import re
 import subprocess
 import sys
 from itertools import combinations
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import exterior
+from vergne import exterior, extensions
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import betti
 from vergne.core import differential, from_row, m0, m2
@@ -72,6 +73,8 @@ def test_central_extension_homogeneity_errors():
         central_extension(m0(6), F("e1^e6 + e1^e2^e4", 6))
     with pytest.raises(NotHomogeneousTopDegree):
         central_extension(m0(6), F("e1^e6 + e1^e4", 6))  # degree 5 term
+    with pytest.raises(NotHomogeneousTopDegree, match="term e5\\^e6 has degree != 7"):
+        central_extension(m0(6), F("e1^e6 + e5^e6", 6))  # names e^n
     with pytest.raises(AmbientMismatch):
         central_extension(m0(6), F("e1^e6", 7))
 
@@ -155,6 +158,18 @@ def test_admissible_cocycles_m0_6():
     got = admissible_cocycles(m0(6))
     assert [str(w) for w in got] == ["e1^e6", "e1^e6 + e2^e5 + e3^e4"]
     assert set(got) == set(brute_force_admissible(m0(6)))
+
+
+def test_degree_breaking_differential_is_refused_by_admissible_cocycles(monkeypatch):
+    # a Leibniz term of the wrong degree has no position among the
+    # degree-(n+1) 3-forms: it raises ImageOutsideCodomain, not KeyError
+    images = dict(differential(m0(6)).images)
+    for i, bad, term in ((6, "e2^e3", "e1^e2^e3 of e1^e6"), (4, "e1^e2", "e1^e2^e3 of e3^e4")):
+        op = exterior.Derivation(6, {**images, i: images[i] | parse_form(bad, 6).terms})
+        monkeypatch.setattr(extensions, "differential", lambda g: op)
+        message = re.escape(f"image term {term} not in codomain")
+        with pytest.raises(exterior.ImageOutsideCodomain, match=message):
+            admissible_cocycles(m0(6))
 
 
 def test_admissible_cocycles_m0_8():

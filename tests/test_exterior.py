@@ -96,6 +96,22 @@ def test_monomial_validation():
         from_indices((2, 2), 5)
 
 
+def test_monomial_refuses_a_mask_outside_its_ambient():
+    # e6 at ambient 5 would print as e6 and report degree 6
+    for mask, n in ((1 << 5, 5), (0b1100100, 5), (-1, 5), (1, 0), (1 << 64, 64)):
+        with pytest.raises(ValueError, match=f"monomial {mask:#x} outside ambient dimension {n}"):
+            Monomial(mask, n)
+    with pytest.raises(ValueError, match="ambient dimension must be in 0..64"):
+        Monomial(1, 65)
+    for forged in (lambda: Monomial._make((1 << 5, 5)), lambda: Monomial(1, 5)._replace(mask=32)):
+        with pytest.raises(ValueError, match="monomial 0x20 outside ambient dimension 5"):
+            forged()
+    top = Monomial(1 << 4, 5)
+    assert (str(top), top.degree, top.indices) == ("e5", 5, (5,))
+    assert str(Monomial(0, 0)) == "1"
+    assert Monomial((1 << 64) - 1, 64).indices == tuple(range(1, 65))
+
+
 def test_basis_small():
     strs = [str(Monomial(mask, 3)) for v in graded_masks(3, 2).values() for mask in v]
     assert strs == ["e1^e2", "e1^e3", "e2^e3"]
@@ -314,6 +330,10 @@ def test_matrix_of_image_outside_codomain():
     d = differential(m0(5))
     with pytest.raises(ImageOutsideCodomain):
         matrix_of(d, monomials(5, 1, 4), monomials(5, 2, 5))
+    # a message may name the top generator e^n
+    op = Derivation(5, {5: F("e1^e2", 5).terms})
+    with pytest.raises(ImageOutsideCodomain, match="image term e1\\^e2 of e5 not in codomain"):
+        matrix_of(op, monomials(5, 1, 5), monomials(5, 2, 5))
 
 
 def test_block_pivots_image_outside_codomain():
@@ -322,10 +342,13 @@ def test_block_pivots_image_outside_codomain():
     op = Derivation(5, {4: F("e1^e2", 5).terms})
     domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
     with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e4"):
-        block_pivots(op, domain, codomain)
+        block_pivots(tuple(op._table.items()), domain, 0, codomain)
+    op = Derivation(5, {5: F("e1^e2", 5).terms})  # a message may name e^n
+    with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e5"):
+        block_pivots(tuple(op._table.items()), graded_masks(5, 1)[5], 0, graded_masks(5, 2)[5])
     d = differential(m0(5))
     # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0
-    assert block_pivots(d, domain, codomain) == 0b1
+    assert block_pivots(tuple(d._table.items()), domain, 0, codomain) == 0b1
 
 
 def test_form_addition_is_gf2():
