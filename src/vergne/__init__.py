@@ -17,6 +17,7 @@ from .classify import (
 from .cohomology import (
     BettiTable,
     betti,
+    betti_tables,
     verify_commuting_square,
 )
 from .core import (
@@ -76,6 +77,7 @@ __all__ = [
     "VergneAlgebra",
     "admissible_cocycles",
     "betti",
+    "betti_tables",
     "central_extension",
     "decompose",
     "differential",

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cohomology import betti
+from .cohomology import betti_tables
 from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _check_dimension, _m2_rows, m0, m2
 from .extensions import admissible_cocycles, central_extension
 
@@ -146,14 +146,15 @@ def to_dot(tree: ExtensionTree) -> str:
 
 def dimension_json_dict(n: int) -> dict:
     """JSON-ready listing of one dimension: rows, labels, Betti vectors."""
+    algebras = enumerate_algebras(n)
     return {
         "dimension": n,
         "algebras": [
             {
                 "row": str(g.row()),
                 "label": label(g),
-                "betti": list(betti(g).b),
+                "betti": list(table.b),
             }
-            for g in enumerate_algebras(n)
+            for g, table in zip(algebras, betti_tables(algebras))
         ],
     }

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import classify, core, extensions
-from .cohomology import betti, square_failures
+from .cohomology import betti, betti_tables, square_failures
 from .core import MIN_DIMENSION, JacobiViolation, VergneAlgebra, from_row, m0, m2, parse_row
 from .exterior import MAX_AMBIENT, AmbientMismatch, ImageOutsideCodomain
 from .extensions import _truncation, has_codim1_abelian_ideal, partner, partners
@@ -92,8 +92,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(json.dumps(classify.dimension_json_dict(args.dim), indent=2))
     else:
         print(f"dimension {args.dim}: {len(algebras)} algebras")
-        for g in algebras:
-            print(f"{classify.label(g):10s} {g.row()}  betti={list(betti(g).b)}")
+        for g, table in zip(algebras, betti_tables(algebras)):
+            print(f"{classify.label(g):10s} {g.row()}  betti={list(table.b)}")
     if args.tree:
         return _emit_tree(args.dim if args.max_dim is None else args.max_dim, args.dot)
     return EXIT_OK
@@ -120,8 +120,9 @@ def _cmd_pair(args: argparse.Namespace) -> int:
     for name, a in (("input:  ", g), ("partner:", p)):
         print(f"{name} {a.row()}  label {classify.label(a)}  "
               f"root {classify.label(_truncation(a, MIN_DIMENSION))}")
-    print(f"betti(input):   {list(betti(g).b)}")
-    print(f"betti(partner): {list(betti(p).b)}")
+    tg, tp = betti_tables((g, p))
+    print(f"betti(input):   {list(tg.b)}")
+    print(f"betti(partner): {list(tp.b)}")
     return EXIT_OK
 
 
@@ -135,9 +136,12 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
     for n in range(MIN_DIMENSION, max_dim + 1):
-        # the enumerated instance equal to each model, whose Betti table the
-        # other suites read too, so each table is ranked once per run
-        known = {g: g for g in classify.enumerate_algebras(n)}
+        # every table of n in one batch, and the enumerated instance equal to
+        # each model, whose table the other suites read too, so each table
+        # is ranked once per run
+        algebras = classify.enumerate_algebras(n)
+        betti_tables(algebras)
+        known = {g: g for g in algebras}
         g0, g2 = (known.get(g, g) for g in (m0(n), m2(n)))
         b0, b2_ = list(betti(g0).b), list(betti(g2).b)
         ok = b0 == b2_
@@ -179,6 +183,7 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
         failures.append("thm2: dimension-5 roots not distinguished")
     enumerated, mate = _partner_sweep(max_dim)
     for n, algebras in enumerate(enumerated, MIN_DIMENSION):
+        betti_tables(algebras)
         known = {g: g for g in algebras}
         for g in known:
             p = mate[g]
@@ -221,7 +226,9 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
     for n in range(MIN_DIMENSION, max_dim + 1):
         recorded = len(failures)
         top = n * (n + 1) // 2  # the degree of e^1^...^e^n
-        for g in classify.enumerate_algebras(n):
+        algebras = classify.enumerate_algebras(n)
+        betti_tables(algebras)
+        for g in algebras:
             table = betti(g)
             bad = table.violations()
             if bad:
@@ -238,7 +245,7 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
             if table.b[1] != 2:
                 failures.append(f"consistency n={n} {g.row()}: b_1 = {table.b[1]} != 2")
         status = "ok" if len(failures) == recorded else "FAIL"
-        lines.append(f"consistency n={n} {status} ({len(classify.enumerate_algebras(n))} algebras)")
+        lines.append(f"consistency n={n} {status} ({len(algebras)} algebras)")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -4,22 +4,25 @@ The differential preserves the degree grading, so the cochain complex
 splits into small blocks indexed by (topological degree k, degree m) and
 every rank is computed per block, straight from the monomial masks.  The
 blocks are ranked in one pass with k ascending, and each block skips the
-columns that the previous block's pivots clear (see ``betti``).
+columns that the previous block's pivots clear.  The algebras of one
+dimension n are ranked in one such pass, sharing the part of each column
+that comes from m0(n)'s differential (see ``betti``).
 """
 
 from __future__ import annotations
 
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .core import (VergneAlgebra, _check_involution_degree, _involution_masks, _m2_rows,
                    differential)
-from .exterior import Derivation, _Frozen, block_pivots, graded_masks
+from .exterior import Derivation, _Frozen, _outside_codomain, graded_masks
 
 __all__ = [
     "BettiTable",
     "betti",
+    "betti_tables",
     "square_failures",
     "verify_commuting_square",
 ]
@@ -122,7 +125,8 @@ class BettiTable(_Frozen):
 def betti(g: VergneAlgebra) -> BettiTable:
     """Full Betti table, from one pass over the graded blocks; cached.
 
-    The blocks (k, m) are ranked with k ascending.  Each level adds
+    ``betti_tables`` with a batch of one: the one rank path.  The blocks
+    (k, m) are ranked with k ascending.  Each level adds
     dim Z_k = C(n, k) - rank d_k and the graded entries
     dim H^k_m = |block (k, m)| - rank(k, m) - rank(k-1, m), while
     b_k = dim Z_k + dim Z_{k-1} - C(n, k-1) is derived from z alone, so
@@ -135,34 +139,163 @@ def betti(g: VergneAlgebra) -> BettiTable:
     at P are never built.  Nothing is cleared at k = 1 (d vanishes on the
     scalars), so the k = 1 blocks build the column of every generator e^i
     and their codomain lookups raise ImageOutsideCodomain unless every term
-    of d(e^i) is a 2-factor monomial of degree i.  That check covers every
+    of δ(e^i) is a 2-factor monomial of degree i.  That check covers every
     column of the complex, built or cleared: a Leibniz term of such images
     always lies in the codomain slice.
+
+    The split d = e^1^L + δ.  Let L be the derivation with L(e^i) = e^{i-1}
+    for i >= 3 and L(e^1) = L(e^2) = 0 (``core._LOWERING``), and δ the
+    derivation with δ(e^k) the sum of the e^i^e^j over 1 < i < j,
+    i + j = k, c_{i,j} = 1 (``_delta_terms`` reads it off d's table).  In
+    characteristic 2, x -> e^1^L(x) is a derivation too (no signs, so e^1
+    commutes past every factor), and e^1^L + δ agrees with d on every
+    generator: both vanish on e^1 and e^2 (an e^i^e^j in δ has
+    i + j >= 5), and on e^k, k >= 3, both give e^1^e^{k-1} + δ(e^k).  Derivations that agree
+    on the generators are equal, so d = e^1^L + δ; ``square_failures``
+    reads the same e^1-part as dι + ιd = L.  e^1^L is the differential of
+    m0(n), whose δ is 0, so it depends only on n.  On a monomial x:
+    - if e^1 is in x, x = e^1^y and e^1^L(x) = e^1^e^1^L(y) = 0;
+    - otherwise e^1^L(x) is the sum of (x - e^i + e^{i-1})^e^1 over the
+      e^i in x with i >= 3 and e^{i-1} not in x (L(x)'s other terms repeat
+      a factor), and distinct i give distinct monomials.
+    So every column of block (k, m) is the m0(n) column of its mask plus
+    the member's δ terms, and the codomain positions are those of the
+    block alone.  The batch builds the position map and each m0(n) column
+    once, and each member adds its own δ terms and eliminates against its
+    own pivots, outside its own cleared positions: each member's columns,
+    and so its ranks and table, are exactly those it would get alone.
     """
-    if g._betti is not None:
-        return g._betti
-    n = g.n
-    gens = tuple([(bit, tuple(imgs)) for bit, imgs in differential(g)._table.items()])
-    z: list[int] = []
-    graded: dict[tuple[int, int], int] = {}
-    cleared: dict[int, int] = {}  # degree -> pivots of the block one level down
+    if g._betti is None:
+        betti_tables((g,))
+    return g._betti
+
+
+def betti_tables(algebras: Iterable[VergneAlgebra]) -> list[BettiTable]:
+    """The Betti tables of ``algebras``, in order; each fills its cache.
+
+    An algebra that holds a table, or equals one in the input that does,
+    is not ranked.  The rest are ranked in one batch per dimension, each
+    distinct table once, sharing the m0(n) columns (see ``betti``).  When
+    a batch raises, no algebra's cache is filled.
+    """
+    algebras = list(algebras)
+    tables = {g: g._betti for g in algebras if g._betti is not None}
+    batches: dict[int, dict[VergneAlgebra, None]] = {}
+    for g in algebras:
+        if g not in tables:
+            batches.setdefault(g.n, {})[g] = None
+    for batch in batches.values():
+        tables.update(zip(batch, _rank(tuple(batch))))
+    for g in algebras:
+        if g._betti is None:
+            # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
+            object.__setattr__(g, "_betti", tables[g])
+    return [g._betti for g in algebras]
+
+
+def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
+    """The tables of distinct algebras of one dimension n, from one pass over
+    the graded blocks (k, m) with k ascending.  A block is ranked when a
+    member has a column left after clearing; a member with none has rank 0
+    there (see ``betti``)."""
+    n = batch[0].n
+    deltas = [_delta_terms(g) for g in batch]
+    z: list[list[int]] = [[] for _ in batch]
+    graded: list[dict[tuple[int, int], int]] = [{} for _ in batch]
+    cleared: list[dict[int, int]] = [{} for _ in batch]  # degree -> pivots one level down
+    unranked = [0] * len(batch)  # the pivots of a block with every column cleared
     for k in range(n + 1):
         target = graded_masks(n, k + 1) if k < n else {}
-        pivots = {}
+        pivots: list[dict[int, int]] = [{} for _ in batch]
         for m, masks in graded_masks(n, k).items():
-            skip = cleared.get(m, 0)
-            free = len(masks) - skip.bit_count()
-            # a block with every column cleared has rank 0
-            p = pivots[m] = block_pivots(gens, masks, skip, target.get(m, ())) if free else 0
-            if v := free - p.bit_count():
-                graded[(k, m)] = v
-        z.append(comb(n, k) - sum(p.bit_count() for p in pivots.values()))
+            size = len(masks)
+            skips = [c.get(m, 0) for c in cleared]
+            found = (_block_pivots(masks, target.get(m, ()), deltas, skips)
+                     if min(map(int.bit_count, skips)) < size else unranked)
+            for pi, gi, skip, p in zip(pivots, graded, skips, found):
+                pi[m] = p
+                if v := size - skip.bit_count() - p.bit_count():
+                    gi[(k, m)] = v
+        for zi, pi in zip(z, pivots):
+            zi.append(comb(n, k) - sum(p.bit_count() for p in pi.values()))
         cleared = pivots
-    b = [1] + [z[k] + z[k - 1] - comb(n, k - 1) for k in range(1, n + 1)]
-    table = BettiTable(n=n, b=b, graded=graded, z=z)
-    # VergneAlgebra forbids plain attribute writes; fill the cache slot directly.
-    object.__setattr__(g, "_betti", table)
-    return table
+    return [BettiTable(n=n, b=[1] + [zi[k] + zi[k - 1] - comb(n, k - 1) for k in range(1, n + 1)],
+                       graded=gi, z=zi) for zi, gi in zip(z, graded)]
+
+
+def _delta_terms(g: VergneAlgebra) -> list[tuple[int, int, int]]:
+    """δ = d + e^1^L of g as ``_block_pivots`` reads it: (low | t, low,
+    low ^ t) for each term t of each δ(e^k), where low = 1 << (k-1) is the
+    bit of e^k.  Read off d's table: δ(e^k) is d(e^k) + e^1^e^{k-1} for
+    k >= 3, and d(e^k) for k <= 2, where L vanishes."""
+    terms = []
+    for low, images in differential(g)._table.items():
+        if low > 2:
+            images = images ^ {1 | low >> 1}
+        terms += [(low | t, low, low ^ t) for t in images]
+    return terms
+
+
+def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
+                  deltas: Sequence[Sequence[tuple[int, int, int]]],
+                  skips: Sequence[int]) -> list[int]:
+    """Pivot positions of each member's differential e^1^L + δ from the span
+    of the ``masks`` at the positions outside its skip to the span of the
+    ``codomain`` masks, as bitmasks over codomain positions whose bit
+    counts are the GF(2) ranks.
+
+    Member i has the δ terms ``deltas[i]`` (``_delta_terms``) and the
+    cleared positions ``skips[i]``.  The block builds the codomain position
+    map once, and the m0(n) column e^1^L of a position the first time a
+    member reads it (``_m0_column``).  A δ term (low | t, low, flip) of
+    e^k adds the Leibniz term (x - e^k) ^ t = x ^ flip of a mask x exactly
+    when e^k is in x and no other factor of x is in t, that is when
+    x & (low | t) == low.  Each member's column is reduced against its own
+    pivots as soon as it is built, until its leading bit is new.  A δ term
+    outside the codomain, always a grading bug, raises
+    ImageOutsideCodomain.
+    """
+    row = {mask: 1 << r for r, mask in enumerate(codomain)}
+    shared = [None] * len(masks)
+    out = []
+    for terms, skip in zip(deltas, skips):
+        pivots: dict[int, int] = {}
+        try:
+            for r, mask in enumerate(masks):
+                if skip >> r & 1:
+                    continue
+                col = shared[r]
+                if col is None:
+                    col = shared[r] = _m0_column(mask, row)
+                for both, low, flip in terms:
+                    if mask & both == low:
+                        col ^= row[mask ^ flip]
+                while col:
+                    top = col.bit_length()
+                    p = pivots.get(top)
+                    if p is None:
+                        pivots[top] = col
+                        break
+                    col ^= p
+        except KeyError:
+            raise _outside_codomain(mask ^ flip, mask) from None
+        out.append(sum(1 << (top - 1) for top in pivots))  # distinct leading bits
+    return out
+
+
+def _m0_column(mask: int, row: Mapping[int, int]) -> int:
+    """The column of m0(n)'s differential e^1^L at ``mask``; ``row`` maps
+    each codomain mask to its position bit.  A mask holding e^1 has column
+    0; otherwise bit b >= 2 of ``mask & ~(mask << 1)`` is an e^{b+1} in x
+    with e^b not in x, whose term is (x - e^{b+1} + e^b)^e^1 (see ``betti``)."""
+    col = 0
+    if not mask & 1:
+        lows = mask & ~(mask << 1) & ~3
+        while lows:
+            low = lows & -lows
+            lows ^= low
+            col ^= row[(mask ^ low ^ low >> 1) | 1]
+    return col
 
 
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:

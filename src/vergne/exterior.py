@@ -30,7 +30,6 @@ __all__ = [
     "Derivation",
     "graded_masks",
     "matrix_of",
-    "block_pivots",
 ]
 
 # A representation limit, one 64-bit lane per monomial mask; Betti work is
@@ -318,7 +317,7 @@ def matrix_of(
 
     Column j is an int over codomain positions: bit r is set when
     ``codomain[r]`` occurs in op(domain[j]).  Built term by term from
-    ``Derivation.apply_mask``, independently of ``block_pivots``, so the
+    ``Derivation.apply_mask``, independently of ``cohomology._block_pivots``, so the
     tests use it as the column oracle.  Raises ImageOutsideCodomain when an
     image term is not a codomain element, which always indicates a grading
     bookkeeping bug upstream.
@@ -334,40 +333,3 @@ def matrix_of(
             bits |= 1 << r
         columns.append(bits)
     return columns
-
-
-def block_pivots(gens: Sequence[tuple[int, Iterable[int]]], masks: Sequence[int], skip: int,
-                 codomain: Sequence[int]) -> int:
-    """Pivot positions of a derivation from the span of the ``masks`` at the
-    positions outside ``skip`` to the span of the ``codomain`` masks, as a
-    bitmask over codomain positions whose bit count is the GF(2) rank.
-
-    ``gens`` is the derivation's table as (bit of e^i, image masks of e^i)
-    pairs.  Each column, the XOR of the position bits of its Leibniz terms,
-    is reduced against the pivots as soon as it is built, until its leading
-    bit is new.  A Leibniz term outside the codomain, always a grading bug,
-    raises ImageOutsideCodomain.
-    """
-    row = {mask: 1 << r for r, mask in enumerate(codomain)}
-    pivots: dict[int, int] = {}
-    try:
-        for r, mask in enumerate(masks):
-            if skip >> r & 1:
-                continue
-            col = 0
-            for low, imgs in gens:
-                if mask & low:
-                    rest = mask ^ low
-                    for img in imgs:
-                        if not img & rest:
-                            col ^= row[img | rest]
-            while col:
-                top = col.bit_length()
-                p = pivots.get(top)
-                if p is None:
-                    pivots[top] = col
-                    break
-                col ^= p
-    except KeyError:
-        raise _outside_codomain(img | rest, mask) from None
-    return sum(1 << (top - 1) for top in pivots)  # distinct leading bits

@@ -193,3 +193,19 @@ def count_reduce_calls(monkeypatch) -> list[int]:
         if getattr(module, "reduce", None) is original:
             monkeypatch.setattr(module, "reduce", counted)
     return calls
+
+
+def count_batches(monkeypatch) -> list[tuple]:
+    """Record, for the rest of the test, the algebras of each batch that
+    ``cohomology.betti_tables`` ranks (each call of ``cohomology._rank``)."""
+    from vergne import cohomology
+
+    batches: list[tuple] = []
+    original = cohomology._rank
+
+    def counted(batch):
+        batches.append(batch)
+        return original(batch)
+
+    monkeypatch.setattr(cohomology, "_rank", counted)
+    return batches

@@ -9,7 +9,7 @@ of such a table, valid or not, from its pairs.  ``enumerate_rows`` walks all
 2^(n-4) e_2 rows and keeps those the table check accepts, independently of
 the forward search in ``enumerate_algebras``.  ``rank_naive`` eliminates on
 unpacked 0/1 lists, independently of ``gf2.echelon`` and of the elimination
-inside the block kernel ``exterior.block_pivots``.  The tests feed it the
+inside the block kernel ``cohomology._block_pivots``.  The tests feed it the
 columns of ``exterior.matrix_of``, built from ``Derivation.apply_mask`` apart
 from the kernel's own column loop, and ``cocycle_dim_full`` ranks the single
 unsliced matrix with it.

@@ -15,7 +15,7 @@ PUBLIC = [
     "ExtensionTree", "Form", "ImageOutsideCodomain", "JacobiViolation", "MAX_AMBIENT",
     "MIN_DIMENSION", "MissingLeadingTerm", "Monomial", "NotACocycle",
     "NotHomogeneousTopDegree", "RowVector", "VergneAlgebra", "admissible_cocycles",
-    "betti", "central_extension", "decompose", "differential", "dimension_json_dict",
+    "betti", "betti_tables", "central_extension", "decompose", "differential", "dimension_json_dict",
     "enumerate_algebras", "extension_tree", "from_row", "has_codim1_abelian_ideal",
     "involution", "label", "m0", "m2", "parse_row", "partner", "partners", "reduce",
     "to_dot", "verify_commuting_square",
@@ -55,10 +55,12 @@ def test_retired_names_are_not_importable():
 
 
 def test_the_differential_has_one_representation():
-    # block_pivots reads the Derivation's own table; the second copy of its
-    # generator images, the row helpers and the separate column builder
-    # are gone, and a Derivation holds its images in one table
-    for name in ("GeneratorTable", "generator_table", "_mask_from_indices", "image_columns"):
+    # the second copy of a Derivation's generator images, the row helpers,
+    # the separate column builder and the one-table block kernel (the
+    # batch kernel is cohomology._block_pivots) are gone, and a Derivation
+    # holds its images in one table
+    for name in ("GeneratorTable", "generator_table", "_mask_from_indices", "image_columns",
+                 "block_pivots"):
         assert not hasattr(vergne.exterior, name), name
     assert vergne.Derivation.__slots__ == ("ambient", "_table")
     assert not hasattr(vergne.differential(vergne.m0(7)), "_pairs")

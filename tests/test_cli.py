@@ -17,7 +17,7 @@ from vergne.cohomology import betti
 from vergne.core import m0, m2
 from vergne.exterior import AmbientMismatch, ImageOutsideCodomain
 
-from helpers import count_reduce_calls, parse_dot
+from helpers import count_batches, count_reduce_calls, parse_dot
 
 
 def run(capsys, *argv):
@@ -417,6 +417,11 @@ PINNED_TRANSCRIPTS = [
         id="tree-40",
     ),
     pytest.param(
+        ("enumerate", "--dim", "14", "--format", "json"),
+        "9bf1a710c304e96e48c33fe45b9d87f2ea1e6017d31b7c5f2836e0683a18f49d",
+        id="enumerate-14-json",
+    ),
+    pytest.param(
         ("enumerate", "--dim", "13"),
         "075c0e38e0fdc3ae7b382438e78b2f4e48455fbd1d65b92d108776414285e65f",
         id="enumerate-13",
@@ -463,20 +468,15 @@ def test_oversized_row_is_refused_before_completion(capsys, monkeypatch):
 
 def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
     # thm1's models and thm2's partners are enumerated algebras too, so the
-    # 44 algebras of n = 5..12 are the only complexes ranked from scratch
+    # 44 algebras of n = 5..12 are the only complexes ranked from scratch,
+    # in one batch per n that thm1 ranks; thm2 and consistency read them
     classify.enumerate_algebras.cache_clear()
-    cold = []
-    real = cli.betti
-
-    def counting(g):
-        if g._betti is None:
-            cold.append(g)
-        return real(g)
-
-    monkeypatch.setattr(cli, "betti", counting)
+    batches = count_batches(monkeypatch)
     code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
     assert code == 0
     assert sum(len(classify.enumerate_algebras(n)) for n in range(5, 13)) == 44
+    assert batches == [classify.enumerate_algebras(n) for n in range(5, 13)]
+    cold = [g for batch in batches for g in batch]
     assert len(cold) == 44
     assert len(set(map(id, cold))) == 44
 
@@ -658,8 +658,9 @@ def test_infeasible_betti_work_is_refused_up_front(capsys, monkeypatch):
     def work(*args):
         raise AssertionError("work started")
 
-    for target, name in ((cli, "betti"), (cli, "partner"), (cli, "partners"),
-                         (cli, "square_failures"), (cli.classify, "enumerate_algebras")):
+    for target, name in ((cli, "betti"), (cli, "betti_tables"), (cli, "partner"),
+                         (cli, "partners"), (cli, "square_failures"),
+                         (cli.classify, "enumerate_algebras")):
         monkeypatch.setattr(target, name, work)
     assert cli.MAX_BETTI_DIM == 22  # the messages below spell it out
     # the bounded flag and its value come first: argv[1:3]

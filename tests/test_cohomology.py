@@ -13,16 +13,10 @@ from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras, extension_tree
 from vergne.cohomology import betti, square_failures, verify_commuting_square
 from vergne.core import _image, differential, from_row, involution, m0, m2
-from vergne.exterior import (
-    Derivation,
-    ImageOutsideCodomain,
-    block_pivots,
-    graded_masks,
-    matrix_of,
-)
+from vergne.exterior import Derivation, ImageOutsideCodomain, graded_masks, matrix_of
 from vergne.extensions import Decomposition, _truncation, decompose, partner, partners
 
-from helpers import monomials, parse_form
+from helpers import count_batches, monomials, parse_form
 from oracles import (
     betti_cone,
     betti_m0_cone,
@@ -128,47 +122,105 @@ def test_block_equals_full_matrix():
             assert betti(g).z[k] == cocycle_dim_full(g, k), (g, k)
 
 
+def fresh(n):
+    """The enumerated algebras of dimension n as new instances, with no table."""
+    return [from_row(g.row()) for g in enumerate_algebras(n)]
+
+
+def batch_disagreements(n):
+    """Where one batch of the algebras of dimension n disagrees with the
+    oracles: each member's table against ``betti_cone``, each full block's
+    kernel rank against the naive rank of ``matrix_of``, and the table the
+    cleared pass yields against one built from those naive ranks; and the
+    number of (member, block) ranks checked."""
+    batch = fresh(n)
+    tables = cohomology.betti_tables(batch)
+    bad = [(g, "cone") for g, table in zip(batch, tables)
+           if betti_cone(g) != (table.b, dict(table.graded))]
+    deltas = [cohomology._delta_terms(g) for g in batch]
+    diffs = [differential(g) for g in batch]
+    z = [[] for _ in batch]
+    graded = [{} for _ in batch]
+    below = [{} for _ in batch]
+    checked = 0
+    for k in range(n + 1):
+        target = graded_masks(n, k + 1) if k < n else {}
+        ranks = [{} for _ in batch]
+        for m, masks in graded_masks(n, k).items():
+            codomain = monomials(n, k + 1, m)
+            found = cohomology._block_pivots(masks, target.get(m, ()), deltas, [0] * len(batch))
+            for i, (d, pivots) in enumerate(zip(diffs, found)):
+                want = rank_naive(matrix_of(d, monomials(n, k, m), codomain))
+                if pivots.bit_count() != want or pivots >> len(codomain):
+                    bad.append((batch[i], (k, m)))
+                ranks[i][m] = want
+                checked += 1
+                if v := len(masks) - want - below[i].get(m, 0):
+                    graded[i][(k, m)] = v
+        for i in range(len(batch)):
+            z[i].append(comb(n, k) - sum(ranks[i].values()))
+        below = ranks
+    bad += [(g, "table") for g, table, zi, gi in zip(batch, tables, z, graded)
+            if (table.z, dict(table.graded)) != (tuple(zi), gi)]
+    return bad, checked
+
+
 def test_block_kernel_matches_naive_rank_on_every_block():
-    # the fused kernel on the full block, and the table the cleared pass
-    # yields, against the naive rank of the matrix built by matrix_of
-    blocks = 0
-    for n in range(5, 12):
-        for g in enumerate_algebras(n):
-            d = differential(g)
-            gens = tuple(d._table.items())
-            z, graded, below = [], {}, {}
-            for k in range(n + 1):
-                target = graded_masks(n, k + 1) if k < n else {}
-                ranks = {}
-                for m, masks in graded_masks(n, k).items():
-                    codomain = monomials(n, k + 1, m)
-                    want = rank_naive(matrix_of(d, monomials(n, k, m), codomain))
-                    pivots = block_pivots(gens, masks, 0, target.get(m, ()))
-                    assert pivots.bit_count() == want, (g, k, m)
-                    assert pivots < 1 << len(codomain), (g, k, m)
-                    ranks[m] = want
-                    if v := len(masks) - want - below.get(m, 0):
-                        graded[(k, m)] = v
-                    blocks += 1
-                z.append(comb(n, k) - sum(ranks.values()))
-                below = ranks
-            table = betti(g)
-            assert (table.z, dict(table.graded)) == (tuple(z), graded), g
-    assert blocks > 4000
+    # one batch per n <= 12, member by member against the mapping cone, and
+    # every full block of every member against the naive rank of matrix_of
+    checked = 0
+    for n in range(5, 13):
+        bad, blocks = batch_disagreements(n)
+        assert bad == [], n
+        checked += blocks
+    assert checked == sum(len(enumerate_algebras(n)) * len(graded_masks(n, k))
+                          for n in range(5, 13) for k in range(n + 1)) > 7000
+
+
+def test_batch_oracles_see_a_dropped_m0_term(monkeypatch):
+    # mutation: the shared m0(n) column loses its term (x - e^3 + e^2)^e^1
+    real = cohomology._m0_column
+
+    def dropped(mask, row):
+        col = real(mask, row)
+        if mask & 0b111 == 0b100:  # e^3 in x, e^2 and e^1 not
+            col ^= row[mask ^ 0b110 | 1]
+        return col
+
+    monkeypatch.setattr(cohomology, "_m0_column", dropped)
+    bad = [what for n in range(5, 9) for _, what in batch_disagreements(n)[0]]
+    assert "cone" in bad and "table" in bad
+    assert any(isinstance(what, tuple) for what in bad)
+
+
+def test_block_pivots_image_outside_codomain():
+    # e^4 -> e^1^e^2 lowers the degree, so the image of e^4 (degree 4) is
+    # not in the degree-4 slice of 2-forms
+    domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
+    for k, t, text in ((4, 0b11, "e1\\^e2"), (5, 0b11, "e1\\^e2"),  # a message may name e^n
+                       (5, 0b11001, "e1\\^e4\\^e5")):  # a term holding e^k itself keeps it
+        low = 1 << (k - 1)
+        with pytest.raises(ImageOutsideCodomain, match=f"{text} of e{k} not"):
+            cohomology._block_pivots(graded_masks(5, 1)[k], graded_masks(5, 2)[k],
+                                     [[(low | t, low, low ^ t)]], [0])
+    # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0,
+    # and a member of the same batch with that column cleared has none
+    assert cohomology._block_pivots(domain, codomain, [[]], [0]) == [0b1]
+    assert cohomology._block_pivots(domain, codomain, [[], []], [0, 1]) == [0b1, 0]
 
 
 def test_clearing_skips_the_pivot_columns(monkeypatch):
     # block (k, m) builds only the columns outside the pivots of block
     # (k-1, m): sum over k of C(n, k) - rank d_{k-1} columns in all; a
     # block with every column cleared is not ranked at all
-    kernel = cohomology.block_pivots
+    kernel = cohomology._block_pivots
     built = []
 
-    def counting(gens, masks, skip, codomain):
-        built.append(len(masks) - skip.bit_count())
-        return kernel(gens, masks, skip, codomain)
+    def counting(masks, codomain, deltas, skips):
+        built.append(len(masks) - skips[0].bit_count())
+        return kernel(masks, codomain, deltas, skips)
 
-    monkeypatch.setattr(cohomology, "block_pivots", counting)
+    monkeypatch.setattr(cohomology, "_block_pivots", counting)
     for g in (m0(12), m2(12)):
         built.clear()
         n = g.n
@@ -183,6 +235,7 @@ def test_degree_breaking_differential_is_refused(monkeypatch):
     # and a generator image that is not a 2-factor monomial of the
     # generator's degree raises before any column is skipped
     images = dict(differential(m0(6)).images)
+    real = cohomology.differential
     for bad in (parse_form("e2^e3", 6), parse_form("e1^e2^e3", 6)):
         op = Derivation(6, {**images, 6: images[6] | bad.terms})
         monkeypatch.setattr(cohomology, "differential", lambda g: op)
@@ -190,26 +243,77 @@ def test_degree_breaking_differential_is_refused(monkeypatch):
         with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
             betti(g)
         assert g._betti is None
+        # one member raises, so no algebra gets a table: not the members
+        # that would pass, nor the n = 5 batch ranked before it
+        monkeypatch.setattr(cohomology, "differential",
+                            lambda g, op=op: op if g == m2(6) else real(g))
+        batch = [m0(5), m2(5), m0(6), m2(6)]
+        with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
+            cohomology.betti_tables(batch)
+        assert [h._betti for h in batch] == [None] * 4
 
 
 def test_betti_ranks_each_table_once(monkeypatch):
     # the first call ranks the 299 graded blocks of m2(12) in one pass,
-    # 235 of them by block_pivots (the other 64 have every column cleared);
-    # every later call on the same algebra reads the cached table
-    kernel = cohomology.block_pivots
+    # 235 of them by the block kernel (the other 64 have every column
+    # cleared); every later call on the same algebra reads the cached table
+    kernel = cohomology._block_pivots
     calls = []
 
-    def counting(gens, masks, skip, codomain):
+    def counting(masks, codomain, deltas, skips):
         calls.append(1)
-        return kernel(gens, masks, skip, codomain)
+        return kernel(masks, codomain, deltas, skips)
 
-    monkeypatch.setattr(cohomology, "block_pivots", counting)
+    monkeypatch.setattr(cohomology, "_block_pivots", counting)
     assert sum(len(graded_masks(12, k)) for k in range(13)) == 299
     g = m2(12)
     table = betti(g)
     assert len(calls) == 235
     assert betti(g) is table and len(calls) == 235
     assert betti(m2(12)) == table and len(calls) == 2 * 235
+
+
+def test_betti_tables_batches_by_dimension(monkeypatch):
+    batches = count_batches(monkeypatch)
+    assert cohomology.betti_tables([]) == [] and batches == []
+    # a batch that mixes dimensions is ranked one dimension at a time
+    mixed = [m2(7), m0(6), m0(7), m2(6), m2(7)]
+    tables = cohomology.betti_tables(mixed)
+    assert [[(g.n, g.row()) for g in b] for b in batches] == [
+        [(7, m2(7).row()), (7, m0(7).row())], [(6, m0(6).row()), (6, m2(6).row())]]
+    assert tables == [betti(m2(7)), betti(m0(6)), betti(m0(7)), betti(m2(6)), betti(m2(7))]
+    # two distinct but equal instances are ranked once and share the table
+    assert mixed[0] is not mixed[4] and tables[0] is tables[4] is mixed[4]._betti
+    # a member that holds a table is not ranked again, nor an equal one
+    batches.clear()
+    again = [mixed[1], m0(6), m2(8)]
+    tables = cohomology.betti_tables(again)
+    assert batches == [(m2(8),)]
+    assert tables[0] is tables[1] is mixed[1]._betti and again[1]._betti is tables[1]
+    assert cohomology.betti_tables(again) == tables and len(batches) == 1
+
+
+def test_a_batch_builds_each_m0_column_once(monkeypatch):
+    # the 18 algebras of n = 16 share each block's m0(16) columns: a column
+    # is built for a position the first time a member reads it, and never
+    # again in the batch, while the members read it far more often
+    for k in range(17):
+        graded_masks(16, k)
+    real = cohomology._m0_column
+    built = []
+
+    def counting(mask, row):
+        built.append(mask)
+        return real(mask, row)
+
+    monkeypatch.setattr(cohomology, "_m0_column", counting)
+    batch = fresh(16)
+    tables = cohomology.betti_tables(batch)
+    assert len(batch) == 18 and len(built) == len(set(built))
+    read = sum(comb(16, k) - (r[k - 1] if k else 0)
+               for r in ([comb(16, k) - z for k, z in enumerate(t.z)] for t in tables)
+               for k in range(17))
+    assert len(built) < read / 10
 
 
 def test_graded_betti_examples():
@@ -569,7 +673,7 @@ def test_cached_differential_and_values_refuse_changes():
 
 
 def test_derivation_table_is_its_images():
-    # the table apply_masks and block_pivots read is the differential's
+    # the table apply_masks reads is the differential's
     # images, one (bit of e^i, images of e^i) entry per nonzero generator
     for n in range(5, 15):
         for g in enumerate_algebras(n):

@@ -14,7 +14,6 @@ from vergne.exterior import (
     Form,
     ImageOutsideCodomain,
     Monomial,
-    block_pivots,
     graded_masks,
     matrix_of,
 )
@@ -334,21 +333,6 @@ def test_matrix_of_image_outside_codomain():
     op = Derivation(5, {5: F("e1^e2", 5).terms})
     with pytest.raises(ImageOutsideCodomain, match="image term e1\\^e2 of e5 not in codomain"):
         matrix_of(op, monomials(5, 1, 5), monomials(5, 2, 5))
-
-
-def test_block_pivots_image_outside_codomain():
-    # e^4 -> e^1^e^2 lowers the degree, so the image of e^4 (degree 4) is
-    # not in the degree-4 slice of 2-forms
-    op = Derivation(5, {4: F("e1^e2", 5).terms})
-    domain, codomain = graded_masks(5, 1)[4], graded_masks(5, 2)[4]
-    with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e4"):
-        block_pivots(tuple(op._table.items()), domain, 0, codomain)
-    op = Derivation(5, {5: F("e1^e2", 5).terms})  # a message may name e^n
-    with pytest.raises(ImageOutsideCodomain, match="e1\\^e2 of e5"):
-        block_pivots(tuple(op._table.items()), graded_masks(5, 1)[5], 0, graded_masks(5, 2)[5])
-    d = differential(m0(5))
-    # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0
-    assert block_pivots(tuple(d._table.items()), domain, 0, codomain) == 0b1
 
 
 def test_form_addition_is_gf2():
