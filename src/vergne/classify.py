@@ -60,7 +60,7 @@ _LABELS: dict[tuple[int, tuple[int, ...]], str] = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so 7.0 misses the entry of 7 and is refused
 def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
     """All Vergne-type algebras of dimension n, rows ascending.
 

@@ -27,7 +27,7 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # Bound on the size of one Betti table.  A cold `betti --dim 22 --algebra m2`
-# takes 9.5-9.8 s and 98 MB, and betti(m2(23)) 39 s and 215 MB, on a 2-core
+# takes 6.6-6.7 s and 104 MB, and betti(m2(23)) 24 s and 234 MB, on a 2-core
 # AMD EPYC VM with CPython 3.11.7; each further n costs about 4 times the time.
 MAX_BETTI_DIM = 22
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .exterior import MAX_AMBIENT, Derivation, Form, _Frozen, _indices
+from .exterior import MAX_AMBIENT, Derivation, Form, _check_ambient, _Frozen, _indices
 
 __all__ = [
     "MIN_DIMENSION",
@@ -48,9 +48,8 @@ MIN_DIMENSION = 5
 
 
 def _check_dimension(n: int, name: str = "dimension", hi: int = MAX_AMBIENT) -> None:
-    """The one statement of the dimension range: refuse n outside 5..hi."""
-    if not MIN_DIMENSION <= n <= hi:
-        raise ValueError(f"{name} must be in {MIN_DIMENSION}..{hi}, got {n}")
+    """The one statement of the dimension range: refuse a non-int n or n outside 5..hi."""
+    _check_ambient(n, name, MIN_DIMENSION, hi)
 
 
 class JacobiViolation(ValueError):
@@ -277,14 +276,14 @@ def _m2_rows(n: int) -> tuple[int, ...]:
     The completion rule adds nothing to this row: c_{3,j} = c_{2,j} +
     c_{2,j+1} is 0 for 4 <= j <= n-3, and c_{3,n-2} is out of range.
     """
-    rows = [0] * (n + 1)
-    if n >= 5:  # m2 refuses a smaller n, which may have no row 2
-        rows[2] = (1 << (n - 1)) - 8  # bits 3..n-2
+    rows = [0] * (n + 1)  # n >= 5, so row 2 exists: every caller holds a checked n
+    rows[2] = (1 << (n - 1)) - 8  # bits 3..n-2
     return tuple(rows)
 
 
 def m2(n: int) -> VergneAlgebra:
     """The model algebra with the extra relations [e_2, e_j] = e_{j+2}."""
+    _check_dimension(n)  # before _m2_rows sizes a list by n
     return _from_rows(n, _m2_rows(n))
 
 

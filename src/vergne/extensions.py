@@ -25,8 +25,7 @@ from .core import (
     m0,
     m2,
 )
-from .exterior import AmbientMismatch, Form, _indices, _outside_codomain, _text, graded_masks
-from .gf2 import solve_affine
+from .exterior import AmbientMismatch, Form, _indices, _text
 
 __all__ = [
     "NotACocycle",
@@ -116,33 +115,28 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
 def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     """Every homogeneous degree-(n+1) 2-cocycle with the e^1^e^n term.
 
-    Solved exactly: the e^1^e^n coefficient is pinned to 1 and d(omega)=0
-    becomes an affine GF(2) system over the remaining slice coefficients.
-    The full solution coset is enumerated; empty when inconsistent.  A
-    term of d(slice) outside the degree-(n+1) 3-forms raises
-    ImageOutsideCodomain.
+    The candidates are omega_x = e^1^e^n + sum of x_i e^i^e^{n+1-i} over
+    2 <= i <= n/2, with x_2 = x and x_{i+1} = x_i + c_{i,n-i} (bit n-i of
+    ``g.rows[i]``), for x = 0, 1.  Each is kept when the whole of
+    d(omega_x) vanishes; the kept forms are sorted by index tuples.
+
+    No cocycle is missed.  For 2 <= i < n/2 the coefficient of
+    e^1^e^i^e^{n-i} in d(omega) is x_i + x_{i+1} + c_{i,n-i}: c_{i,n-i}
+    from e^1^d(e^n), x_i and x_{i+1} from the e^1 parts of d(e^{n+1-i})
+    and d(e^{i+1}), with x_{(n+1)/2} = 0 for odd n (the diagonal).  So
+    d(omega) = 0 fixes omega from x_2 alone.
     """
-    n = g.n
-    lead = _leading_mask(n)
+    n, rows = g.n, g.rows
     d = differential(g)
-    row = {q: 1 << r for r, q in enumerate(graded_masks(n, 3)[n + 1])}
-    columns = {}
-    for mask in graded_masks(n, 2)[n + 1]:
-        try:  # distinct terms, so their position bits add without carries
-            columns[mask] = sum(row[t] for t in d.apply_mask(mask))
-        except KeyError as exc:
-            raise _outside_codomain(exc.args[0], mask) from None
-    rhs = columns.pop(lead)
-    others = list(columns)
-    solved = solve_affine(list(columns.values()), rhs)
-    if solved is None:
-        return []
-    particular, kernel = solved
-    coset = [particular]
-    for v in kernel:
-        coset += [x ^ v for x in coset]
-    forms = [Form(n, [lead] + [mask for idx, mask in enumerate(others) if x >> idx & 1])
-             for x in coset]
+    forms = []
+    for x in (0, 1):
+        terms = [_leading_mask(n)]
+        for i in range(2, n // 2 + 1):
+            if x:
+                terms.append(1 << (i - 1) | 1 << (n - i))
+            x ^= rows[i] >> (n - i) & 1
+        if not d.apply_masks(terms):
+            forms.append(Form(n, terms))
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
 

@@ -88,9 +88,13 @@ class Monomial(namedtuple("Monomial", "mask ambient")):
         return _text(self.mask)
 
 
-def _check_ambient(n: int) -> None:
-    if not 0 <= n <= MAX_AMBIENT:
-        raise ValueError(f"ambient dimension must be in 0..{MAX_AMBIENT}, got {n}")
+def _check_ambient(n: int, name: str = "ambient dimension", lo: int = 0,
+                   hi: int = MAX_AMBIENT) -> None:
+    """Refuse a non-int n, bool included, and n outside lo..hi, before any work."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"{name} must be an int, got {n!r}")
+    if not lo <= n <= hi:
+        raise ValueError(f"{name} must be in {lo}..{hi}, got {n}")
 
 
 class _Frozen:
@@ -253,7 +257,7 @@ class Derivation(_Frozen):
 _LANE_ONE = array("Q", [1]).tobytes()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, so 6.0 misses the entry of 6 and is refused
 def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     """Degree -> masks of the k-monomials of that degree (index sum).
 

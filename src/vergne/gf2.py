@@ -2,7 +2,7 @@
 
 Vectors are bit-packed into Python integers (bit ``i`` of a vector is its
 entry at position ``i``), so adding two vectors is a single XOR.  One
-elimination, ``echelon``, serves ``rank`` and the affine cocycle system.
+elimination, ``echelon``, serves ``rank`` and ``solve_affine``.
 
 Everything here is pure and never modifies its input, so concurrent use
 is safe.
@@ -44,6 +44,7 @@ def rank(vectors: Iterable[int]) -> int:
     return len(echelon(vectors))
 
 
+# perfbench/ patches this by name, as it does rank; no library code calls it.
 def solve_affine(columns: Sequence[int], b: int) -> tuple[int, list[int]] | None:
     """All x with sum of ``columns[j]`` over the bits j of x equal to ``b``,
     as (particular solution, kernel basis); None when there is none.

@@ -39,7 +39,10 @@ any algebra by the mapping cone of theta on the cohomology of
 V = span(e_2..e_n), from its own full matrices read off ``g.c``.
 ``leibniz_by_factors`` expands a derivation on a monomial factor by factor
 with ``helpers.wedge``, independently of the mask-level Leibniz loop in
-``Derivation.apply_masks``.
+``Derivation.apply_masks``.  ``admissible_by_solve`` finds the admissible
+cocycles by an affine solve over the whole degree-(n+1) 2-form slice with
+``gf2.solve_affine``, independently of the free-bit recurrence in
+``extensions.admissible_cocycles``.
 """
 
 from __future__ import annotations
@@ -60,8 +63,17 @@ from vergne.core import (
     m0,
     m2,
 )
-from vergne.exterior import Derivation, Form, Monomial, matrix_of
+from vergne.exterior import (
+    Derivation,
+    Form,
+    Monomial,
+    _indices,
+    _outside_codomain,
+    graded_masks,
+    matrix_of,
+)
 from vergne.extensions import Decomposition, ExtensionStep, central_extension, decompose, reduce
+from vergne.gf2 import solve_affine
 
 from helpers import _mask_from_indices, lowering_operator, monomials, wedge
 
@@ -447,3 +459,34 @@ def betti_cone(g: VergneAlgebra, flip: frozenset = frozenset()) -> tuple[tuple[i
                 graded[k, m] = kernel + coker
     b = [sum(v for (k, _), v in graded.items() if k == kk) for kk in range(n + 1)]
     return tuple(b), graded
+
+
+def admissible_by_solve(g: VergneAlgebra) -> list[Form]:
+    """Every homogeneous degree-(n+1) 2-cocycle with the e^1^e^n term, by an
+    affine GF(2) solve: the e^1^e^n coefficient is pinned to 1, d(omega) = 0
+    is solved over the other slice coefficients, and the whole solution coset
+    is enumerated, sorted by index tuples.  A term of d(slice) outside the
+    degree-(n+1) 3-forms raises ImageOutsideCodomain."""
+    n = g.n
+    lead = 1 | 1 << (n - 1)
+    d = differential(g)
+    row = {q: 1 << r for r, q in enumerate(graded_masks(n, 3)[n + 1])}
+    columns = {}
+    for mask in graded_masks(n, 2)[n + 1]:
+        try:  # distinct terms, so their position bits add without carries
+            columns[mask] = sum(row[t] for t in d.apply_mask(mask))
+        except KeyError as exc:
+            raise _outside_codomain(exc.args[0], mask) from None
+    rhs = columns.pop(lead)
+    others = list(columns)
+    solved = solve_affine(list(columns.values()), rhs)
+    if solved is None:
+        return []
+    particular, kernel = solved
+    coset = [particular]
+    for v in kernel:
+        coset += [x ^ v for x in coset]
+    forms = [Form(n, [lead] + [mask for idx, mask in enumerate(others) if x >> idx & 1])
+             for x in coset]
+    forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
+    return forms

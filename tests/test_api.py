@@ -106,6 +106,23 @@ def test_every_form_is_built_by_its_constructor(path):
     assert not hasattr(vergne.extensions, "_check_extension_cocycle")
 
 
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "gf2.py"),
+                         ids=lambda p: p.name)
+def test_no_library_module_imports_gf2(path):
+    # the cocycle search reads its free bit and the Betti kernel eliminates
+    # in place, so gf2 is left to the tests as a reference
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            dotted = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("gf2" in name.split(".") for name in dotted), \
+            f"{path.name}:{node.lineno} imports gf2"
+    assert not hasattr(vergne.extensions, "solve_affine")
+
+
 # `module.name` or ``module.name`` in prose, for the modules of the package
 CODE_REFERENCE = re.compile(r"`(classify|cohomology|core|exterior|extensions|gf2|cli)"
                             r"\.(\w+(?:\.\w+)*)")

@@ -1,12 +1,13 @@
 """Algebra construction, Jacobi completion, model operators, involution."""
 
 import random
+import re
 from itertools import product
 
 import pytest
 
 from vergne import core
-from vergne.classify import enumerate_algebras
+from vergne.classify import enumerate_algebras, extension_tree
 from vergne.core import (
     JacobiViolation,
     RowVector,
@@ -72,6 +73,27 @@ def test_dimension_cap():
     assert m0(MAX_AMBIENT).n == MAX_AMBIENT
     with pytest.raises(ValueError, match="dimension must be in"):
         VergneAlgebra(MAX_AMBIENT + 1, ())
+
+
+@pytest.mark.parametrize("call, good, bad", [
+    pytest.param(m0, (5,), (5.5,), id="m0-float"),
+    pytest.param(m0, (5,), (True,), id="m0-bool"),
+    pytest.param(m2, (5,), (5.5,), id="m2-float"),
+    pytest.param(VergneAlgebra, (7, []), (7.0, []), id="VergneAlgebra-float"),
+    pytest.param(VergneAlgebra, (7, []), ("7", []), id="VergneAlgebra-str"),
+    pytest.param(enumerate_algebras, (7,), (7.0,), id="enumerate_algebras-float"),
+    pytest.param(extension_tree, (7,), (7.0,), id="extension_tree-float"),
+    pytest.param(graded_masks, (6, 2), (6.0, 2), id="graded_masks-float"),
+    pytest.param(Form, (1, [1]), (True, [1]), id="Form-bool"),
+    pytest.param(Derivation, (6, {}), (6.0, {}), id="Derivation-float"),
+    pytest.param(Monomial, (1, 1), (1, True), id="Monomial-bool"),
+])
+def test_a_non_int_dimension_is_refused_by_name(call, good, bad):
+    # the int call comes first, so a cache keyed by 7 cannot answer for 7.0
+    call(*good)
+    value = next(b for a, b in zip(good, bad) if type(a) is not type(b))
+    with pytest.raises(TypeError, match=re.escape(f"must be an int, got {value!r}")):
+        call(*bad)
 
 
 def test_oversized_row_is_refused_before_completion(monkeypatch):
