@@ -15,9 +15,8 @@ from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import (VergneAlgebra, _check_involution_degree, _involution_masks, _m2_rows,
-                   differential)
-from .exterior import Derivation, _Frozen, _outside_codomain, graded_masks
+from .core import VergneAlgebra, _involution_masks, _m2_rows, differential
+from .exterior import Derivation, _check_ambient, _Frozen, _outside_codomain, graded_masks
 
 __all__ = [
     "BettiTable",
@@ -146,12 +145,13 @@ def betti(g: VergneAlgebra) -> BettiTable:
     The split d = e^1^L + δ.  Let L be the derivation with L(e^i) = e^{i-1}
     for i >= 3 and L(e^1) = L(e^2) = 0 (``core._LOWERING``), and δ the
     derivation with δ(e^k) the sum of the e^i^e^j over 1 < i < j,
-    i + j = k, c_{i,j} = 1 (``_delta_terms`` reads it off d's table).  In
+    i + j = k, c_{i,j} = 1: δ is the c-table, each set bit j of ``g.rows[i]``
+    a term of δ(e^{i+j}), and ``_delta_terms`` reads it off the rows.  In
     characteristic 2, x -> e^1^L(x) is a derivation too (no signs, so e^1
     commutes past every factor), and e^1^L + δ agrees with d on every
-    generator: both vanish on e^1 and e^2 (an e^i^e^j in δ has
-    i + j >= 5), and on e^k, k >= 3, both give e^1^e^{k-1} + δ(e^k).  Derivations that agree
-    on the generators are equal, so d = e^1^L + δ; ``square_failures``
+    generator: both vanish on e^1 and e^2 (an e^i^e^j in δ has i + j >= 5),
+    and on e^k, k >= 3, both give e^1^e^{k-1} + δ(e^k).  Derivations that
+    agree on the generators are equal, so d = e^1^L + δ; ``square_failures``
     reads the same e^1-part as dι + ιd = L.  e^1^L is the differential of
     m0(n), whose δ is 0, so it depends only on n.  On a monomial x:
     - if e^1 is in x, x = e^1^y and e^1^L(x) = e^1^e^1^L(y) = 0;
@@ -226,13 +226,18 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
 def _delta_terms(g: VergneAlgebra) -> list[tuple[int, int, int]]:
     """δ = d + e^1^L of g as ``_block_pivots`` reads it: (low | t, low,
     low ^ t) for each term t of each δ(e^k), where low = 1 << (k-1) is the
-    bit of e^k.  Read off d's table: δ(e^k) is d(e^k) + e^1^e^{k-1} for
-    k >= 3, and d(e^k) for k <= 2, where L vanishes."""
+    bit of e^k.  Read off the rows: δ(e^k) sums the e^i^e^j with
+    c_{i,j} = 1, 1 < i < j and i + j = k, and bit j of ``g.rows[i]`` is
+    c_{i,j}, set only for such pairs.  So the set bits ``bit`` = 1 << j of
+    the rows are the terms, one each: low = 1 << (i+j-1) = bit << (i-1) and
+    t = e^i^e^j = 1 << (i-1) | 1 << (j-1) = 1 << (i-1) | bit >> 1."""
     terms = []
-    for low, images in differential(g)._table.items():
-        if low > 2:
-            images = images ^ {1 | low >> 1}
-        terms += [(low | t, low, low ^ t) for t in images]
+    for i, r in enumerate(g.rows):
+        while r:
+            bit = r & -r
+            r ^= bit
+            low, t = bit << (i - 1), 1 << (i - 1) | bit >> 1
+            terms.append((low | t, low, low ^ t))
     return terms
 
 
@@ -301,7 +306,7 @@ def _m0_column(mask: int, row: Mapping[int, int]) -> int:
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
     read off ``square_failures``."""
-    _check_involution_degree(k, g1.n)
+    _check_ambient(k, "topological degree", 2, g1.n)
     return k not in square_failures(g1, g2)
 
 

@@ -354,12 +354,6 @@ def _involution_masks(masks: Iterable[int]) -> set[int]:
     return set(masks) ^ {t | 2 for t in lowered if not t & 2}
 
 
-def _check_involution_degree(k: int, n: int) -> None:
-    """The involution's domain, shared with the commuting-square check."""
-    if not 2 <= k <= n:
-        raise ValueError(f"the involution needs topological degree 2..{n}, got {k}")
-
-
 def involution(h: Form) -> Form:
     """The degree-preserving involution f on homogeneous k-forms, k in 2..n.
 
@@ -373,5 +367,5 @@ def involution(h: Form) -> Form:
     tds = {m.bit_count() for m in h.terms}
     if len(tds) != 1:
         raise ValueError("involution needs a homogeneous topological degree")
-    _check_involution_degree(tds.pop(), h.ambient)
+    _check_ambient(tds.pop(), "topological degree", 2, h.ambient)
     return Form(h.ambient, _involution_masks(h.terms))

@@ -64,13 +64,15 @@ def _outside_codomain(term: int, mask: int) -> ImageOutsideCodomain:
 
 
 class Monomial(namedtuple("Monomial", "mask ambient")):
-    """A basis monomial: an index bitmask, refused outside its ambient n."""
+    """A basis monomial: an int index bitmask, refused outside its ambient n."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, mask: int, ambient: int):
         _check_ambient(ambient)
+        if type(mask) is not int:
+            raise TypeError(f"monomial mask must be an int, got {mask!r}")
         if not 0 <= mask < 1 << ambient:
             raise ValueError(f"monomial {mask:#x} outside ambient dimension {ambient}")
         return super().__new__(cls, mask, ambient)
@@ -90,7 +92,9 @@ class Monomial(namedtuple("Monomial", "mask ambient")):
 
 def _check_ambient(n: int, name: str = "ambient dimension", lo: int = 0,
                    hi: int = MAX_AMBIENT) -> None:
-    """Refuse a non-int n, bool included, and n outside lo..hi, before any work."""
+    """The one check of a dimension or a topological degree: refuse a non-int
+    n, bool included, and n outside lo..hi, before any work.  Per-term masks
+    and generator indices are tested inline, in the same TypeError words."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"{name} must be an int, got {n!r}")
     if not lo <= n <= hi:
@@ -113,8 +117,8 @@ class Form(_Frozen):
     """A GF(2) sum of monomials; the empty set is the zero form.
 
     ``terms`` is a frozenset of monomial bitmasks.  The constructor, the
-    only one, accepts masks or Monomial values, refuses a mask outside the
-    ambient, and folds duplicates mod 2.
+    only one, accepts int masks or Monomial values, refuses any other term
+    or a mask outside the ambient, and folds duplicates mod 2.
     """
 
     __slots__ = ("ambient", "terms")
@@ -130,6 +134,8 @@ class Form(_Frozen):
                 mask = t.mask
             else:
                 mask = t
+                if type(mask) is not int:
+                    raise TypeError(f"monomial mask must be an int, got {mask!r}")
             if not 0 <= mask < limit:
                 raise ValueError(f"monomial {mask:#x} outside ambient dimension {ambient}")
             if mask in acc:
@@ -185,7 +191,8 @@ class Derivation(_Frozen):
     cancels.  ``_table`` is the one store of the images: the bit of e^i
     (``1 << (i-1)``) -> frozenset of image masks of e^i, for the nonzero
     images in input order.  ``images`` is a read-only view of the same
-    images keyed by generator index, built on each read.
+    images keyed by generator index, built on each read.  A generator index
+    or image mask that is not an int, or out of range, is refused.
     """
 
     __slots__ = ("ambient", "_table")
@@ -195,6 +202,8 @@ class Derivation(_Frozen):
         limit = 1 << ambient
         table: dict[int, frozenset[int]] = {}
         for i, masks in images.items():
+            if type(i) is not int:
+                raise TypeError(f"generator index must be an int, got {i!r}")
             if not 1 <= i <= ambient:
                 raise ValueError(f"generator index {i} outside 1..{ambient}")
             try:
@@ -204,6 +213,8 @@ class Derivation(_Frozen):
                 size = len(masks)
             ms = frozenset(masks)
             for m in ms:
+                if type(m) is not int:
+                    raise TypeError(f"image monomial must be an int, got {m!r}")
                 if not 0 <= m < limit:
                     raise ValueError("image monomial outside ambient dimension")
             if len(ms) != size:  # a repeated mask: sum the image mod 2, as Form does
@@ -292,8 +303,7 @@ def graded_masks(n: int, k: int) -> Mapping[int, Sequence[int]]:
     packed bytes of dimension n.
     """
     _check_ambient(n)
-    if not 0 <= k <= n:
-        raise ValueError(f"topological degree {k} outside 0..{n}")
+    _check_ambient(k, "topological degree", 0, n)
     if k == 0 or k == n:
         packed = array("Q", [(1 << k) - 1]).tobytes()
         return MappingProxyType({k * (k + 1) // 2: memoryview(packed).cast("Q")})

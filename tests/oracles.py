@@ -42,7 +42,9 @@ with ``helpers.wedge``, independently of the mask-level Leibniz loop in
 ``Derivation.apply_masks``.  ``admissible_by_solve`` finds the admissible
 cocycles by an affine solve over the whole degree-(n+1) 2-form slice with
 ``gf2.solve_affine``, independently of the free-bit recurrence in
-``extensions.admissible_cocycles``.
+``extensions.admissible_cocycles``.  ``delta_by_strip`` reads δ off the
+built differential, stripping e^1^e^{k-1} from each d(e^k), independently
+of ``cohomology._delta_terms``' read of the c-table rows.
 """
 
 from __future__ import annotations
@@ -490,3 +492,18 @@ def admissible_by_solve(g: VergneAlgebra) -> list[Form]:
              for x in coset]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
+
+
+def delta_by_strip(g: VergneAlgebra) -> list[tuple[int, int, int]]:
+    """δ = d + e^1^L of g as ``cohomology._block_pivots`` reads it: (low | t,
+    low, low ^ t) for each term t of each δ(e^k), where low = 1 << (k-1) is
+    the bit of e^k.  Read off the built differential: δ(e^k) is
+    d(e^k) + e^1^e^{k-1} for k >= 3, and d(e^k) for k <= 2, where L
+    vanishes."""
+    terms = []
+    for k, images in differential(g).images.items():
+        low = 1 << (k - 1)
+        if k > 2:
+            images = images ^ {1 | low >> 1}
+        terms += [(low | t, low, low ^ t) for t in images]
+    return terms

@@ -77,6 +77,21 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "vergne"
 TESTS = Path(__file__).resolve().parent
 
 
+def test_the_betti_path_reads_delta_off_the_rows():
+    # _delta_terms reads δ off g.rows, so cohomology builds a differential
+    # only for square_failures' per-monomial fallback, and never reads a
+    # Derivation's private table
+    tree = ast.parse((SRC / "cohomology.py").read_text())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_table"]
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "differential"}
+    assert callers == {"square_failures"}
+    # and a topological degree is range-checked by exterior._check_ambient alone
+    assert not hasattr(vergne.core, "_check_involution_degree")
+
+
 # __init__.py imports to re-export, and __future__ imports change the
 # compiler, so neither needs a use
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")

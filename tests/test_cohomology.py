@@ -13,7 +13,7 @@ from vergne import cli, cohomology
 from vergne.classify import enumerate_algebras, extension_tree
 from vergne.cohomology import betti, square_failures, verify_commuting_square
 from vergne.core import _image, differential, from_row, involution, m0, m2
-from vergne.exterior import Derivation, ImageOutsideCodomain, graded_masks, matrix_of
+from vergne.exterior import ImageOutsideCodomain, graded_masks, matrix_of
 from vergne.extensions import Decomposition, _truncation, decompose, partner, partners
 
 from helpers import count_batches, monomials, parse_form
@@ -23,6 +23,7 @@ from oracles import (
     cocycle_dim_full,
     commuting_square_failures,
     commuting_square_holds,
+    delta_by_strip,
     rank_naive,
 )
 
@@ -230,23 +231,34 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
         assert min(built) > 0, g
 
 
+def test_delta_read_off_the_rows_is_the_stripped_differential():
+    # bit j of rows[i] is the term e^i^e^j of δ(e^{i+j}); the oracle strips
+    # e^1^e^{k-1} from each image of the built differential instead
+    algebras = [g for n in range(5, 17) for g in enumerate_algebras(n)] + [m0(64), m2(64)]
+    for g in algebras:
+        assert sorted(cohomology._delta_terms(g)) == sorted(delta_by_strip(g)), g
+    assert cohomology._delta_terms(m0(64)) == []
+    assert len(cohomology._delta_terms(m2(64))) == 64 - 4
+
+
 def test_degree_breaking_differential_is_refused(monkeypatch):
     # nothing is cleared at k = 1, so every generator column is built there
     # and a generator image that is not a 2-factor monomial of the
     # generator's degree raises before any column is skipped
-    images = dict(differential(m0(6)).images)
-    real = cohomology.differential
+    real = cohomology._delta_terms
+    e6 = 1 << 5
     for bad in (parse_form("e2^e3", 6), parse_form("e1^e2^e3", 6)):
-        op = Derivation(6, {**images, 6: images[6] | bad.terms})
-        monkeypatch.setattr(cohomology, "differential", lambda g: op)
+        (t,) = bad.terms  # one more term of δ(e^6), as a _delta_terms triple
+        injected = lambda g, t=t: real(g) + [(e6 | t, e6, e6 ^ t)]
+        monkeypatch.setattr(cohomology, "_delta_terms", injected)
         g = m0(6)
         with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
             betti(g)
         assert g._betti is None
         # one member raises, so no algebra gets a table: not the members
         # that would pass, nor the n = 5 batch ranked before it
-        monkeypatch.setattr(cohomology, "differential",
-                            lambda g, op=op: op if g == m2(6) else real(g))
+        monkeypatch.setattr(cohomology, "_delta_terms",
+                            lambda g, injected=injected: injected(g) if g == m2(6) else real(g))
         batch = [m0(5), m2(5), m0(6), m2(6)]
         with pytest.raises(ImageOutsideCodomain, match="of e6 not in codomain"):
             cohomology.betti_tables(batch)

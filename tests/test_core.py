@@ -8,6 +8,7 @@ import pytest
 
 from vergne import core
 from vergne.classify import enumerate_algebras, extension_tree
+from vergne.cohomology import verify_commuting_square
 from vergne.core import (
     JacobiViolation,
     RowVector,
@@ -84,6 +85,9 @@ def test_dimension_cap():
     pytest.param(enumerate_algebras, (7,), (7.0,), id="enumerate_algebras-float"),
     pytest.param(extension_tree, (7,), (7.0,), id="extension_tree-float"),
     pytest.param(graded_masks, (6, 2), (6.0, 2), id="graded_masks-float"),
+    pytest.param(graded_masks, (6, 2), (6, 2.0), id="graded_masks-degree-float"),
+    pytest.param(verify_commuting_square, (m0(7), partner(m0(7)), 2),
+                 (m0(7), partner(m0(7)), 2.5), id="verify_commuting_square-degree-float"),
     pytest.param(Form, (1, [1]), (True, [1]), id="Form-bool"),
     pytest.param(Derivation, (6, {}), (6.0, {}), id="Derivation-float"),
     pytest.param(Monomial, (1, 1), (1, True), id="Monomial-bool"),
@@ -93,6 +97,30 @@ def test_a_non_int_dimension_is_refused_by_name(call, good, bad):
     call(*good)
     value = next(b for a, b in zip(good, bad) if type(a) is not type(b))
     with pytest.raises(TypeError, match=re.escape(f"must be an int, got {value!r}")):
+        call(*bad)
+
+
+@pytest.mark.parametrize("call, good, bad, message", [
+    pytest.param(Monomial, (1, 5), (1.0, 5), "monomial mask must be an int, got 1.0",
+                 id="Monomial-float"),
+    pytest.param(Monomial, (1, 5), (True, 5), "monomial mask must be an int, got True",
+                 id="Monomial-bool"),
+    pytest.param(Form, (5, [1]), (5, [1.0]), "monomial mask must be an int, got 1.0",
+                 id="Form-float"),
+    pytest.param(Form, (5, [1]), (5, [True]), "monomial mask must be an int, got True",
+                 id="Form-bool"),
+    pytest.param(Derivation, (5, {3: [1]}), (5, {3: [1.0]}),
+                 "image monomial must be an int, got 1.0", id="Derivation-image-float"),
+    pytest.param(Derivation, (5, {2: [1]}), (5, {2.0: [1]}),
+                 "generator index must be an int, got 2.0", id="Derivation-index-float"),
+    pytest.param(Derivation, (5, {1: [2]}), (5, {True: [2]}),
+                 "generator index must be an int, got True", id="Derivation-index-bool"),
+])
+def test_a_non_int_mask_or_index_is_refused_by_name(call, good, bad, message):
+    # the bad value sits inside a list or a mapping, where the test above
+    # cannot find it by the types of the top-level arguments
+    call(*good)
+    with pytest.raises(TypeError, match=re.escape(message)):
         call(*bad)
 
 
