@@ -197,7 +197,8 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
     """The tables of distinct algebras of one dimension n, from one pass over
     the graded blocks (k, m) with k ascending.  A block is ranked when a
     member has a column left after clearing; a member with none has rank 0
-    there (see ``betti``)."""
+    there (see ``betti``).  Only nonzero pivot masks are kept for the next
+    level, and each member's rank d_k is the sum of its block ranks."""
     n = batch[0].n
     deltas = [_delta_terms(g) for g in batch]
     z: list[list[int]] = [[] for _ in batch]
@@ -207,17 +208,22 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
     for k in range(n + 1):
         target = graded_masks(n, k + 1) if k < n else {}
         pivots: list[dict[int, int]] = [{} for _ in batch]
+        ranks = [0] * len(batch)
         for m, masks in graded_masks(n, k).items():
             size = len(masks)
             skips = [c.get(m, 0) for c in cleared]
+            cut = list(map(int.bit_count, skips))
             found = (_block_pivots(masks, target.get(m, ()), deltas, skips)
-                     if min(map(int.bit_count, skips)) < size else unranked)
-            for pi, gi, skip, p in zip(pivots, graded, skips, found):
-                pi[m] = p
-                if v := size - skip.bit_count() - p.bit_count():
-                    gi[(k, m)] = v
-        for zi, pi in zip(z, pivots):
-            zi.append(comb(n, k) - sum(p.bit_count() for p in pi.values()))
+                     if min(cut) < size else unranked)
+            for i, p in enumerate(found):
+                rank = p.bit_count()
+                if rank:
+                    pivots[i][m] = p
+                    ranks[i] += rank
+                if v := size - cut[i] - rank:
+                    graded[i][(k, m)] = v
+        for zi, rank in zip(z, ranks):
+            zi.append(comb(n, k) - rank)
         cleared = pivots
     return [BettiTable(n=n, b=[1] + [zi[k] + zi[k - 1] - comb(n, k - 1) for k in range(1, n + 1)],
                        graded=gi, z=zi) for zi, gi in zip(z, graded)]
@@ -252,23 +258,32 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
     Member i has the δ terms ``deltas[i]`` (``_delta_terms``) and the
     cleared positions ``skips[i]``.  The block builds the codomain position
     map once, and the m0(n) column e^1^L of a position the first time a
-    member reads it (``_m0_column``).  A δ term (low | t, low, flip) of
+    member reads it (``_m0_column``).  Each member walks only its live
+    positions, the bits of ``(1 << len(masks)) - 1`` outside its skip,
+    lowest first, so in ascending order.  A δ term (low | t, low, flip) of
     e^k adds the Leibniz term (x - e^k) ^ t = x ^ flip of a mask x exactly
     when e^k is in x and no other factor of x is in t, that is when
     x & (low | t) == low.  Each member's column is reduced against its own
-    pivots as soon as it is built, until its leading bit is new.  A δ term
-    outside the codomain, always a grading bug, raises
-    ImageOutsideCodomain.
+    pivots as soon as it is built, until its leading bit is new; the pivots
+    sit in a list indexed by leading bit (``col.bit_length()``, 1 up to
+    ``len(codomain)``, 0 where none has landed), and each leading bit joins
+    the member's pivot mask as its pivot lands.  A δ term outside the
+    codomain, always a grading bug, raises ImageOutsideCodomain.
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     shared = [None] * len(masks)
+    every = (1 << len(masks)) - 1
     out = []
     for terms, skip in zip(deltas, skips):
-        pivots: dict[int, int] = {}
+        pivots = [0] * (len(codomain) + 1)
+        found = 0
+        live = every ^ skip
         try:
-            for r, mask in enumerate(masks):
-                if skip >> r & 1:
-                    continue
+            while live:
+                bit = live & -live
+                live ^= bit
+                r = bit.bit_length() - 1
+                mask = masks[r]
                 col = shared[r]
                 if col is None:
                     col = shared[r] = _m0_column(mask, row)
@@ -277,14 +292,15 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
                         col ^= row[mask ^ flip]
                 while col:
                     top = col.bit_length()
-                    p = pivots.get(top)
-                    if p is None:
+                    p = pivots[top]
+                    if not p:
                         pivots[top] = col
+                        found |= 1 << (top - 1)
                         break
                     col ^= p
         except KeyError:
             raise _outside_codomain(mask ^ flip, mask) from None
-        out.append(sum(1 << (top - 1) for top in pivots))  # distinct leading bits
+        out.append(found)
     return out
 
 
@@ -305,9 +321,17 @@ def _m0_column(mask: int, row: Mapping[int, int]) -> int:
 
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
-    read off ``square_failures``."""
-    _check_ambient(k, "topological degree", 2, g1.n)
+    read off ``square_failures``.  A dimension mismatch is refused first,
+    then k, both before any work."""
+    _check_ambient(k, "topological degree", 2, _common_dimension(g1, g2))
     return k not in square_failures(g1, g2)
+
+
+def _common_dimension(g1: VergneAlgebra, g2: VergneAlgebra) -> int:
+    """The dimension n of both algebras; refuse a mismatch."""
+    if g1.n != g2.n:
+        raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
+    return g1.n
 
 
 def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
@@ -352,9 +376,7 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
       at other k, so then each k is decided from the definition
       (``_square_holds``).
     """
-    if g1.n != g2.n:
-        raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
-    n = g1.n
+    n = _common_dimension(g1, g2)
     if tuple([r1 ^ r2 for r1, r2 in zip(g1.rows, g2.rows)]) == _m2_rows(n):
         return ()
     d1, d2 = differential(g1), differential(g2)

@@ -93,9 +93,11 @@ class Monomial(namedtuple("Monomial", "mask ambient")):
 def _check_ambient(n: int, name: str = "ambient dimension", lo: int = 0,
                    hi: int = MAX_AMBIENT) -> None:
     """The one check of a dimension or a topological degree: refuse a non-int
-    n, bool included, and n outside lo..hi, before any work.  Per-term masks
-    and generator indices are tested inline, in the same TypeError words."""
-    if isinstance(n, bool) or not isinstance(n, int):
+    n, bool and every other int subclass included, and n outside lo..hi,
+    before any work.  Per-term masks and generator indices are tested
+    inline by the same ``type(x) is not int`` rule, in the same TypeError
+    words."""
+    if type(n) is not int:
         raise TypeError(f"{name} must be an int, got {n!r}")
     if not lo <= n <= hi:
         raise ValueError(f"{name} must be in {lo}..{hi}, got {n}")

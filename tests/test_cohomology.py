@@ -231,6 +231,44 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
         assert min(built) > 0, g
 
 
+def test_every_built_e1_column_has_its_factor_built_one_level_down(monkeypatch):
+    """Each e^1-column the kernel builds at level k has its e^1-free factor
+    built at level k - 1, so it could be read off that column (ROADMAP
+    item 6).
+
+    Proof.  Let x be free of e^1 and cleared at level k - 1.  Then x leads a
+    pivot v = d(w).  So e^1^v = d(e^1^w) is exact (d(e^1) = 0), and its
+    leading position is e^1^x: e^1^ kills the terms of v that hold e^1, and
+    within each bucket the masks holding e^1 come first, in the order of
+    their e^1-free factors (``graded_masks``), so y -> e^1^y keeps the
+    order of the other terms, of which x is the last.  The pivots one level
+    up are an echelon basis of the exact forms with distinct leading
+    positions, so every nonzero exact form leads with one of them: e^1^x is
+    cleared at level k.  So an e^1-column that is built has a factor that
+    was not cleared, that is, was built, in a block the kernel ranked.  The
+    count includes e^1 itself at k = 1, one per algebra, whose factor is
+    the empty monomial at k = 0.
+    """
+    kernel = cohomology._block_pivots
+    built = []  # per member, the masks whose columns the kernel built
+
+    def recording(masks, codomain, deltas, skips):
+        for mine, skip in zip(built, skips):
+            mine.update(x for r, x in enumerate(masks) if not skip >> r & 1)
+        return kernel(masks, codomain, deltas, skips)
+
+    monkeypatch.setattr(cohomology, "_block_pivots", recording)
+    checked = 0
+    for batch in [fresh(n) for n in range(5, 13)] + [[m2(14)]]:
+        built[:] = [set() for _ in batch]
+        cohomology.betti_tables(batch)
+        for g, mine in zip(batch, built):
+            e1 = [x for x in mine if x & 1]
+            assert [x for x in e1 if x ^ 1 not in mine] == [], g
+            checked += len(e1)
+    assert checked == 18790
+
+
 def test_delta_read_off_the_rows_is_the_stripped_differential():
     # bit j of rows[i] is the term e^i^e^j of δ(e^{i+j}); the oracle strips
     # e^1^e^{k-1} from each image of the built differential instead
@@ -554,6 +592,20 @@ def test_commuting_square_validation():
     with pytest.raises(ValueError):
         verify_commuting_square(m0(5), m2(5), 1)
     with pytest.raises(ValueError):
+        verify_commuting_square(m0(5), m2(5), 6)
+
+
+def test_commuting_square_refuses_a_dimension_mismatch_before_k(monkeypatch):
+    # the mismatch is named first, whatever k is, then k, and both before
+    # the square is looked at
+    def work(*args):
+        raise AssertionError("square checked")
+
+    monkeypatch.setattr(cohomology, "square_failures", work)
+    for k in (2, 6, 1, 2.5):
+        with pytest.raises(ValueError, match="^dimension mismatch: 5 != 6$"):
+            verify_commuting_square(m0(5), m0(6), k)
+    with pytest.raises(ValueError, match="topological degree must be in 2..5, got 6"):
         verify_commuting_square(m0(5), m2(5), 6)
 
 

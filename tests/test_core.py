@@ -1,5 +1,6 @@
 """Algebra construction, Jacobi completion, model operators, involution."""
 
+import enum
 import random
 import re
 from itertools import product
@@ -49,6 +50,14 @@ def F(text, n):
     return parse_form(text, n)
 
 
+class K(enum.IntEnum):
+    """An int subclass: refused as a dimension, a degree and a mask alike."""
+
+    ONE = 1
+    TWO = 2
+    SIX = 6
+
+
 # ---------------------------------------------------------------- models
 
 
@@ -79,6 +88,7 @@ def test_dimension_cap():
 @pytest.mark.parametrize("call, good, bad", [
     pytest.param(m0, (5,), (5.5,), id="m0-float"),
     pytest.param(m0, (5,), (True,), id="m0-bool"),
+    pytest.param(m0, (6,), (K.SIX,), id="m0-IntEnum"),
     pytest.param(m2, (5,), (5.5,), id="m2-float"),
     pytest.param(VergneAlgebra, (7, []), (7.0, []), id="VergneAlgebra-float"),
     pytest.param(VergneAlgebra, (7, []), ("7", []), id="VergneAlgebra-str"),
@@ -86,6 +96,7 @@ def test_dimension_cap():
     pytest.param(extension_tree, (7,), (7.0,), id="extension_tree-float"),
     pytest.param(graded_masks, (6, 2), (6.0, 2), id="graded_masks-float"),
     pytest.param(graded_masks, (6, 2), (6, 2.0), id="graded_masks-degree-float"),
+    pytest.param(graded_masks, (6, 2), (6, K.TWO), id="graded_masks-degree-IntEnum"),
     pytest.param(verify_commuting_square, (m0(7), partner(m0(7)), 2),
                  (m0(7), partner(m0(7)), 2.5), id="verify_commuting_square-degree-float"),
     pytest.param(Form, (1, [1]), (True, [1]), id="Form-bool"),
@@ -109,6 +120,8 @@ def test_a_non_int_dimension_is_refused_by_name(call, good, bad):
                  id="Form-float"),
     pytest.param(Form, (5, [1]), (5, [True]), "monomial mask must be an int, got True",
                  id="Form-bool"),
+    pytest.param(Form, (5, [1]), (5, [K.ONE]), "monomial mask must be an int, got <K.ONE: 1>",
+                 id="Form-IntEnum"),
     pytest.param(Derivation, (5, {3: [1]}), (5, {3: [1.0]}),
                  "image monomial must be an int, got 1.0", id="Derivation-image-float"),
     pytest.param(Derivation, (5, {2: [1]}), (5, {2.0: [1]}),
