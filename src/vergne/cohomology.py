@@ -3,10 +3,11 @@
 The differential preserves the degree grading, so the cochain complex
 splits into small blocks indexed by (topological degree k, degree m) and
 every rank is computed per block, straight from the monomial masks.  The
-blocks are ranked in one pass with k ascending, and each block skips the
-columns that the previous block's pivots clear.  The algebras of one
-dimension n are ranked in one such pass, sharing the part of each column
-that comes from m0(n)'s differential (see ``betti``).
+blocks are ranked in one pass, degree by degree; each block skips the
+columns that the pivots of the block one level down clear, and reads its
+e^1-columns off the δ-parts its factors stored one degree down.  The
+algebras of one dimension n are ranked in one such pass, sharing the part
+of each column that comes from m0(n)'s differential (see ``betti``).
 """
 
 from __future__ import annotations
@@ -125,11 +126,12 @@ def betti(g: VergneAlgebra) -> BettiTable:
     """Full Betti table, from one pass over the graded blocks; cached.
 
     ``betti_tables`` with a batch of one: the one rank path.  The blocks
-    (k, m) are ranked with k ascending.  Each level adds
-    dim Z_k = C(n, k) - rank d_k and the graded entries
+    (k, m) are ranked with the degree m outer and k inner.  The ranks add
+    up to dim Z_k = C(n, k) - rank d_k and the graded entries
     dim H^k_m = |block (k, m)| - rank(k, m) - rank(k-1, m), while
     b_k = dim Z_k + dim Z_{k-1} - C(n, k-1) is derived from z alone, so
-    ``BettiTable.violations`` checks the graded sums against it.
+    ``BettiTable.violations`` checks the graded sums against it.  The
+    graded entries are handed to the table in ascending (k, m) order.
 
     Clearing: the pivots of block (k-1, m) are an echelon basis of the
     exact forms B^k_m with distinct leading positions P, so
@@ -137,10 +139,11 @@ def betti(g: VergneAlgebra) -> BettiTable:
     of block (k, m) is the rank of its columns outside P, and the columns
     at P are never built.  Nothing is cleared at k = 1 (d vanishes on the
     scalars), so the k = 1 blocks build the column of every generator e^i
-    and their codomain lookups raise ImageOutsideCodomain unless every term
-    of δ(e^i) is a 2-factor monomial of degree i.  That check covers every
-    column of the complex, built or cleared: a Leibniz term of such images
-    always lies in the codomain slice.
+    with i >= 2 (e^1's column is read, below, as 0 = d(e^1)), and their
+    codomain lookups raise ImageOutsideCodomain unless every term of
+    δ(e^i) is a 2-factor monomial of degree i.  That check covers every
+    column of the complex, built, read or cleared: a Leibniz term of such
+    images always lies in the codomain slice.
 
     The split d = e^1^L + δ.  Let L be the derivation with L(e^i) = e^{i-1}
     for i >= 3 and L(e^1) = L(e^2) = 0 (``core._LOWERING``), and δ the
@@ -164,6 +167,45 @@ def betti(g: VergneAlgebra) -> BettiTable:
     once, and each member adds its own δ terms and eliminates against its
     own pivots, outside its own cleared positions: each member's columns,
     and so its ranks and table, are exactly those it would get alone.
+
+    The e^1-columns are read, not built.  Let x be free of e^1.  Then
+    d(e^1^x) = d(e^1)^x + e^1^d(x) = e^1^(e^1^L(x) + δ(x)) = e^1^δ(x),
+    as d(e^1) = 0 and e^1^e^1 = 0.  Each term of δ(x) replaces a factor
+    e^k of x by an e^i^e^j with 1 < i < j, so δ(x) is free of e^1 too.
+    Positions: write B(k, m) for the bucket ``graded_masks(n, k)[m]`` and
+    B'(k, m) for that of dimension n - 1.  By ``graded_masks``'
+    recurrence, B(k, m) is [2y + 1 for y in B'(k-1, m-k)] followed by
+    [2y for y in B'(k, m-k)]: a prefix of e^1-masks, of length
+    h(k, m) = |B'(k-1, m-k)| (0 for k = 0), then a suffix free of e^1.
+    The suffix of B(k-1, m-1) is [2y for y in B'(k-1, m-k)], and
+    x -> e^1^x = x | 1 maps it, in order, onto the prefix of B(k, m).  So
+    the e^1-free mask x at position r of block (k-1, m-1) has e^1^x at
+    position r - h(k-1, m-1) of block (k, m).  The same holds one level
+    up, for the codomains: δ(x) lies in the suffix of B(k, m-1), the
+    codomain of x's block, whose positions start at h(k, m-1), and
+    e^1^ maps that suffix, in order, onto the prefix of B(k+1, m), the
+    codomain of e^1^x's block.  So the column of e^1^x over its codomain
+    is the δ-part of x's column, which fills the bits at h(k, m-1) and up
+    (e^1^L(x) fills the prefix below), shifted down by h(k, m-1).  Each
+    member keeps that shifted δ-part, when nonzero, at r - h(k-1, m-1),
+    and reads it back as the column of e^1^x; a missing entry is 0.
+    Every e^1-column a member reads has its factor built: let x be
+    cleared in block (k-1, m-1), so that x leads a pivot v = d(w) of block
+    (k-2, m-1).  Then e^1^v = d(e^1^w) is exact, and it leads with e^1^x:
+    e^1^ kills the terms of v that hold e^1, which sit in the prefix,
+    below x, and maps the others in order.  So e^1^x is a leading position
+    of B^k_m, cleared in block (k, m), and a live e^1^x has a factor that
+    was live, hence built, one degree and one level down.
+
+    Why the degree-outer order is exact.  Block (k, m) reads the pivots of
+    block (k-1, m), ranked just before it in the same degree, and the
+    stored δ-parts of block (k-1, m-1), ranked in the degree before, and
+    nothing else.  The leading positions of a member's pivots are those of
+    the span of its live columns ({top bit of v : v in the span, v != 0}),
+    whatever order the columns are reduced in; so every block gets the
+    ranks and the cleared positions that a pass with k outer gives it.
+    Each δ-part store is dropped once block (k, m) has read it, so the
+    stores held at once span about one degree.
     """
     if g._betti is None:
         betti_tables((g,))
@@ -195,38 +237,48 @@ def betti_tables(algebras: Iterable[VergneAlgebra]) -> list[BettiTable]:
 
 def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
     """The tables of distinct algebras of one dimension n, from one pass over
-    the graded blocks (k, m) with k ascending.  A block is ranked when a
-    member has a column left after clearing; a member with none has rank 0
-    there (see ``betti``).  Only nonzero pivot masks are kept for the next
-    level, and each member's rank d_k is the sum of its block ranks."""
+    the graded blocks (k, m) with the degree m outer and k inner.  A block
+    is ranked when a member has a column left after clearing; a member with
+    none has rank 0 there (see ``betti``).  Block (k, m) reads the pivots
+    of block (k-1, m), ranked just before it, and the δ-parts that block
+    (k-1, m-1) stored one degree down, dropping them as it reads them.
+    Each member's rank d_k is the sum of its block ranks."""
     n = batch[0].n
     deltas = [_delta_terms(g) for g in batch]
-    z: list[list[int]] = [[] for _ in batch]
+    levels = [graded_masks(n, k) for k in range(n + 1)] + [{}]
+    heads = [{}] + [graded_masks(n - 1, k) for k in range(n)] + [{}]
+    prefix = lambda k, m: len(heads[k].get(m - k, ()))  # h(k, m) of ``betti``
+    ranks = [[0] * (n + 1) for _ in batch]
     graded: list[dict[tuple[int, int], int]] = [{} for _ in batch]
-    cleared: list[dict[int, int]] = [{} for _ in batch]  # degree -> pivots one level down
     unranked = [0] * len(batch)  # the pivots of a block with every column cleared
-    for k in range(n + 1):
-        target = graded_masks(n, k + 1) if k < n else {}
-        pivots: list[dict[int, int]] = [{} for _ in batch]
-        ranks = [0] * len(batch)
-        for m, masks in graded_masks(n, k).items():
+    unstored = [{}] * len(batch)  # the δ-parts of a block that built no column
+    stored: dict[int, list[dict[int, int]]] = {}  # k -> δ-parts of block (k, m-1)
+    for m in range(n * (n + 1) // 2 + 1):
+        fresh = {}
+        found = unranked
+        for k in range(n + 1):
+            masks = levels[k].get(m)
+            factors = stored.pop(k - 1, unstored)
+            if masks is None:
+                found = unranked
+                continue
             size = len(masks)
-            skips = [c.get(m, 0) for c in cleared]
+            skips = found
             cut = list(map(int.bit_count, skips))
-            found = (_block_pivots(masks, target.get(m, ()), deltas, skips)
-                     if min(cut) < size else unranked)
+            if min(cut) < size:
+                found, fresh[k] = _block_pivots(masks, levels[k + 1].get(m, ()), deltas, skips,
+                                                prefix(k, m), factors, prefix(k + 1, m))
+            else:
+                found = unranked
             for i, p in enumerate(found):
                 rank = p.bit_count()
-                if rank:
-                    pivots[i][m] = p
-                    ranks[i] += rank
+                ranks[i][k] += rank
                 if v := size - cut[i] - rank:
                     graded[i][(k, m)] = v
-        for zi, rank in zip(z, ranks):
-            zi.append(comb(n, k) - rank)
-        cleared = pivots
+        stored = fresh
+    zs = [[comb(n, k) - r for k, r in enumerate(rank)] for rank in ranks]
     return [BettiTable(n=n, b=[1] + [zi[k] + zi[k - 1] - comb(n, k - 1) for k in range(1, n + 1)],
-                       graded=gi, z=zi) for zi, gi in zip(z, graded)]
+                       graded=dict(sorted(gi.items())), z=zi) for zi, gi in zip(zs, graded)]
 
 
 def _delta_terms(g: VergneAlgebra) -> list[tuple[int, int, int]]:
@@ -249,23 +301,31 @@ def _delta_terms(g: VergneAlgebra) -> list[tuple[int, int, int]]:
 
 def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
                   deltas: Sequence[Sequence[tuple[int, int, int]]],
-                  skips: Sequence[int]) -> list[int]:
+                  skips: Sequence[int], ones: int,
+                  factors: Sequence[Mapping[int, int]],
+                  shift: int) -> tuple[list[int], list[dict[int, int]]]:
     """Pivot positions of each member's differential e^1^L + δ from the span
     of the ``masks`` at the positions outside its skip to the span of the
     ``codomain`` masks, as bitmasks over codomain positions whose bit
-    counts are the GF(2) ranks.
+    counts are the GF(2) ranks; and each member's δ-parts for the block one
+    degree and one level up.
 
-    Member i has the δ terms ``deltas[i]`` (``_delta_terms``) and the
-    cleared positions ``skips[i]``.  The block builds the codomain position
-    map once, and the m0(n) column e^1^L of a position the first time a
-    member reads it (``_m0_column``).  Each member walks only its live
-    positions, the bits of ``(1 << len(masks)) - 1`` outside its skip,
-    lowest first, so in ascending order.  A δ term (low | t, low, flip) of
-    e^k adds the Leibniz term (x - e^k) ^ t = x ^ flip of a mask x exactly
-    when e^k is in x and no other factor of x is in t, that is when
-    x & (low | t) == low.  Each member's column is reduced against its own
-    pivots as soon as it is built, until its leading bit is new; the pivots
-    sit in a list indexed by leading bit (``col.bit_length()``, 1 up to
+    Member i has the δ terms ``deltas[i]`` (``_delta_terms``), the
+    cleared positions ``skips[i]`` and the stored δ-parts ``factors[i]``.
+    Each member walks only its live positions, the bits of
+    ``(1 << len(masks)) - 1`` outside its skip, lowest first.  The first
+    ``ones`` masks hold e^1, and the column at such a position r is read as
+    ``factors[i].get(r, 0)``, never built (see ``betti``).  Every other
+    column is built: a δ term (low | t, low, flip) of e^k adds the Leibniz
+    term (x - e^k) ^ t = x ^ flip of a mask x exactly when e^k is in x and
+    no other factor of x is in t, that is when x & (low | t) == low.  A
+    nonzero δ-part is kept at r - ``ones``, shifted down by ``shift``, the
+    length of the codomain's e^1-prefix.  Then the m0(n) column e^1^L is
+    added, built the first time a member reads its position
+    (``_m0_column``); the block builds the codomain position map once.
+    Each member's column is reduced against its own pivots as soon as it
+    is read or built, until its leading bit is new; the pivots sit in a
+    list indexed by leading bit (``col.bit_length()``, 1 up to
     ``len(codomain)``, 0 where none has landed), and each leading bit joins
     the member's pivot mask as its pivot lands.  A δ term outside the
     codomain, always a grading bug, raises ImageOutsideCodomain.
@@ -273,23 +333,31 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     shared = [None] * len(masks)
     every = (1 << len(masks)) - 1
-    out = []
-    for terms, skip in zip(deltas, skips):
+    out, stores = [], []
+    for terms, skip, factor in zip(deltas, skips, factors):
         pivots = [0] * (len(codomain) + 1)
         found = 0
+        store = {}
         live = every ^ skip
         try:
             while live:
                 bit = live & -live
                 live ^= bit
                 r = bit.bit_length() - 1
-                mask = masks[r]
-                col = shared[r]
-                if col is None:
-                    col = shared[r] = _m0_column(mask, row)
-                for both, low, flip in terms:
-                    if mask & both == low:
-                        col ^= row[mask ^ flip]
+                if r < ones:
+                    col = factor.get(r, 0)
+                else:
+                    mask = masks[r]
+                    col = 0
+                    for both, low, flip in terms:
+                        if mask & both == low:
+                            col ^= row[mask ^ flip]
+                    if col:
+                        store[r - ones] = col >> shift
+                    m0 = shared[r]
+                    if m0 is None:
+                        m0 = shared[r] = _m0_column(mask, row)
+                    col ^= m0
                 while col:
                     top = col.bit_length()
                     p = pivots[top]
@@ -301,7 +369,8 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
         except KeyError:
             raise _outside_codomain(mask ^ flip, mask) from None
         out.append(found)
-    return out
+        stores.append(store)
+    return out, stores
 
 
 def _m0_column(mask: int, row: Mapping[int, int]) -> int:

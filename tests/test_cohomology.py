@@ -1,5 +1,7 @@
 """Betti numbers: block path vs full-matrix oracle, gradings, squares."""
 
+import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -26,6 +28,8 @@ from oracles import (
     delta_by_strip,
     rank_naive,
 )
+
+BETTI_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "betti_pool.json"
 
 
 def naive_cocycle_dims(g):
@@ -133,7 +137,9 @@ def batch_disagreements(n):
     oracles: each member's table against ``betti_cone``, each full block's
     kernel rank against the naive rank of ``matrix_of``, and the table the
     cleared pass yields against one built from those naive ranks; and the
-    number of (member, block) ranks checked."""
+    number of (member, block) ranks checked.  The full blocks are ranked
+    with no store: no position is read as an e^1-column (``ones`` = 0), so
+    the kernel builds every column from its m0(n) column and δ terms."""
     batch = fresh(n)
     tables = cohomology.betti_tables(batch)
     bad = [(g, "cone") for g, table in zip(batch, tables)
@@ -149,7 +155,8 @@ def batch_disagreements(n):
         ranks = [{} for _ in batch]
         for m, masks in graded_masks(n, k).items():
             codomain = monomials(n, k + 1, m)
-            found = cohomology._block_pivots(masks, target.get(m, ()), deltas, [0] * len(batch))
+            found, _ = cohomology._block_pivots(masks, target.get(m, ()), deltas,
+                                                [0] * len(batch), 0, [{}] * len(batch), 0)
             for i, (d, pivots) in enumerate(zip(diffs, found)):
                 want = rank_naive(matrix_of(d, monomials(n, k, m), codomain))
                 if pivots.bit_count() != want or pivots >> len(codomain):
@@ -203,23 +210,36 @@ def test_block_pivots_image_outside_codomain():
         low = 1 << (k - 1)
         with pytest.raises(ImageOutsideCodomain, match=f"{text} of e{k} not"):
             cohomology._block_pivots(graded_masks(5, 1)[k], graded_masks(5, 2)[k],
-                                     [[(low | t, low, low ^ t)]], [0])
+                                     [[(low | t, low, low ^ t)]], [0], 0, [{}], 0)
     # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0,
-    # and a member of the same batch with that column cleared has none
-    assert cohomology._block_pivots(domain, codomain, [[]], [0]) == [0b1]
-    assert cohomology._block_pivots(domain, codomain, [[], []], [0, 1]) == [0b1, 0]
+    # and a member of the same batch with that column cleared has none; no
+    # δ-part is stored
+    kernel = cohomology._block_pivots
+    assert kernel(domain, codomain, [[]], [0], 0, [{}], 0) == ([0b1], [{}])
+    assert kernel(domain, codomain, [[], []], [0, 1], 0, [{}, {}], 0) == ([0b1, 0], [{}, {}])
+    # δ(e^5) = e^2^e^3 over the codomain (e^1^e^4, e^2^e^3), whose e^1-prefix
+    # has length 1: the column is 0b11, and its δ-part 0b10 is kept shifted
+    # down by 1 at position 0, the column of e^1^e^5 one degree up
+    e5, t = 1 << 4, 0b110
+    assert kernel(graded_masks(5, 1)[5], graded_masks(5, 2)[5],
+                  [[(e5 | t, e5, e5 ^ t)]], [0], 0, [{}], 1) == ([0b10], [{0: 0b1}])
+    # block (2, 6) is (e^1^e^5, e^2^e^4) into (e^1^e^2^e^3): the e^1-column
+    # at position 0 is read, never built, and with e^2^e^4 cleared only a
+    # member that stored the δ-part of e^5 has a pivot
+    assert kernel(graded_masks(5, 2)[6], graded_masks(5, 3)[6], [[], []], [0b10, 0b10],
+                  1, [{0: 0b1}, {}], 0) == ([0b1, 0], [{}, {}])
 
 
 def test_clearing_skips_the_pivot_columns(monkeypatch):
-    # block (k, m) builds only the columns outside the pivots of block
-    # (k-1, m): sum over k of C(n, k) - rank d_{k-1} columns in all; a
+    # block (k, m) reads or builds only the columns outside the pivots of
+    # block (k-1, m): sum over k of C(n, k) - rank d_{k-1} columns in all; a
     # block with every column cleared is not ranked at all
     kernel = cohomology._block_pivots
     built = []
 
-    def counting(masks, codomain, deltas, skips):
+    def counting(masks, codomain, deltas, skips, *store):
         built.append(len(masks) - skips[0].bit_count())
-        return kernel(masks, codomain, deltas, skips)
+        return kernel(masks, codomain, deltas, skips, *store)
 
     monkeypatch.setattr(cohomology, "_block_pivots", counting)
     for g in (m0(12), m2(12)):
@@ -232,9 +252,8 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
 
 
 def test_every_built_e1_column_has_its_factor_built_one_level_down(monkeypatch):
-    """Each e^1-column the kernel builds at level k has its e^1-free factor
-    built at level k - 1, so it could be read off that column (ROADMAP
-    item 6).
+    """Each e^1-column the kernel reads at level k has its e^1-free factor
+    built at level k - 1, so it is read off that column (``betti``).
 
     Proof.  Let x be free of e^1 and cleared at level k - 1.  Then x leads a
     pivot v = d(w).  So e^1^v = d(e^1^w) is exact (d(e^1) = 0), and its
@@ -244,29 +263,97 @@ def test_every_built_e1_column_has_its_factor_built_one_level_down(monkeypatch):
     order of the other terms, of which x is the last.  The pivots one level
     up are an echelon basis of the exact forms with distinct leading
     positions, so every nonzero exact form leads with one of them: e^1^x is
-    cleared at level k.  So an e^1-column that is built has a factor that
+    cleared at level k.  So an e^1-column that is read has a factor that
     was not cleared, that is, was built, in a block the kernel ranked.  The
     count includes e^1 itself at k = 1, one per algebra, whose factor is
     the empty monomial at k = 0.
     """
     kernel = cohomology._block_pivots
-    built = []  # per member, the masks whose columns the kernel built
+    built, read = [], []  # per member, the masks the kernel built and read
 
-    def recording(masks, codomain, deltas, skips):
-        for mine, skip in zip(built, skips):
-            mine.update(x for r, x in enumerate(masks) if not skip >> r & 1)
-        return kernel(masks, codomain, deltas, skips)
+    def recording(masks, codomain, deltas, skips, ones, factors, shift):
+        assert all(x & 1 for x in masks[:ones]) and not any(x & 1 for x in masks[ones:])
+        for mine, seen, skip in zip(built, read, skips):
+            live = [x for r, x in enumerate(masks) if not skip >> r & 1]
+            mine.update(x for x in live if not x & 1)
+            seen.update(x for x in live if x & 1)
+        return kernel(masks, codomain, deltas, skips, ones, factors, shift)
 
     monkeypatch.setattr(cohomology, "_block_pivots", recording)
     checked = 0
     for batch in [fresh(n) for n in range(5, 13)] + [[m2(14)]]:
         built[:] = [set() for _ in batch]
+        read[:] = [set() for _ in batch]
         cohomology.betti_tables(batch)
-        for g, mine in zip(batch, built):
-            e1 = [x for x in mine if x & 1]
-            assert [x for x in e1 if x ^ 1 not in mine] == [], g
-            checked += len(e1)
+        for g, mine, seen in zip(batch, built, read):
+            assert [x for x in seen if x ^ 1 not in mine] == [], g
+            checked += len(seen)
     assert checked == 18790
+
+
+def betti_cold_rows():
+    """The rows the benchmark's ``betti-cold`` workload ranks: every fourth
+    pool row of n = 14, 15 and 16."""
+    pool = json.loads(BETTI_POOL.read_text())
+    return [entry["row"] for n in ("14", "15", "16") for entry in pool[n][::4]]
+
+
+def test_every_e1_column_read_equals_its_column(monkeypatch):
+    # each e^1-column the kernel reads from a store equals d(e^1^x) built
+    # term by term from the algebra's Derivation, on one batch per n <= 12,
+    # on m2(14) and on the 14 betti-cold rows one table at a time; each
+    # block's reads are checked before the kernel uses them
+    kernel = cohomology._block_pivots
+    members, reads = [], []
+
+    def checking(masks, codomain, deltas, skips, ones, factors, shift):
+        row = {mask: r for r, mask in enumerate(codomain)}
+        for (g, d), skip, factor in zip(members, skips, factors):
+            for r in range(ones):
+                if not skip >> r & 1:
+                    want = sum(1 << row[t] for t in d.apply_mask(masks[r]))
+                    assert factor.get(r, 0) == want, (g, masks[r])
+                    reads.append(g)
+        return kernel(masks, codomain, deltas, skips, ones, factors, shift)
+
+    monkeypatch.setattr(cohomology, "_block_pivots", checking)
+    small = [fresh(n) for n in range(5, 13)] + [[m2(14)]]
+    cold = [[from_row(row)] for row in betti_cold_rows()]
+    assert len(cold) == 14
+    for batch in small + cold:
+        members[:] = [(g, differential(g)) for g in batch]
+        cohomology.betti_tables(batch)
+    assert len(reads) == 18790 + 109420
+
+
+def test_graded_tables_to_n16_are_pinned():
+    # every enumerated algebra with n = 5..16, one batch per n, against the
+    # digest of their tables, and b for n = 14..16 against the benchmark's
+    # reference pool, which an older rank path wrote
+    digest = hashlib.sha256()
+    b = {}
+    for n in range(5, 17):
+        batch = fresh(n)
+        for g, t in zip(batch, cohomology.betti_tables(batch)):
+            digest.update(repr((n, g.rows, t.b, sorted(t.graded.items()), t.z)).encode())
+            b[str(g.row())] = t.b
+    assert len(b) == 112
+    assert digest.hexdigest() == "d4acc22535616c2cf892f0aae7b74f85ed787ecf9701e74f3f6f7786609f4cd1"
+    pool = json.loads(BETTI_POOL.read_text())
+    rows = [entry for n in ("14", "15", "16") for entry in pool[n]]
+    assert len(rows) == 52
+    assert [b[entry["row"]] for entry in rows] == [tuple(entry["betti"]) for entry in rows]
+
+
+def test_graded_entries_ascend_in_k_then_m():
+    # the pass ranks degree by degree, but each table lists its graded
+    # entries, and so its repr and its violations(), in (k, m) order
+    batch = fresh(11)
+    tables = cohomology.betti_tables(batch)
+    for g, t in zip(batch, tables):
+        assert list(t.graded) == sorted(t.graded), g
+    # the degree-major order of the pass differs on every table
+    assert all(list(t.graded) != sorted(t.graded, key=lambda km: km[::-1]) for t in tables)
 
 
 def test_delta_read_off_the_rows_is_the_stripped_differential():
@@ -310,9 +397,9 @@ def test_betti_ranks_each_table_once(monkeypatch):
     kernel = cohomology._block_pivots
     calls = []
 
-    def counting(masks, codomain, deltas, skips):
+    def counting(*args):
         calls.append(1)
-        return kernel(masks, codomain, deltas, skips)
+        return kernel(*args)
 
     monkeypatch.setattr(cohomology, "_block_pivots", counting)
     assert sum(len(graded_masks(12, k)) for k in range(13)) == 299
