@@ -4,8 +4,9 @@ The differential preserves the degree grading, so the cochain complex
 splits into small blocks indexed by (topological degree k, degree m) and
 every rank is computed per block, straight from the monomial masks.  The
 blocks are ranked in one pass, degree by degree; each block skips the
-columns that the pivots of the block one level down clear, and reads its
-e^1-columns off the δ-parts its factors stored one degree down.  The
+columns that the pivots of the block one level down clear, reads its
+e^1-columns off the δ-parts its factors stored one degree down, and the
+δ-parts of its e^2-columns off those stored two degrees down.  The
 algebras of one dimension n are ranked in one such pass, sharing the part
 of each column that comes from m0(n)'s differential (see ``betti``).
 """
@@ -139,11 +140,13 @@ def betti(g: VergneAlgebra) -> BettiTable:
     of block (k, m) is the rank of its columns outside P, and the columns
     at P are never built.  Nothing is cleared at k = 1 (d vanishes on the
     scalars), so the k = 1 blocks build the column of every generator e^i
-    with i >= 2 (e^1's column is read, below, as 0 = d(e^1)), and their
-    codomain lookups raise ImageOutsideCodomain unless every term of
-    δ(e^i) is a 2-factor monomial of degree i.  That check covers every
-    column of the complex, built, read or cleared: a Leibniz term of such
-    images always lies in the codomain slice.
+    with i >= 3, and their codomain lookups raise ImageOutsideCodomain
+    unless every term of δ(e^i) is a 2-factor monomial of degree i.  The
+    columns of e^1 and e^2 are read, below, as 0 = d(e^1) and 0 = d(e^2);
+    no check is lost there, as δ(e^1) and δ(e^2) have no terms (an
+    e^i^e^j in δ has i + j >= 5).  That check covers every column of the
+    complex, built, read or cleared: a Leibniz term of such images always
+    lies in the codomain slice.
 
     The split d = e^1^L + δ.  Let L be the derivation with L(e^i) = e^{i-1}
     for i >= 3 and L(e^1) = L(e^2) = 0 (``core._LOWERING``), and δ the
@@ -189,23 +192,65 @@ def betti(g: VergneAlgebra) -> BettiTable:
     (e^1^L(x) fills the prefix below), shifted down by h(k, m-1).  Each
     member keeps that shifted δ-part, when nonzero, at r - h(k-1, m-1),
     and reads it back as the column of e^1^x; a missing entry is 0.
-    Every e^1-column a member reads has its factor built: let x be
+    Every e^1-column a member reads has its factor live: let x be
     cleared in block (k-1, m-1), so that x leads a pivot v = d(w) of block
     (k-2, m-1).  Then e^1^v = d(e^1^w) is exact, and it leads with e^1^x:
     e^1^ kills the terms of v that hold e^1, which sit in the prefix,
     below x, and maps the others in order.  So e^1^x is a leading position
     of B^k_m, cleared in block (k, m), and a live e^1^x has a factor that
-    was live, hence built, one degree and one level down.
+    was live, hence built or read as an e^2-column (below), one degree and
+    one level down, and stored its δ-part.
+
+    The δ-parts of the e^2-columns are read too.  Four ranges: applying
+    the recurrence to both halves of B(k, m) splits it, in order, into
+    - R1 = [4z + 3 for z in B''(k-2, m-2k+1)], the masks with e^1 and e^2,
+    - R2 = [4z + 1 for z in B''(k-1, m-2k+1)], with e^1 only,
+    - R3 = [4z + 2 for z in B''(k-1, m-2k)], with e^2 only,
+    - R4 = [4z for z in B''(k, m-2k)], with neither,
+    where B''(k, m) is the bucket of dimension n - 2 (empty where k or m
+    is out of range).  R1 and R2 make up the e^1-prefix, so
+    h(k, m) = |R1| + |R2|, and |R3(k, m)| = |B''(k-1, m-2k)|.  The map
+    x -> e^2^x = x | 2 kills R1 and R3 (e^2^e^2 = 0), maps R2 of B(k, m)
+    onto R1 of B(k+1, m+2) (4z + 1 -> 4z + 3 over the same
+    B''(k-1, m-2k+1)) and R4 of B(k, m) onto R3 of B(k+1, m+2)
+    (4z -> 4z + 2 over the same B''(k, m-2k)), each in order.  Let x lie
+    in R4 of block (k-1, m-2).  As d(e^2) = 0 and L(e^2) = 0,
+    d(e^2^x) = e^2^d(x) = e^1^L(e^2^x) + e^2^δ(x): its m0(n) column, whose
+    terms hold e^1, plus its δ-part e^2^δ(x), free of e^1 as δ(x) is.
+    δ(x) lies in the suffix R3 ++ R4 of B(k, m-2), the codomain of x's
+    block, and the member stored it shifted down by h(k, m-2); so the low
+    |R3(k, m-2)| bits of the stored int are the terms that e^2^ kills, and
+    the bits above are the R4-part, which e^2^ maps, in order, onto R3 of
+    B(k+1, m), the codomain of e^2^x's block, at h(k+1, m) and up.  So
+    v = stored >> |R3(k, m-2)| and the δ-part of e^2^x is v << h(k+1, m),
+    and v is what the member keeps as e^2^x's own δ-part for the e^1-read
+    one degree up.  The domain lines up the same way: x at R4 index q of
+    block (k-1, m-2) is stored at |R3(k-1, m-2)| + q (the store is keyed
+    from the end of the e^1-prefix), and e^2^x is at R3 index q of block
+    (k, m).  Only the m0(n) column of e^2^x is still built, and a batch
+    shares it as for every column.  Every e^2-column a member reads has
+    its factor built: let x be cleared in block (k-1, m-2), so that x leads
+    a pivot v = d(w) of block (k-2, m-2).  Then e^2^v = d(e^2^w) is exact.
+    R4 is the last range of every bucket, so the other terms of v lie in
+    R1, R2 or R3, or in R4 below x: e^2^ kills those in R1 and R3, and maps
+    those in R2 into R1 and those in R4 below x into R3 below e^2^x.  So
+    e^2^v leads with e^2^x, which is cleared in block (k, m), and a live
+    e^2^x has a factor that was live, hence built (an R4 column is never
+    read), two degrees and one level down.
 
     Why the degree-outer order is exact.  Block (k, m) reads the pivots of
-    block (k-1, m), ranked just before it in the same degree, and the
-    stored δ-parts of block (k-1, m-1), ranked in the degree before, and
-    nothing else.  The leading positions of a member's pivots are those of
-    the span of its live columns ({top bit of v : v in the span, v != 0}),
-    whatever order the columns are reduced in; so every block gets the
-    ranks and the cleared positions that a pass with k outer gives it.
-    Each δ-part store is dropped once block (k, m) has read it, so the
-    stores held at once span about one degree.
+    block (k-1, m), ranked just before it in the same degree, the stored
+    δ-parts of block (k-1, m-1), ranked in the degree before, and those of
+    block (k-1, m-2), ranked two degrees before, and nothing else.  The
+    leading positions of a member's pivots are those of the span of its
+    live columns ({top bit of v : v in the span, v != 0}), whatever order
+    the columns are reduced in; and a store holds the δ-parts of the live
+    columns, which do not depend on that order either.  So every block
+    gets the ranks, the cleared positions and the stores that a pass with
+    k outer gives it.  Lifetime: the store of block (k, m) is read by
+    block (k+1, m+1) one degree up and by block (k+1, m+2) two degrees up,
+    and dropped once the latter has read it, so the stores held at once
+    span about two degrees.
     """
     if g._betti is None:
         betti_tables((g,))
@@ -240,25 +285,34 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
     the graded blocks (k, m) with the degree m outer and k inner.  A block
     is ranked when a member has a column left after clearing; a member with
     none has rank 0 there (see ``betti``).  Block (k, m) reads the pivots
-    of block (k-1, m), ranked just before it, and the δ-parts that block
-    (k-1, m-1) stored one degree down, dropping them as it reads them.
-    Each member's rank d_k is the sum of its block ranks."""
+    of block (k-1, m), ranked just before it, the δ-parts that block
+    (k-1, m-1) stored one degree down, and those that block (k-1, m-2)
+    stored two degrees down, dropping the last as it reads them: each
+    store lives two degrees.  The range lengths h(k, m) and |R3(k, m)| of
+    ``betti`` are read off the buckets of dimensions n-1 and n-2 that
+    ``graded_masks``' recursion has cached.  Each member's rank d_k is the
+    sum of its block ranks."""
     n = batch[0].n
     deltas = [_delta_terms(g) for g in batch]
     levels = [graded_masks(n, k) for k in range(n + 1)] + [{}]
     heads = [{}] + [graded_masks(n - 1, k) for k in range(n)] + [{}]
     prefix = lambda k, m: len(heads[k].get(m - k, ()))  # h(k, m) of ``betti``
+    # thirds[k] is graded_masks(n-2, k-1); no bucket of k = 0 or k = n has
+    # an R3, and the lift at k = 0 reads thirds[-1], that of k = n
+    thirds = [{}] + [graded_masks(n - 2, k) for k in range(n - 1)] + [{}]
+    third = lambda k, m: len(thirds[k].get(m - 2 * k, ()))  # |R3(k, m)| of ``betti``
     ranks = [[0] * (n + 1) for _ in batch]
     graded: list[dict[tuple[int, int], int]] = [{} for _ in batch]
     unranked = [0] * len(batch)  # the pivots of a block with every column cleared
     unstored = [{}] * len(batch)  # the δ-parts of a block that built no column
     stored: dict[int, list[dict[int, int]]] = {}  # k -> δ-parts of block (k, m-1)
+    older: dict[int, list[dict[int, int]]] = {}  # k -> δ-parts of block (k, m-2)
     for m in range(n * (n + 1) // 2 + 1):
         fresh = {}
         found = unranked
         for k in range(n + 1):
             masks = levels[k].get(m)
-            factors = stored.pop(k - 1, unstored)
+            seconds = older.pop(k - 1, unstored)
             if masks is None:
                 found = unranked
                 continue
@@ -266,8 +320,11 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
             skips = found
             cut = list(map(int.bit_count, skips))
             if min(cut) < size:
-                found, fresh[k] = _block_pivots(masks, levels[k + 1].get(m, ()), deltas, skips,
-                                                prefix(k, m), factors, prefix(k + 1, m))
+                ones = prefix(k, m)
+                found, fresh[k] = _block_pivots(
+                    masks, levels[k + 1].get(m, ()), deltas, skips,
+                    ones, stored.get(k - 1, unstored), prefix(k + 1, m),
+                    third(k, m), seconds, third(k - 1, m - 2) - ones, third(k, m - 2))
             else:
                 found = unranked
             for i, p in enumerate(found):
@@ -275,7 +332,7 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
                 ranks[i][k] += rank
                 if v := size - cut[i] - rank:
                     graded[i][(k, m)] = v
-        stored = fresh
+        older, stored = stored, fresh
     zs = [[comb(n, k) - r for k, r in enumerate(rank)] for rank in ranks]
     return [BettiTable(n=n, b=[1] + [zi[k] + zi[k - 1] - comb(n, k - 1) for k in range(1, n + 1)],
                        graded=dict(sorted(gi.items())), z=zi) for zi, gi in zip(zs, graded)]
@@ -302,39 +359,51 @@ def _delta_terms(g: VergneAlgebra) -> list[tuple[int, int, int]]:
 def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
                   deltas: Sequence[Sequence[tuple[int, int, int]]],
                   skips: Sequence[int], ones: int,
-                  factors: Sequence[Mapping[int, int]],
-                  shift: int) -> tuple[list[int], list[dict[int, int]]]:
+                  factors: Sequence[Mapping[int, int]], shift: int,
+                  twos: int, seconds: Sequence[Mapping[int, int]],
+                  lift: int, drop: int) -> tuple[list[int], list[dict[int, int]]]:
     """Pivot positions of each member's differential e^1^L + δ from the span
     of the ``masks`` at the positions outside its skip to the span of the
     ``codomain`` masks, as bitmasks over codomain positions whose bit
-    counts are the GF(2) ranks; and each member's δ-parts for the block one
-    degree and one level up.
+    counts are the GF(2) ranks; and each member's δ-parts for the blocks one
+    level up and one and two degrees up.
 
     Member i has the δ terms ``deltas[i]`` (``_delta_terms``), the
-    cleared positions ``skips[i]`` and the stored δ-parts ``factors[i]``.
-    Each member walks only its live positions, the bits of
-    ``(1 << len(masks)) - 1`` outside its skip, lowest first.  The first
-    ``ones`` masks hold e^1, and the column at such a position r is read as
-    ``factors[i].get(r, 0)``, never built (see ``betti``).  Every other
-    column is built: a δ term (low | t, low, flip) of e^k adds the Leibniz
-    term (x - e^k) ^ t = x ^ flip of a mask x exactly when e^k is in x and
-    no other factor of x is in t, that is when x & (low | t) == low.  A
-    nonzero δ-part is kept at r - ``ones``, shifted down by ``shift``, the
-    length of the codomain's e^1-prefix.  Then the m0(n) column e^1^L is
-    added, built the first time a member reads its position
-    (``_m0_column``); the block builds the codomain position map once.
-    Each member's column is reduced against its own pivots as soon as it
-    is read or built, until its leading bit is new; the pivots sit in a
-    list indexed by leading bit (``col.bit_length()``, 1 up to
-    ``len(codomain)``, 0 where none has landed), and each leading bit joins
-    the member's pivot mask as its pivot lands.  A δ term outside the
-    codomain, always a grading bug, raises ImageOutsideCodomain.
+    cleared positions ``skips[i]``, and the δ-parts ``factors[i]`` and
+    ``seconds[i]`` stored one and two degrees down.  Each member walks only
+    its live positions, the bits of ``(1 << len(masks)) - 1`` outside its
+    skip, lowest first.  The masks fall in the four ranges of ``betti``:
+    the first ``ones`` hold e^1 (R1, R2), the next ``twos`` hold e^2 and
+    not e^1 (R3), and the rest hold neither (R4).  Only the R4 columns are
+    built in full:
+    - at an e^1-position r the column is read as ``factors[i].get(r, 0)``;
+    - at an R3 position r the δ-part is read as
+      v = ``seconds[i].get(r + lift, 0) >> drop``, the R4-part of the
+      δ-part of its factor x (``lift`` = |R3| of x's block - ``ones``,
+      ``drop`` = |R3| of x's codomain), and the column is v << ``shift``
+      plus its m0(n) column;
+    - at an R4 position a δ term (low | t, low, flip) of e^k adds the
+      Leibniz term (x - e^k) ^ t = x ^ flip of a mask x exactly when e^k
+      is in x and no other factor of x is in t, that is when
+      x & (low | t) == low, and then the m0(n) column is added.
+    A nonzero δ-part of an R3 or R4 column is kept at r - ``ones``, shifted
+    down by ``shift``, the length of the codomain's e^1-prefix (an R3
+    column keeps v itself).  The m0(n) column e^1^L is built the first
+    time a member reads its position (``_m0_column``); the block builds
+    the codomain position map once.  Each member's column is reduced
+    against its own pivots as soon as it is read or built, until its
+    leading bit is new; the pivots sit in a list indexed by leading bit
+    (``col.bit_length()``, 1 up to ``len(codomain)``, 0 where none has
+    landed), and each leading bit joins the member's pivot mask as its
+    pivot lands.  A δ term outside the codomain, always a grading bug,
+    raises ImageOutsideCodomain.
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     shared = [None] * len(masks)
     every = (1 << len(masks)) - 1
+    threes = ones + twos
     out, stores = [], []
-    for terms, skip, factor in zip(deltas, skips, factors):
+    for terms, skip, factor, second in zip(deltas, skips, factors, seconds):
         pivots = [0] * (len(codomain) + 1)
         found = 0
         store = {}
@@ -348,12 +417,18 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
                     col = factor.get(r, 0)
                 else:
                     mask = masks[r]
-                    col = 0
-                    for both, low, flip in terms:
-                        if mask & both == low:
-                            col ^= row[mask ^ flip]
-                    if col:
-                        store[r - ones] = col >> shift
+                    if r < threes:
+                        col = second.get(r + lift, 0) >> drop
+                        if col:
+                            store[r - ones] = col
+                            col <<= shift
+                    else:
+                        col = 0
+                        for both, low, flip in terms:
+                            if mask & both == low:
+                                col ^= row[mask ^ flip]
+                        if col:
+                            store[r - ones] = col >> shift
                     m0 = shared[r]
                     if m0 is None:
                         m0 = shared[r] = _m0_column(mask, row)

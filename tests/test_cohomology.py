@@ -138,8 +138,9 @@ def batch_disagreements(n):
     kernel rank against the naive rank of ``matrix_of``, and the table the
     cleared pass yields against one built from those naive ranks; and the
     number of (member, block) ranks checked.  The full blocks are ranked
-    with no store: no position is read as an e^1-column (``ones`` = 0), so
-    the kernel builds every column from its m0(n) column and δ terms."""
+    with no store: no position is read as an e^1- or an e^2-column
+    (``ones`` = ``twos`` = 0), so the kernel builds every column from its
+    m0(n) column and δ terms."""
     batch = fresh(n)
     tables = cohomology.betti_tables(batch)
     bad = [(g, "cone") for g, table in zip(batch, tables)
@@ -155,8 +156,9 @@ def batch_disagreements(n):
         ranks = [{} for _ in batch]
         for m, masks in graded_masks(n, k).items():
             codomain = monomials(n, k + 1, m)
+            none = [{}] * len(batch)
             found, _ = cohomology._block_pivots(masks, target.get(m, ()), deltas,
-                                                [0] * len(batch), 0, [{}] * len(batch), 0)
+                                                [0] * len(batch), 0, none, 0, 0, none, 0, 0)
             for i, (d, pivots) in enumerate(zip(diffs, found)):
                 want = rank_naive(matrix_of(d, monomials(n, k, m), codomain))
                 if pivots.bit_count() != want or pivots >> len(codomain):
@@ -210,24 +212,41 @@ def test_block_pivots_image_outside_codomain():
         low = 1 << (k - 1)
         with pytest.raises(ImageOutsideCodomain, match=f"{text} of e{k} not"):
             cohomology._block_pivots(graded_masks(5, 1)[k], graded_masks(5, 2)[k],
-                                     [[(low | t, low, low ^ t)]], [0], 0, [{}], 0)
+                                     [[(low | t, low, low ^ t)]], [0], 0, [{}], 0, 0, [{}], 0, 0)
     # d(e^4) = e^1^e^3, the one 2-form of degree 4: its pivot is position 0,
     # and a member of the same batch with that column cleared has none; no
     # δ-part is stored
     kernel = cohomology._block_pivots
-    assert kernel(domain, codomain, [[]], [0], 0, [{}], 0) == ([0b1], [{}])
-    assert kernel(domain, codomain, [[], []], [0, 1], 0, [{}, {}], 0) == ([0b1, 0], [{}, {}])
+    none = [{}, {}]
+    assert kernel(domain, codomain, [[]], [0], 0, [{}], 0, 0, [{}], 0, 0) == ([0b1], [{}])
+    assert kernel(domain, codomain, [[], []], [0, 1], 0, none, 0, 0, none, 0, 0) == (
+        [0b1, 0], [{}, {}])
     # δ(e^5) = e^2^e^3 over the codomain (e^1^e^4, e^2^e^3), whose e^1-prefix
     # has length 1: the column is 0b11, and its δ-part 0b10 is kept shifted
     # down by 1 at position 0, the column of e^1^e^5 one degree up
     e5, t = 1 << 4, 0b110
     assert kernel(graded_masks(5, 1)[5], graded_masks(5, 2)[5],
-                  [[(e5 | t, e5, e5 ^ t)]], [0], 0, [{}], 1) == ([0b10], [{0: 0b1}])
+                  [[(e5 | t, e5, e5 ^ t)]], [0], 0, [{}], 1, 0, [{}], 0, 0) == ([0b10], [{0: 0b1}])
     # block (2, 6) is (e^1^e^5, e^2^e^4) into (e^1^e^2^e^3): the e^1-column
     # at position 0 is read, never built, and with e^2^e^4 cleared only a
     # member that stored the δ-part of e^5 has a pivot
     assert kernel(graded_masks(5, 2)[6], graded_masks(5, 3)[6], [[], []], [0b10, 0b10],
-                  1, [{0: 0b1}, {}], 0) == ([0b1, 0], [{}, {}])
+                  1, [{0: 0b1}, {}], 0, 0, none, 0, 0) == ([0b1, 0], [{}, {}])
+    # n = 7: δ(e^7) = e^3^e^4 over the codomain (e^1^e^6, e^2^e^5, e^3^e^4)
+    # of block (1, 7) is kept shifted down by the e^1-prefix as 0b10: bit 0
+    # is the codomain's R3 (e^2^e^5), bit 1 its R4 (e^3^e^4)
+    e7, t = 1 << 6, 0b1100
+    assert kernel(graded_masks(7, 1)[7], graded_masks(7, 2)[7],
+                  [[(e7 | t, e7, e7 ^ t)]], [0], 0, [{}], 1, 0, [{}], 0, 0) == ([0b100], [{0: 0b10}])
+    # block (2, 9) is (e^2^e^7, e^3^e^6, e^4^e^5), with one R3 column, into
+    # (e^1^e^2^e^6, e^1^e^3^e^5, e^2^e^3^e^4), whose e^1-prefix has length 2:
+    # with the R4 columns cleared, the δ-part of e^2^e^7 is read two degrees
+    # down, its R3 bit dropped (``drop`` = 1), as 0b1, and placed over the
+    # codomain's R3 as e^2^e^3^e^4; its m0(7) column e^1^e^2^e^6 is added.
+    # A member with no stored δ-part has the m0(7) column alone; the read
+    # δ-part is kept as the R3 column's own
+    assert kernel(graded_masks(7, 2)[9], graded_masks(7, 3)[9], [[], []], [0b110, 0b110],
+                  0, none, 2, 1, [{0: 0b10}, {}], 0, 1) == ([0b100, 0b1], [{0: 0b1}, {}])
 
 
 def test_clearing_skips_the_pivot_columns(monkeypatch):
@@ -251,9 +270,40 @@ def test_clearing_skips_the_pivot_columns(monkeypatch):
         assert min(built) > 0, g
 
 
+# live e^2-columns the kernel reads: on one batch per n <= 12 and m2(14), on
+# the 14 betti-cold rows one table at a time, and how many of all those have
+# a nonzero δ-part (m2(n)'s δ-terms all hold e^2, so none of its reads do)
+E2_READS_SMALL, E2_READS_COLD, E2_READS_NONZERO = 10846, 83330, 55084
+
+
+def recording_kernel(monkeypatch, members):
+    """Patch the kernel to check that ``ones`` and ``twos`` cut each block
+    into the ranges of ``betti`` (R1 and R2 hold e^1, R3 holds e^2 and not
+    e^1, R4 holds neither), and to add to ``members[i]``, a dict of three
+    sets, the live masks that member i reads as e^1-columns ("one"), reads
+    as e^2-columns ("two") and builds ("built")."""
+    kernel = cohomology._block_pivots
+
+    def recording(masks, codomain, deltas, skips, ones, factors, shift,
+                  twos, seconds, lift, drop):
+        threes = ones + twos
+        assert all(x & 1 for x in masks[:ones])
+        assert all(x & 3 == 2 for x in masks[ones:threes])
+        assert not any(x & 3 for x in masks[threes:])
+        for mine, skip in zip(members, skips):
+            for r, x in enumerate(masks):
+                if not skip >> r & 1:
+                    mine["one" if r < ones else "two" if r < threes else "built"].add(x)
+        return kernel(masks, codomain, deltas, skips, ones, factors, shift,
+                      twos, seconds, lift, drop)
+
+    monkeypatch.setattr(cohomology, "_block_pivots", recording)
+
+
 def test_every_built_e1_column_has_its_factor_built_one_level_down(monkeypatch):
     """Each e^1-column the kernel reads at level k has its e^1-free factor
-    built at level k - 1, so it is read off that column (``betti``).
+    live at level k - 1, built or read as an e^2-column, so it is read off
+    that column's δ-part (``betti``).
 
     Proof.  Let x be free of e^1 and cleared at level k - 1.  Then x leads a
     pivot v = d(w).  So e^1^v = d(e^1^w) is exact (d(e^1) = 0), and its
@@ -264,31 +314,44 @@ def test_every_built_e1_column_has_its_factor_built_one_level_down(monkeypatch):
     up are an echelon basis of the exact forms with distinct leading
     positions, so every nonzero exact form leads with one of them: e^1^x is
     cleared at level k.  So an e^1-column that is read has a factor that
-    was not cleared, that is, was built, in a block the kernel ranked.  The
-    count includes e^1 itself at k = 1, one per algebra, whose factor is
-    the empty monomial at k = 0.
+    was not cleared, in a block the kernel ranked.  The count includes e^1
+    itself at k = 1, one per algebra, whose factor is the empty monomial
+    at k = 0.
     """
-    kernel = cohomology._block_pivots
-    built, read = [], []  # per member, the masks the kernel built and read
-
-    def recording(masks, codomain, deltas, skips, ones, factors, shift):
-        assert all(x & 1 for x in masks[:ones]) and not any(x & 1 for x in masks[ones:])
-        for mine, seen, skip in zip(built, read, skips):
-            live = [x for r, x in enumerate(masks) if not skip >> r & 1]
-            mine.update(x for x in live if not x & 1)
-            seen.update(x for x in live if x & 1)
-        return kernel(masks, codomain, deltas, skips, ones, factors, shift)
-
-    monkeypatch.setattr(cohomology, "_block_pivots", recording)
+    members = []
+    recording_kernel(monkeypatch, members)
     checked = 0
     for batch in [fresh(n) for n in range(5, 13)] + [[m2(14)]]:
-        built[:] = [set() for _ in batch]
-        read[:] = [set() for _ in batch]
+        members[:] = [{"one": set(), "two": set(), "built": set()} for _ in batch]
         cohomology.betti_tables(batch)
-        for g, mine, seen in zip(batch, built, read):
-            assert [x for x in seen if x ^ 1 not in mine] == [], g
-            checked += len(seen)
+        for g, mine in zip(batch, members):
+            live = mine["two"] | mine["built"]
+            assert [x for x in mine["one"] if x ^ 1 not in live] == [], g
+            checked += len(mine["one"])
     assert checked == 18790
+
+
+def test_every_e2_column_read_has_its_factor_built_two_degrees_down(monkeypatch):
+    """Each e^2-column e^2^x the kernel reads at level k has its factor x,
+    free of e^1 and e^2, built at level k - 1, so its δ-part is read off
+    x's (``betti``).  The proof is that of the e^1-columns, with e^2^ in
+    place of e^1^: x sits in the last range R4 of its bucket, so every
+    other term of a pivot v that x leads lies below it, and e^2^ maps R2
+    onto R1 and R4 onto R3, in order, and kills R1 and R3.  The count
+    includes e^2 itself at k = 1, one per algebra, whose factor is the
+    empty monomial, built at k = 0.
+    """
+    members = []
+    recording_kernel(monkeypatch, members)
+    checked = 0
+    for batch in [fresh(n) for n in range(5, 13)] + [[m2(14)]]:
+        members[:] = [{"one": set(), "two": set(), "built": set()} for _ in batch]
+        cohomology.betti_tables(batch)
+        for g, mine in zip(batch, members):
+            assert [x for x in mine["two"] if x ^ 2 not in mine["built"]] == [], g
+            assert 2 in mine["two"] and 0 in mine["built"], g
+            checked += len(mine["two"])
+    assert checked == E2_READS_SMALL
 
 
 def betti_cold_rows():
@@ -296,6 +359,15 @@ def betti_cold_rows():
     pool row of n = 14, 15 and 16."""
     pool = json.loads(BETTI_POOL.read_text())
     return [entry["row"] for n in ("14", "15", "16") for entry in pool[n][::4]]
+
+
+def read_batches():
+    """One batch per n <= 12, m2(14), and the 14 betti-cold rows one table
+    at a time."""
+    small = [fresh(n) for n in range(5, 13)] + [[m2(14)]]
+    cold = [[from_row(row)] for row in betti_cold_rows()]
+    assert len(cold) == 14
+    return small + cold
 
 
 def test_every_e1_column_read_equals_its_column(monkeypatch):
@@ -306,7 +378,7 @@ def test_every_e1_column_read_equals_its_column(monkeypatch):
     kernel = cohomology._block_pivots
     members, reads = [], []
 
-    def checking(masks, codomain, deltas, skips, ones, factors, shift):
+    def checking(masks, codomain, deltas, skips, ones, factors, shift, *rest):
         row = {mask: r for r, mask in enumerate(codomain)}
         for (g, d), skip, factor in zip(members, skips, factors):
             for r in range(ones):
@@ -314,16 +386,51 @@ def test_every_e1_column_read_equals_its_column(monkeypatch):
                     want = sum(1 << row[t] for t in d.apply_mask(masks[r]))
                     assert factor.get(r, 0) == want, (g, masks[r])
                     reads.append(g)
-        return kernel(masks, codomain, deltas, skips, ones, factors, shift)
+        return kernel(masks, codomain, deltas, skips, ones, factors, shift, *rest)
 
     monkeypatch.setattr(cohomology, "_block_pivots", checking)
-    small = [fresh(n) for n in range(5, 13)] + [[m2(14)]]
-    cold = [[from_row(row)] for row in betti_cold_rows()]
-    assert len(cold) == 14
-    for batch in small + cold:
+    for batch in read_batches():
         members[:] = [(g, differential(g)) for g in batch]
         cohomology.betti_tables(batch)
     assert len(reads) == 18790 + 109420
+
+
+def test_every_e2_column_read_equals_its_column(monkeypatch):
+    # each e^2-column's δ-part the kernel reads two degrees down, dropped by
+    # ``drop`` and placed at ``shift``, equals the part of d(e^2^x) free of
+    # e^1, built term by term from the algebra's Derivation, on the same
+    # batches, and the kernel keeps what it read; the rest of d(e^2^x) is
+    # e^1^e^2^L(x), its m0(n) column
+    kernel = cohomology._block_pivots
+    members, reads, nonzero = [], [], []
+
+    def checking(masks, codomain, deltas, skips, ones, factors, shift,
+                 twos, seconds, lift, drop):
+        row = {mask: r for r, mask in enumerate(codomain)}
+        wants = []
+        for (g, d), skip, second in zip(members, skips, seconds):
+            for r in range(ones, ones + twos):
+                if not skip >> r & 1:
+                    want = sum(1 << row[t] for t in d.apply_mask(masks[r]) if not t & 1)
+                    assert second.get(r + lift, 0) >> drop << shift == want, (g, masks[r])
+                    wants.append((g, r, want))
+                    reads.append(g)
+                    if want:
+                        nonzero.append(g)
+        found, stores = kernel(masks, codomain, deltas, skips, ones, factors, shift,
+                               twos, seconds, lift, drop)
+        # the kernel keeps the δ-part it read as the column's own
+        mine = dict(zip((g for g, _ in members), stores))
+        for g, r, want in wants:
+            assert mine[g].get(r - ones, 0) << shift == want, (g, masks[r])
+        return found, stores
+
+    monkeypatch.setattr(cohomology, "_block_pivots", checking)
+    for batch in read_batches():
+        members[:] = [(g, differential(g)) for g in batch]
+        cohomology.betti_tables(batch)
+    assert len(reads) == E2_READS_SMALL + E2_READS_COLD
+    assert len(nonzero) == E2_READS_NONZERO and m2(14) in reads and m2(14) not in nonzero
 
 
 def test_graded_tables_to_n16_are_pinned():
