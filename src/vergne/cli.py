@@ -9,10 +9,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
 import sys
+from types import MappingProxyType
+from typing import Mapping
 
 from . import classify, core, extensions
 from .cohomology import betti, betti_tables, square_failures
@@ -27,8 +30,9 @@ EXIT_IO = 3
 EXIT_INTERNAL = 4
 
 # Bound on the size of one Betti table.  A cold `betti --dim 22 --algebra m2`
-# takes 6.6-6.7 s and 104 MB, and betti(m2(23)) 24 s and 234 MB, on a 2-core
-# AMD EPYC VM with CPython 3.11.7; each further n costs about 4 times the time.
+# takes 13.9-22.7 s and 134.9-135.2 MB on a 2-core Intel Xeon VM with
+# CPython 3.11.7 (README's feasibility bound); each further n costs about
+# 4 times the time and twice the memory.
 MAX_BETTI_DIM = 22
 
 
@@ -154,13 +158,18 @@ def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
             lines.append(f"thm1 n={n} FAIL b_2 formula")
 
 
+@functools.cache
 def _partner_sweep(
     max_dim: int,
-) -> tuple[list[tuple[VergneAlgebra, ...]], dict[VergneAlgebra, VergneAlgebra]]:
+) -> tuple[tuple[tuple[VergneAlgebra, ...], ...], Mapping[VergneAlgebra, VergneAlgebra]]:
     """The enumerated algebras of each n = 5..max_dim, and their partners
-    from one sweep (``extensions.partners``) that lasts one suite."""
-    enumerated = [classify.enumerate_algebras(n) for n in range(MIN_DIMENSION, max_dim + 1)]
-    return enumerated, partners(g for algebras in enumerated for g in algebras)
+    from one sweep (``extensions.partners``); read-only.
+
+    Memoised for one ``verify`` command: ``_cmd_verify`` clears it on entry
+    and on exit, so thm2 and diagrams share one sweep and no sweep outlives
+    its command."""
+    enumerated = tuple(classify.enumerate_algebras(n) for n in range(MIN_DIMENSION, max_dim + 1))
+    return enumerated, MappingProxyType(partners(g for algebras in enumerated for g in algebras))
 
 
 def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
@@ -251,14 +260,18 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
 def _cmd_verify(args: argparse.Namespace) -> int:
     lines: list[str] = []
     failures: list[str] = []
-    if args.suite in ("thm1", "all"):
-        _verify_thm1(args.max_dim, lines, failures)
-    if args.suite in ("thm2", "all"):
-        _verify_thm2(args.max_dim, lines, failures)
-    if args.suite in ("diagrams", "all"):
-        _verify_diagrams(args.max_dim, lines, failures)
-    if args.suite == "all":
-        _verify_consistency(args.max_dim, lines, failures)
+    _partner_sweep.cache_clear()
+    try:
+        if args.suite in ("thm1", "all"):
+            _verify_thm1(args.max_dim, lines, failures)
+        if args.suite in ("thm2", "all"):
+            _verify_thm2(args.max_dim, lines, failures)
+        if args.suite in ("diagrams", "all"):
+            _verify_diagrams(args.max_dim, lines, failures)
+        if args.suite == "all":
+            _verify_consistency(args.max_dim, lines, failures)
+    finally:
+        _partner_sweep.cache_clear()
     for line in lines:
         print(line)
     if failures:

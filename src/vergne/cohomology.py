@@ -13,6 +13,7 @@ of each column that comes from m0(n)'s differential (see ``betti``).
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -72,7 +73,8 @@ class BettiTable(_Frozen):
 
         One pass over the graded entries: their sums per k must be b_k, and
         each degree m is a finite subcomplex, so sum_k (-1)^k dim H^k_m must
-        be sum_k (-1)^k |C^k_m| (the Euler characteristic)."""
+        be sum_k (-1)^k |C^k_m| (the Euler characteristic), which is read
+        off ``_chain_euler(n)``, not recounted from the buckets."""
         out = []
         n = self.n
         if self.b[0] != 1:
@@ -81,24 +83,24 @@ class BettiTable(_Frozen):
             out.append("negative Betti number")
         totals = [0] * (n + 1)
         euler: dict[int, int] = {}
-        lo = lambda k: k * (k + 1) // 2
-        hi = lambda k: k * n - k * (k - 1) // 2
         for (k, m), v in self.graded.items():
             if 0 <= k <= n:
                 totals[k] += v
-            euler[m] = euler.get(m, 0) + (-1) ** k * v
+            euler[m] = euler.get(m, 0) + (-v if k & 1 else v)
             if v < 0:
                 out.append(f"negative graded dimension at {(k, m)}")
-            if not lo(k) <= m <= hi(k):
-                out.append(f"graded degree {m} outside [{lo(k)}, {hi(k)}] for k={k}")
+            lo = k * (k + 1) // 2
+            hi = lo + k * (n - k)
+            if not lo <= m <= hi:
+                out.append(f"graded degree {m} outside [{lo}, {hi}] for k={k}")
         for k in range(n + 1):
             if totals[k] != self.b[k]:
                 out.append(f"graded sum {totals[k]} != b_{k} = {self.b[k]}")
-            for m, masks in graded_masks(n, k).items():
-                euler[m] = euler.get(m, 0) - (-1) ** k * len(masks)
+        for m, c in enumerate(_chain_euler(n)):
+            euler[m] = euler.get(m, 0) - c
         out.extend(f"Euler characteristic in degree {m} off by {e}"
                    for m, e in sorted(euler.items()) if e)
-        alternating = sum((-1) ** k * bk for k, bk in enumerate(self.b))
+        alternating = sum(-bk if k & 1 else bk for k, bk in enumerate(self.b))
         if alternating != 0:
             out.append(f"alternating sum {alternating} != 0")
         return out
@@ -121,6 +123,26 @@ class BettiTable(_Frozen):
             )
             lines.append(f"{k},{self.b[k]},{self.z[k]},{cells}")
         return "\n".join(lines) + "\n"
+
+
+@cache
+def _chain_euler(n: int) -> tuple[int, ...]:
+    """sum_k (-1)^k |C^k_m| for m = 0..n(n+1)/2: the coefficients of
+    prod_{i=1..n} (1 - q^i); computed once per n.
+
+    Proof.  C^k_m has a basis of the k-monomials e^{i_1}^...^e^{i_k} with
+    i_1 + ... + i_k = m, one for each k-subset S of {1..n} with index sum
+    m.  Expanding the product picks, from each factor (1 - q^i), either 1
+    (i not in S) or -q^i (i in S), so it is the sum over all subsets S of
+    (-1)^|S| q^(sum of S), and the coefficient of q^m is
+    sum_k (-1)^k |C^k_m|."""
+    coeffs = [1] + [0] * (n * (n + 1) // 2)
+    top = 0  # the degree of the product so far
+    for i in range(1, n + 1):
+        top += i
+        for m in range(top, i - 1, -1):
+            coeffs[m] -= coeffs[m - i]
+    return tuple(coeffs)
 
 
 def betti(g: VergneAlgebra) -> BettiTable:
@@ -441,8 +463,8 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
                         found |= 1 << (top - 1)
                         break
                     col ^= p
-        except KeyError:
-            raise _outside_codomain(mask ^ flip, mask) from None
+        except KeyError as exc:  # the missing key is the image term, of δ or of m0(n)
+            raise _outside_codomain(exc.args[0], mask) from None
         out.append(found)
         stores.append(store)
     return out, stores

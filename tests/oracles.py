@@ -45,6 +45,9 @@ cocycles by an affine solve over the whole degree-(n+1) 2-form slice with
 ``extensions.admissible_cocycles``.  ``delta_by_strip`` reads δ off the
 built differential, stripping e^1^e^{k-1} from each d(e^k), independently
 of ``cohomology._delta_terms``' read of the c-table rows.
+``violations_by_recount`` checks a Betti table's identities with the Euler
+side recounted from the graded buckets, independently of the product that
+``BettiTable.violations`` reads it from.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from vergne.cohomology import BettiTable
 from vergne.core import (
     MIN_DIMENSION,
     JacobiViolation,
@@ -507,3 +511,39 @@ def delta_by_strip(g: VergneAlgebra) -> list[tuple[int, int, int]]:
             images = images ^ {1 | low >> 1}
         terms += [(low | t, low, low ^ t) for t in images]
     return terms
+
+
+def violations_by_recount(table: BettiTable) -> list[str]:
+    """``BettiTable.violations`` with the Euler side recounted from the
+    graded buckets: sum_k (-1)^k |C^k_m| as the signed sizes of the
+    ``graded_masks(n, k)[m]``, independently of the product read off
+    ``cohomology._chain_euler``."""
+    out = []
+    n = table.n
+    if table.b[0] != 1:
+        out.append(f"b_0 = {table.b[0]} != 1")
+    if any(v < 0 for v in table.b):
+        out.append("negative Betti number")
+    totals = [0] * (n + 1)
+    euler: dict[int, int] = {}
+    lo = lambda k: k * (k + 1) // 2
+    hi = lambda k: k * n - k * (k - 1) // 2
+    for (k, m), v in table.graded.items():
+        if 0 <= k <= n:
+            totals[k] += v
+        euler[m] = euler.get(m, 0) + (-1) ** k * v
+        if v < 0:
+            out.append(f"negative graded dimension at {(k, m)}")
+        if not lo(k) <= m <= hi(k):
+            out.append(f"graded degree {m} outside [{lo(k)}, {hi(k)}] for k={k}")
+    for k in range(n + 1):
+        if totals[k] != table.b[k]:
+            out.append(f"graded sum {totals[k]} != b_{k} = {table.b[k]}")
+        for m, masks in graded_masks(n, k).items():
+            euler[m] = euler.get(m, 0) - (-1) ** k * len(masks)
+    out.extend(f"Euler characteristic in degree {m} off by {e}"
+               for m, e in sorted(euler.items()) if e)
+    alternating = sum((-1) ** k * bk for k, bk in enumerate(table.b))
+    if alternating != 0:
+        out.append(f"alternating sum {alternating} != 0")
+    return out

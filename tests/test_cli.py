@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -482,9 +483,10 @@ def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
 
 
 def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
-    # thm2 and diagrams each extend every enumerated algebra of n = 6..12
-    # once from its truncation's partner: 2 * 42 extensions, where one
-    # partner call per algebra and per partner rebuilt whole chains (618)
+    # thm2 and diagrams share one sweep per command, which extends every
+    # enumerated algebra of n = 6..12 once from its truncation's partner:
+    # 42 extensions, where a sweep per suite made 84 and one partner call
+    # per algebra and per partner rebuilt whole chains (618)
     for n in range(5, 13):
         classify.enumerate_algebras(n)
     calls = []
@@ -497,7 +499,48 @@ def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
     monkeypatch.setattr(extensions, "central_extension", counting)
     code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
     assert code == 0
-    assert len(calls) <= 84
+    assert len(calls) <= 42
+
+
+def test_each_verify_command_builds_its_own_sweep(capsys, monkeypatch):
+    # a sweep lasts one command: a second command in the same process, with
+    # other partners, prints its own lines, and a third its own again
+    def diagram_lines():
+        code, out, _ = run(capsys, "verify", "--suite", "diagrams", "--max-dim", "6")
+        return code, [line for line in out.splitlines() if line.startswith("diagrams ")]
+
+    real = cli.partners
+    code, sound = diagram_lines()
+    assert code == 0 and len(sound) == 6 and all(line.endswith(" ok") for line in sound)
+    monkeypatch.setattr(cli, "partners", lambda family: {g: g for g in family})
+    code, selfish = diagram_lines()
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert selfish[::3] == sound[::3]  # the m0(n) ~ m2(n) pairs take no partner
+    assert all(" FAIL at k=[2" in line for i, line in enumerate(selfish) if i % 3)
+    monkeypatch.setattr(cli, "partners", real)
+    assert diagram_lines() == (0, sound)
+
+
+def test_no_sweep_outlives_its_command(capsys, monkeypatch):
+    # the sweep is read-only, held while the suites run, and dropped when
+    # the command returns, also when a suite raises
+    enumerated, mate = cli._partner_sweep(6)
+    assert type(enumerated) is tuple and all(type(level) is tuple for level in enumerated)
+    assert isinstance(mate, MappingProxyType)
+    code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "6")
+    assert code == 0
+    assert cli._partner_sweep.cache_info().currsize == 0
+    held = []
+
+    def failing(max_dim, lines, failures):
+        held.append(cli._partner_sweep.cache_info().currsize)
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setattr(cli, "_verify_consistency", failing)
+    code, _, err = run(capsys, "verify", "--suite", "all", "--max-dim", "6")
+    assert (code, err) == (cli.EXIT_INTERNAL, "internal error: RuntimeError: suite failed\n")
+    assert held == [1]
+    assert cli._partner_sweep.cache_info().currsize == 0
 
 
 def test_verify_suites_alone_print_their_lines_within_all(capsys):

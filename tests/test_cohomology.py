@@ -27,6 +27,7 @@ from oracles import (
     commuting_square_holds,
     delta_by_strip,
     rank_naive,
+    violations_by_recount,
 )
 
 BETTI_POOL = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "betti_pool.json"
@@ -201,6 +202,18 @@ def test_batch_oracles_see_a_dropped_m0_term(monkeypatch):
     bad = [what for n in range(5, 9) for _, what in batch_disagreements(n)[0]]
     assert "cone" in bad and "table" in bad
     assert any(isinstance(what, tuple) for what in bad)
+
+
+def test_block_pivots_names_a_missing_m0_term():
+    # a miss in the m0(n) lookup names the m0(n) term: e^1^e^3 = e^1^L(e^4)
+    # with no δ term run, and e^1^e^4 = e^1^L(e^5) after the δ term e^2^e^3
+    # of e^5 found its position
+    kernel = cohomology._block_pivots
+    with pytest.raises(ImageOutsideCodomain, match="image term e1\\^e3 of e4 not"):
+        kernel(graded_masks(5, 1)[4], (), [[]], [0], 0, [{}], 0, 0, [{}], 0, 0)
+    e5, e2e3 = 0b10000, 0b110
+    with pytest.raises(ImageOutsideCodomain, match="image term e1\\^e4 of e5 not"):
+        kernel([e5], [e2e3], [[(e5 | e2e3, e5, e5 ^ e2e3)]], [0], 0, [{}], 0, 0, [{}], 0, 0)
 
 
 def test_block_pivots_image_outside_codomain():
@@ -604,19 +617,71 @@ def test_euler_identity_names_a_moved_degree():
             for d, e in ((m, -(-1) ** k), (to, (-1) ** k))), (k, m, to)
 
 
-def test_graded_table_without_the_exact_part_is_caught():
-    # entries |C^k_m| - rank(k, m), dim Z^k_m, miss the rank(k-1, m) term
-    g = m2(7)
-    d, table = differential(g), betti(g)
+def _without_the_exact_part(g):
+    """g's table with entries |C^k_m| - rank(k, m), dim Z^k_m, which miss
+    the rank(k-1, m) term."""
+    n, d, table = g.n, differential(g), betti(g)
     cocycles = {}
-    for k in range(8):
-        for m in graded_masks(7, k):
-            columns = matrix_of(d, monomials(7, k, m), monomials(7, k + 1, m))
+    for k in range(n + 1):
+        for m in graded_masks(n, k):
+            columns = matrix_of(d, monomials(n, k, m), monomials(n, k + 1, m))
             if z := len(columns) - rank_naive(columns):
                 cocycles[(k, m)] = z
-    bad = cohomology.BettiTable(7, table.b, cocycles, table.z).violations()
+    return cohomology.BettiTable(n, table.b, cocycles, table.z)
+
+
+def test_graded_table_without_the_exact_part_is_caught():
+    bad = _without_the_exact_part(m2(7)).violations()
     assert any(v.startswith("graded sum ") for v in bad)
     assert any(v.startswith("Euler characteristic in degree ") for v in bad)
+
+
+def test_chain_euler_is_the_signed_bucket_count():
+    # prod (1 - q^i) counts the k-subsets of {1..n} by index sum, signed by k
+    for n in range(1, 17):
+        chain = cohomology._chain_euler(n)
+        assert type(chain) is tuple and len(chain) == n * (n + 1) // 2 + 1
+        recount = [0] * len(chain)
+        for k in range(n + 1):
+            for m, masks in graded_masks(n, k).items():
+                recount[m] += (-1) ** k * len(masks)
+        assert list(chain) == recount, n
+        assert cohomology._chain_euler(n) is chain  # built once per n
+
+
+def _changed(table, rng):
+    """``table`` with one to three seeded changes to its graded entries and
+    its b: a value moved, an entry added (its k or m possibly out of range,
+    its value possibly negative), an entry dropped, or a b_k moved."""
+    n = table.n
+    graded, b = dict(table.graded), list(table.b)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            km = rng.choice(sorted(graded))
+            graded[km] += rng.choice((-2, -1, 1))
+        elif kind == 1:
+            km = rng.randint(0, n + 1), rng.randint(-1, n * (n + 1) // 2 + 1)
+            graded[km] = graded.get(km, 0) + rng.choice((-1, 1, 2))
+        elif kind == 2:
+            del graded[rng.choice(sorted(graded))]
+        else:
+            b[rng.randrange(n + 1)] += rng.choice((-2, -1, 1))
+    return cohomology.BettiTable(n, b, graded, table.z)
+
+
+def test_violations_match_the_bucket_recount():
+    # the Euler side read off prod (1 - q^i) gives the messages, in their
+    # order, that recounting the buckets gives: on sound tables, on the
+    # corrupted tables of the tests above, and on seeded random changes
+    sound = [betti(g) for n in range(5, 13) for g in enumerate_algebras(n)]
+    moved = [_moved_unit(betti(m0(6)), k, m, to) for k, m, to in ((1, 1, 3), (3, 9, 12), (4, 16, 14))]
+    rng = random.Random(33)
+    changed = [_changed(rng.choice(sound[:20]), rng) for _ in range(300)]
+    for table in sound + moved + [_without_the_exact_part(m2(7))] + changed:
+        assert table.violations() == violations_by_recount(table), table
+    assert all(not table.violations() for table in sound)
+    assert sum(bool(table.violations()) for table in changed) > 250
 
 
 def test_b2_on_other_algebras_is_reported_not_assumed():
