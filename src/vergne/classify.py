@@ -13,8 +13,17 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .cohomology import betti_tables
-from .core import MIN_DIMENSION, RowVector, VergneAlgebra, _check_dimension, _m2_rows, m0, m2
-from .extensions import admissible_cocycles, central_extension
+from .core import (
+    MIN_DIMENSION,
+    RowVector,
+    VergneAlgebra,
+    _check_dimension,
+    _m2_rows,
+    _store,
+    m0,
+    m2,
+)
+from .extensions import admissible_cocycles
 
 __all__ = [
     "ExtensionTree",
@@ -64,17 +73,26 @@ _LABELS: dict[tuple[int, tuple[int, ...]], str] = {
 def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
     """All Vergne-type algebras of dimension n, rows ascending.
 
-    The two models at dimension 5; above it, every algebra of dimension
-    n-1 extended by each of its admissible cocycles.
+    The two models at dimension 5; above it, every algebra g of dimension
+    n-1 extended by each of its admissible cocycles omega.  Each child is
+    stored by proof, with no second validation: g is held, hence valid, and
+    ``admissible_cocycles`` keeps omega only when d_g(omega) = 0, which is
+    all that ``core._store`` needs.  Its rows are g's, with bit n-i of row
+    i set for each term e^i^e^{n-i} of omega other than e^1^e^{n-1}, as
+    ``central_extension`` would set them.
     """
     _check_dimension(n)
     if n == MIN_DIMENSION:
         return (m0(n), m2(n))
-    level = [
-        central_extension(g, omega)
-        for g in enumerate_algebras(n - 1)
-        for omega in admissible_cocycles(g)
-    ]
+    level = []
+    for g in enumerate_algebras(n - 1):
+        for omega in admissible_cocycles(g):
+            rows = [*g.rows, 0]
+            for mask in omega.terms:
+                i = (mask & -mask).bit_length()
+                if i > 1:
+                    rows[i] |= 1 << (n - i)
+            level.append(_store(n, rows))
     return tuple(sorted(level, key=lambda g: g.row().bits))
 
 

@@ -20,7 +20,6 @@ from .core import (
     VergneAlgebra,
     _from_rows,
     _image,
-    differential,
     involution,
     m0,
     m2,
@@ -117,25 +116,69 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
 
     The candidates are omega_x = e^1^e^n + sum of x_i e^i^e^{n+1-i} over
     2 <= i <= n/2, with x_2 = x and x_{i+1} = x_i + c_{i,n-i} (bit n-i of
-    ``g.rows[i]``), for x = 0, 1.  Each is kept when the whole of
-    d(omega_x) vanishes; the kept forms are sorted by index tuples.
+    ``g.rows[i]``), for x = 0, 1.  Each is kept when d_g(omega_x) vanishes,
+    read off ``g.rows`` as below, with no Derivation built; the kept forms
+    are sorted by index tuples.
 
-    No cocycle is missed.  For 2 <= i < n/2 the coefficient of
-    e^1^e^i^e^{n-i} in d(omega) is x_i + x_{i+1} + c_{i,n-i}: c_{i,n-i}
-    from e^1^d(e^n), x_i and x_{i+1} from the e^1 parts of d(e^{n+1-i})
-    and d(e^{i+1}), with x_{(n+1)/2} = 0 for odd n (the diagonal).  So
-    d(omega) = 0 fixes omega from x_2 alone.
+    d_g(omega) is a 3-form of degree n+1: Leibniz takes each term e^s^e^t
+    of omega to d(e^s)^e^t + e^s^d(e^t), where d(e^1) = d(e^2) = 0 and
+    d(e^k) = e^1^e^{k-1} + the c_{p,q} e^p^e^q with p < q, p + q = k.
+
+    *Terms with e^1.*  For 2 <= b < n/2 the coefficient of e^1^e^b^e^{n-b}
+    is x_b + x_{b+1} + c_{b,n-b}: c_{b,n-b} from e^1^d(e^n), x_b and x_{b+1}
+    from the e^1 parts of d(e^{n+1-b}) and d(e^{b+1}), with x_{(n+1)/2} = 0
+    for odd n, since there is no e^i^e^i.  The recurrence zeroes each of
+    them except, for odd n, the last: there the recurrence's last value
+    x_{(n+1)/2} must be 0 (the diagonal).  So d(omega) = 0 fixes omega from
+    x_2 alone, and no cocycle is missed.
+
+    *The other terms* are e^a^e^b^e^c with 2 <= a < b < c and a + b + c =
+    n + 1.  Write x(s, t) = x_{min(s,t)} for s + t = n + 1, the coefficient
+    of e^s^e^t in omega, and 0 when s = t.  Such a term comes from the term
+    of omega that holds one of its indices t, with the other two p, q from
+    c_{p,q} e^p^e^q in d(e^{n+1-t}), so its coefficient is
+
+        x(a+b, c) c_{a,b} + x(a+c, b) c_{a,c} + x(b+c, a) c_{b,c}.
+
+    *Read for all b of one a at once.*  Let y have bit t = x(n+1-t, t) for
+    2 <= t <= n-1.  Fix a and s = n + 1 - a; its terms are the b with
+    a < b < s - b, and c = s - b.  Bit b of
+
+        (rows[a] & y >> a) ^ (mirror & y) ^ (anti if bit a of y else 0)
+
+    is that coefficient, product by product.  Bit b of y >> a is y_{a+b} =
+    x(c, a+b).  Bit b of mirror is c_{a,c}, as mirror is rows[a] reversed
+    about s, and y_b = x(a+c, b).  Bit b of anti is c_{b,c}, as anti is the
+    anti-diagonal s (bit j is c_{j,s-j}, symmetric, 0 at j = s/2), and
+    y_a = x(b+c, a).  Each anti-diagonal comes from the one above it.  A
+    held g satisfies the completion identities c_{i,j} + c_{i,j+1} +
+    c_{i+1,j} = 0 for i, j >= 2 and i + j < n (c symmetric, c_{i,i} = 0;
+    the e^1^e^i^e^j coefficients of d(d(e^{i+j+1}))).  With j = s-1-i they
+    give anti_{s-1} = anti_s ^ anti_s >> 1 on bits 2..s-3, down from
+    anti_n, whose bits c_{i,n-i} the recurrence reads.  A term needs
+    a < b < c, so only the a with 3a + 3 <= n + 1 have one.
     """
     n, rows = g.n, g.rows
-    d = differential(g)
+    steps = [rows[i] >> (n - i) & 1 for i in range(2, n // 2 + 1)]  # c_{i,n-i}
+    anti = sum([c << i | c << (n - i) for i, c in enumerate(steps, 2)])
+    reads = []  # per a: rows[a], mirror, anti-diagonal s, the window a < b < s - b
+    for a in range(2, (n + 1) // 3):
+        s = n + 1 - a
+        anti = (anti ^ anti >> 1) & ((1 << (s - 1)) - 4)
+        mirror = int(f"{rows[a]:0{s + 1}b}"[::-1], 2)
+        reads.append((a, rows[a], mirror, anti, (1 << (s + 1) // 2) - (1 << (a + 1))))
     forms = []
     for x in (0, 1):
         terms = [_leading_mask(n)]
-        for i in range(2, n // 2 + 1):
+        for i, c in enumerate(steps, 2):
             if x:
                 terms.append(1 << (i - 1) | 1 << (n - i))
-            x ^= rows[i] >> (n - i) & 1
-        if not d.apply_masks(terms):
+            x ^= c
+        if n & 1 and x:  # the diagonal
+            continue
+        y = sum(terms[1:]) << 1  # e^i^e^{n+1-i} sets bits i-1 and n-i
+        if not any(((row & y >> a) ^ (mirror & y) ^ (anti if y >> a & 1 else 0)) & window
+                   for a, row, mirror, anti, window in reads):
             forms.append(Form(n, terms))
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms

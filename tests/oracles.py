@@ -42,7 +42,11 @@ with ``helpers.wedge``, independently of the mask-level Leibniz loop in
 ``Derivation.apply_masks``.  ``admissible_by_solve`` finds the admissible
 cocycles by an affine solve over the whole degree-(n+1) 2-form slice with
 ``gf2.solve_affine``, independently of the free-bit recurrence in
-``extensions.admissible_cocycles``.  ``delta_by_strip`` reads δ off the
+``extensions.admissible_cocycles``, and ``admissible_by_expansion`` keeps
+each of the two free-bit candidates of ``cocycle_candidates`` whose
+d_g(omega) vanishes under the built differential's ``apply_masks``,
+independently of ``admissible_cocycles``' read of d_g(omega) off the rows.
+``delta_by_strip`` reads δ off the
 built differential, stripping e^1^e^{k-1} from each d(e^k), independently
 of ``cohomology._delta_terms``' read of the c-table rows.
 ``violations_by_recount`` checks a Betti table's identities with the Euler
@@ -494,6 +498,33 @@ def admissible_by_solve(g: VergneAlgebra) -> list[Form]:
         coset += [x ^ v for x in coset]
     forms = [Form(n, [lead] + [mask for idx, mask in enumerate(others) if x >> idx & 1])
              for x in coset]
+    forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
+    return forms
+
+
+def cocycle_candidates(g: VergneAlgebra) -> list[Form]:
+    """omega_0 and omega_1, the two forms e^1^e^n + sum of x_i e^i^e^{n+1-i}
+    over 2 <= i <= n/2 with x_2 = x and x_{i+1} = x_i + c_{i,n-i}, read pair
+    by pair with ``structure_constant``; cocycles or not."""
+    n = g.n
+    candidates = []
+    for x in (0, 1):
+        terms = [1 | 1 << (n - 1)]
+        for i in range(2, n // 2 + 1):
+            if x:
+                terms.append(1 << (i - 1) | 1 << (n - i))
+            x ^= g.structure_constant(i, n - i)
+        candidates.append(Form(n, terms))
+    return candidates
+
+
+def admissible_by_expansion(g: VergneAlgebra) -> list[Form]:
+    """The candidates whose whole d_g(omega) vanishes, expanded by Leibniz
+    through ``differential(g).apply_masks``, sorted by index tuples: the
+    check ``extensions.admissible_cocycles`` made before it read d_g(omega)
+    off the rows."""
+    d = differential(g)
+    forms = [omega for omega in cocycle_candidates(g) if not d.apply_masks(omega.terms)]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
 

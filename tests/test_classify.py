@@ -1,10 +1,14 @@
 """Enumeration, labels, extension tree, DOT output."""
 
+import ast
+import hashlib
+from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from vergne import core
+from vergne import classify, core
 from vergne.classify import (
     _LABELS,
     dimension_json_dict,
@@ -22,6 +26,14 @@ from helpers import parse_dot
 from oracles import enumerate_rows
 
 COUNTS = {5: 2, 6: 2, 7: 4, 8: 4, 9: 6, 10: 6, 11: 10, 12: 10}
+
+# The number of algebras at each n = 5..64, and the digest of every one of
+# them as repr([(g.n, g.rows), ...]) in enumeration order.
+COUNTS_TO_64 = (2, 2, 4, 4, 6, 6, 10, 10, 16, 14, 20, 18, 26, 20, 32, 28, 36, 32, 44, 40,
+                56, 46, 56, 54, 74, 60, 82, 64, 84, 68, 86, 74, 100, 84, 106, 92, 114, 98,
+                126, 104, 126, 112, 138, 122, 156, 134, 152, 140, 170, 142, 172, 152, 194,
+                176, 188, 170, 222, 196, 232, 184)
+ROWS_TO_64 = "b818d95463b533a5ee1b59debd2a8d10227394d12bdab636f90c207ab994a437"
 
 
 def rows_of(algebras):
@@ -53,6 +65,46 @@ def test_enumerate_dimension_seven_against_brute_force():
 def test_enumerate_counts():
     for n, count in COUNTS.items():
         assert len(enumerate_algebras(n)) == count, n
+    family = [g for n in range(5, 65) for g in enumerate_algebras(n)]
+    assert tuple(len(enumerate_algebras(n)) for n in range(5, 65)) == COUNTS_TO_64
+    assert len(family) == sum(COUNTS_TO_64) == 5276
+    digest = hashlib.sha256(repr([(g.n, g.rows) for g in family]).encode()).hexdigest()
+    assert digest == ROWS_TO_64
+
+
+def test_every_enumerated_algebra_passes_full_validation():
+    # oracle for the unchecked store: every child with n <= 40, rebuilt
+    # through the full d(d(e^k)) = 0 validation, has the same rows
+    checked = 0
+    for n in range(5, 41):
+        for g in enumerate_algebras(n):
+            assert core._from_rows(g.n, g.rows).rows == g.rows, g
+            checked += 1
+    assert checked == 1556
+
+
+def test_enumeration_stores_its_children_without_validating_them(monkeypatch):
+    # a fresh cache for the search, so it really runs (the monkeypatch puts
+    # the cached one back): n = 6..20 store 216 children, with no _fill call
+    want = enumerate_algebras(20)
+    fresh = lru_cache(maxsize=None, typed=True)(classify.enumerate_algebras.__wrapped__)
+    monkeypatch.setattr(classify, "enumerate_algebras", fresh)
+    fresh(5)
+    fills, stores = [], []
+    fill, store = core._fill, classify._store
+    monkeypatch.setattr(core, "_fill", lambda g, n, rows: fills.append(n) or fill(g, n, rows))
+    monkeypatch.setattr(classify, "_store", lambda n, rows: stores.append(n) or store(n, rows))
+    assert fresh(20) == want
+    assert fills == [] and len(stores) == sum(COUNTS_TO_64[1:16]) == 216
+
+
+def test_the_unchecked_store_has_one_caller():
+    src = Path(core.__file__).parent
+    callers = {(path.name, fn.name) for path in sorted(src.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "_store"}
+    assert callers == {("classify.py", "enumerate_algebras")}
 
 
 def test_enumerate_contains_models():

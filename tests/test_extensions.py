@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import exterior, extensions
+from vergne import exterior
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import betti
 from vergne.core import differential, from_row, m0, m2
@@ -26,9 +26,12 @@ from vergne.extensions import (
     reduce,
 )
 
+import oracles
 from helpers import count_reduce_calls, parse_form, rebuilds
 from oracles import (
+    admissible_by_expansion,
     admissible_by_solve,
+    cocycle_candidates,
     codim1_abelian_ideal_brute,
     decompose_by_reduce,
     partner_by_decomposition,
@@ -164,15 +167,48 @@ def test_admissible_cocycles_m0_6():
     assert set(got) == set(brute_force_admissible(m0(6)))
 
 
-def test_degree_breaking_differential_is_refused_by_admissible_cocycles(monkeypatch):
+def test_degree_breaking_differential_is_refused_by_the_expansion_oracle(monkeypatch):
     # a Leibniz term of the wrong degree is a nonzero term of d(omega), so the
     # full expansion refuses each candidate that reaches it and raises nothing;
     # e1^e6 holds no e^4, so the bad image of e^4 never reaches it
     images = dict(differential(m0(6)).images)
     for i, bad, kept in ((6, "e2^e3", []), (4, "e1^e2", ["e1^e6"])):
         op = exterior.Derivation(6, {**images, i: images[i] | parse_form(bad, 6).terms})
-        monkeypatch.setattr(extensions, "differential", lambda g: op)
-        assert [str(w) for w in admissible_cocycles(m0(6))] == kept
+        monkeypatch.setattr(oracles, "differential", lambda g: op)
+        assert [str(w) for w in admissible_by_expansion(m0(6))] == kept
+
+
+def test_admissible_cocycles_build_no_derivation(monkeypatch):
+    # d_g(omega) is read off g.rows, so the search never builds a differential
+    def no_build(self, *args):
+        raise AssertionError("Derivation built")
+
+    family = [g for n in range(5, 21) for g in enumerate_algebras(n)]
+    children = sum(len(enumerate_algebras(n)) for n in range(6, 22))
+    monkeypatch.setattr(exterior.Derivation, "__init__", no_build)
+    assert sum(len(admissible_cocycles(g)) for g in family) == children == 252
+
+
+def test_each_candidate_is_kept_exactly_when_its_extension_validates():
+    # the read of d_g(omega) against the extension's own full validation: on
+    # every algebra with n <= 40, each free-bit candidate is kept exactly when
+    # central_extension accepts it, and is otherwise refused as NotACocycle
+    kept = refused = 0
+    for n in range(5, 41):
+        children = set(enumerate_algebras(n + 1))
+        for g in enumerate_algebras(n):
+            admissible = admissible_cocycles(g)
+            for omega in cocycle_candidates(g):
+                if omega in admissible:
+                    assert central_extension(g, omega) in children, (g, omega)
+                    kept += 1
+                    continue
+                with pytest.raises(NotACocycle) as info:
+                    central_extension(g, omega)
+                assert str(info.value) == f"d({omega}) != 0"
+                refused += 1
+    assert kept == sum(len(enumerate_algebras(n)) for n in range(6, 42))
+    assert kept + refused == 2 * 1556
 
 
 def test_admissible_cocycles_m0_8():
@@ -189,11 +225,12 @@ def test_admissible_cocycles_match_brute_force():
 
 
 def test_admissible_cocycles_equal_the_affine_solve():
-    # the same forms in the same order as the solve over the whole slice,
-    # also at the representation limit, where no child row would fit
+    # the same forms in the same order as the solve over the whole slice and
+    # as the Leibniz expansion of each candidate, also at the representation
+    # limit, where no child row would fit
     family = [g for n in range(5, 41) for g in enumerate_algebras(n)] + [m0(64), m2(64)]
     for g in family:
-        assert admissible_cocycles(g) == admissible_by_solve(g), g
+        assert admissible_cocycles(g) == admissible_by_solve(g) == admissible_by_expansion(g), g
     assert len(family) == 1558
     assert [len(admissible_cocycles(g)) for g in family[-2:]] == [2, 2]
 
