@@ -2,8 +2,9 @@
 
 Every algebra of dimension n > 5 is a one-step central extension of its
 truncation, so enumeration is a forward search: start from the two
-dimension-5 models and extend every algebra of dimension n-1 by each of
-its admissible cocycles.  The brute-force walk over all 2^(n-4) e_2 rows
+dimension-5 models and collect the children of every algebra of
+dimension n-1, which ``extensions._children`` builds, checks and stores
+with no second validation.  The brute-force walk over all 2^(n-4) e_2 rows
 lives in the tests as an oracle for this search.
 """
 
@@ -19,11 +20,10 @@ from .core import (
     VergneAlgebra,
     _check_dimension,
     _m2_rows,
-    _store,
     m0,
     m2,
 )
-from .extensions import admissible_cocycles
+from .extensions import _children
 
 __all__ = [
     "ExtensionTree",
@@ -73,27 +73,15 @@ _LABELS: dict[tuple[int, tuple[int, ...]], str] = {
 def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
     """All Vergne-type algebras of dimension n, rows ascending.
 
-    The two models at dimension 5; above it, every algebra g of dimension
-    n-1 extended by each of its admissible cocycles omega.  Each child is
-    stored by proof, with no second validation: g is held, hence valid, and
-    ``admissible_cocycles`` keeps omega only when d_g(omega) = 0, which is
-    all that ``core._store`` needs.  Its rows are g's, with bit n-i of row
-    i set for each term e^i^e^{n-i} of omega other than e^1^e^{n-1}, as
-    ``central_extension`` would set them.
+    The two models at dimension 5; above it, the children of every
+    algebra of dimension n-1, as ``extensions._children`` builds, checks
+    and stores them, sorted by e_2 row.
     """
     _check_dimension(n)
     if n == MIN_DIMENSION:
         return (m0(n), m2(n))
-    level = []
-    for g in enumerate_algebras(n - 1):
-        for omega in admissible_cocycles(g):
-            rows = [*g.rows, 0]
-            for mask in omega.terms:
-                i = (mask & -mask).bit_length()
-                if i > 1:
-                    rows[i] |= 1 << (n - i)
-            level.append(_store(n, rows))
-    return tuple(sorted(level, key=lambda g: g.row().bits))
+    level = [h for g in enumerate_algebras(n - 1) for h in _children(g)]
+    return tuple(sorted(level, key=lambda h: h.row().bits))
 
 
 # Former name of the forward search, kept while perfbench/ calls it (ROADMAP item 1).

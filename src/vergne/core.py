@@ -177,7 +177,10 @@ class VergneAlgebra(_Frozen):
     the same check with no copy of the image.  A failure reports the
     lexicographically smallest nonzero term of d(d(e^k)) over all k, which
     is the first failing constraint in the order completion identities,
-    then cyclic triples.
+    then cyclic triples.  Before that check, the pairs constructor refuses
+    a pair that is not two indices (ValueError), an index that is not
+    exactly an int, bool and ``IntEnum`` members included (TypeError), and
+    a pair out of range (ValueError).
     """
 
     __slots__ = ("n", "rows", "_betti", "_row")
@@ -185,7 +188,15 @@ class VergneAlgebra(_Frozen):
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         _check_dimension(n)
         rows = [0] * (n + 1)
-        for i, j in pairs:
+        for pair in pairs:
+            try:
+                i, j = pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"structure constant pair must be two indices, got {pair!r}") from None
+            for x in (i, j):
+                if type(x) is not int:
+                    raise TypeError(f"structure constant index must be an int, got {x!r}")
             if i > j:
                 i, j = j, i
             if not (2 <= i < j and i + j <= n):
@@ -251,6 +262,13 @@ def _fill(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
     bad = d.apply_masks([t for image in d._table.values() for t in image])
     if bad:
         raise _violation(min(bad, key=_indices))
+    return _set_slots(g, n, rows)
+
+
+def _set_slots(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
+    """Set every slot of g: n, the rows as a tuple, and the empty caches.
+    The one initializer, which ``_fill`` and ``_store`` both call, so a new
+    slot is given its first value here."""
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", tuple(rows))
     object.__setattr__(g, "_betti", None)
@@ -262,20 +280,15 @@ def _store(n: int, rows: Sequence[int]) -> VergneAlgebra:
     """The algebra of a c-table proven valid, stored with no check.
 
     ``rows`` is in the form ``_fill`` states.  The one caller is
-    ``classify.enumerate_algebras``, which stores the extension of a held
-    g by a 2-form omega that ``extensions.admissible_cocycles`` has just
-    kept, that is with d_g(omega) = 0.  Proof that the table is valid.
-    The extension's d equals g's on e^1..e^n, and g is valid (every held
-    instance is), so d(d(e^k)) = 0 at every k <= n.  It sends e^{n+1} to
-    omega, so d(d(e^{n+1})) = d_g(omega) = 0.  That is the whole check
-    ``_fill`` makes, which ``extensions.central_extension`` still runs.
+    ``extensions._children``, which stores the extension of a held g by a
+    2-form omega only once it has read d_g(omega) = 0 off g's rows.  Proof
+    that the table is valid.  The extension's d equals g's on e^1..e^n,
+    and g is valid (every held instance is), so d(d(e^k)) = 0 at every
+    k <= n.  It sends e^{n+1} to omega, so d(d(e^{n+1})) = d_g(omega) = 0.
+    That is the whole check ``_fill`` makes, which
+    ``extensions.central_extension`` still runs.
     """
-    g = VergneAlgebra.__new__(VergneAlgebra)
-    object.__setattr__(g, "n", n)
-    object.__setattr__(g, "rows", tuple(rows))
-    object.__setattr__(g, "_betti", None)
-    object.__setattr__(g, "_row", None)
-    return g
+    return _set_slots(VergneAlgebra.__new__(VergneAlgebra), n, rows)
 
 
 def _from_rows(n: int, rows: Sequence[int]) -> VergneAlgebra:

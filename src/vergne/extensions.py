@@ -20,6 +20,7 @@ from .core import (
     VergneAlgebra,
     _from_rows,
     _image,
+    _store,
     involution,
     m0,
     m2,
@@ -72,10 +73,6 @@ class Decomposition(NamedTuple):
     steps: tuple[ExtensionStep, ...]
 
 
-def _leading_mask(n: int) -> int:
-    return 1 | (1 << (n - 1))  # e^1 ^ e^n
-
-
 def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     """The (n+1)-dimensional extension of g along omega.
 
@@ -93,7 +90,7 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     n = g.n
     if omega.ambient != n:
         raise AmbientMismatch(f"cocycle ambient {omega.ambient} != {n}")
-    if _leading_mask(n) not in omega.terms:
+    if 1 | 1 << (n - 1) not in omega.terms:  # e^1 ^ e^n
         raise MissingLeadingTerm("cocycle has no e^1^e^n component")
     rows = [*g.rows, 0]
     for mask in omega.terms:
@@ -111,14 +108,20 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
         raise NotACocycle(f"d({omega}) != 0") from None
 
 
-def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
-    """Every homogeneous degree-(n+1) 2-cocycle with the e^1^e^n term.
+def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
+    """The extensions of g by its admissible cocycles, each stored through
+    ``core._store`` with no second validation.
 
     The candidates are omega_x = e^1^e^n + sum of x_i e^i^e^{n+1-i} over
     2 <= i <= n/2, with x_2 = x and x_{i+1} = x_i + c_{i,n-i} (bit n-i of
-    ``g.rows[i]``), for x = 0, 1.  Each is kept when d_g(omega_x) vanishes,
-    read off ``g.rows`` as below, with no Derivation built; the kept forms
-    are sorted by index tuples.
+    ``g.rows[i]``), for x = 0, 1.  The child of omega_x has g's rows with
+    bit n+1-i of row i set for each x_i = 1, as ``central_extension`` sets
+    them, so its c_{s,t} with s + t = n + 1 are the coefficients of omega.
+    It is kept when d_g(omega_x) vanishes, read off ``g.rows`` as below,
+    with no Derivation or Form built, and then stored, since d_g(omega) = 0
+    is all that ``core._store`` needs.  At n = 64 the children have the
+    dimension 65, past ``MAX_AMBIENT``; only ``admissible_cocycles`` asks
+    for them there, and it reads nothing but their rows.
 
     d_g(omega) is a 3-form of degree n+1: Leibniz takes each term e^s^e^t
     of omega to d(e^s)^e^t + e^s^d(e^t), where d(e^1) = d(e^2) = 0 and
@@ -138,48 +141,73 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     of omega that holds one of its indices t, with the other two p, q from
     c_{p,q} e^p^e^q in d(e^{n+1-t}), so its coefficient is
 
-        x(a+b, c) c_{a,b} + x(a+c, b) c_{a,c} + x(b+c, a) c_{b,c}.
+        J(a, b, c) = x(a+b, c) c_{a,b} + x(a+c, b) c_{a,c} + x(b+c, a) c_{b,c},
 
-    *Read for all b of one a at once.*  Let y have bit t = x(n+1-t, t) for
-    2 <= t <= n-1.  Fix a and s = n + 1 - a; its terms are the b with
-    a < b < s - b, and c = s - b.  Bit b of
+    the child's Jacobi sum of (a, b, c).
 
-        (rows[a] & y >> a) ^ (mirror & y) ^ (anti if bit a of y else 0)
+    *a = 2 decides them.*  Once the e^1-terms vanish, the child satisfies
+    c_{i,j} = c_{i+1,j} + c_{i,j+1} for all i, j >= 2 with i + j <= n: at
+    i + j < n these are g's completion identities (the e^1^e^i^e^j
+    coefficients of d(d(e^{i+j+1}))), and at i + j = n they are the
+    e^1-terms of d_g(omega).  So ad e_1 is a derivation on every bracket
+    [e_i, e_j] with i, j >= 2 and i + j <= n.  For 2 <= a < b < c with
+    a + b + c = n, J(a, b, c) = 0 in g, hence in the child, and applying
+    ad e_1 to it, [e_1, e_k] = e_{k+1}, gives
 
-    is that coefficient, product by product.  Bit b of y >> a is y_{a+b} =
-    x(c, a+b).  Bit b of mirror is c_{a,c}, as mirror is rows[a] reversed
-    about s, and y_b = x(a+c, b).  Bit b of anti is c_{b,c}, as anti is the
-    anti-diagonal s (bit j is c_{j,s-j}, symmetric, 0 at j = s/2), and
-    y_a = x(b+c, a).  Each anti-diagonal comes from the one above it.  A
-    held g satisfies the completion identities c_{i,j} + c_{i,j+1} +
-    c_{i+1,j} = 0 for i, j >= 2 and i + j < n (c symmetric, c_{i,i} = 0;
-    the e^1^e^i^e^j coefficients of d(d(e^{i+j+1}))).  With j = s-1-i they
-    give anti_{s-1} = anti_s ^ anti_s >> 1 on bits 2..s-3, down from
-    anti_n, whose bits c_{i,n-i} the recurrence reads.  A term needs
-    a < b < c, so only the a with 3a + 3 <= n + 1 have one.
+        J(a+1, b, c) = J(a, b+1, c) + J(a, b, c+1)
+
+    on the new anti-diagonal.  J is symmetric and vanishes on a repeated
+    index (char 2, c_{i,i} = 0), so each term on the right has smallest
+    index a or is 0.  By induction on the smallest index, every J there
+    vanishes once the J(2, b, c) do.
+
+    *Read for all b at once.*  Let y have bit t = x(n+1-t, t) for
+    2 <= t <= n-1, and c = n - 1 - b.  Bit b of
+
+        (rows[2] & y >> 2) ^ (mirror & y) ^ (anti if bit 2 of y else 0)
+
+    is J(2, b, c), product by product.  Bit b of y >> 2 is y_{b+2} =
+    x(c, 2+b).  Bit b of mirror is c_{2,c}, as mirror is rows[2] reversed
+    about n - 1, and y_b = x(2+c, b).  Bit b of anti is c_{b,c}, as anti is
+    the anti-diagonal n - 1 (bit j is c_{j,n-1-j}, symmetric, 0 at
+    j = (n-1)/2), and y_2 = x(b+c, 2).  With j = n-1-i, g's completion
+    identities give anti = anti_n ^ anti_n >> 1 on bits 2..n-3, one step
+    from the anti-diagonal anti_n, whose bits c_{i,n-i} the recurrence
+    reads.  A term needs 2 < b < c, the window of bits 3..n//2-1, which is
+    empty below n = 8.
     """
     n, rows = g.n, g.rows
     steps = [rows[i] >> (n - i) & 1 for i in range(2, n // 2 + 1)]  # c_{i,n-i}
     anti = sum([c << i | c << (n - i) for i, c in enumerate(steps, 2)])
-    reads = []  # per a: rows[a], mirror, anti-diagonal s, the window a < b < s - b
-    for a in range(2, (n + 1) // 3):
-        s = n + 1 - a
-        anti = (anti ^ anti >> 1) & ((1 << (s - 1)) - 4)
-        mirror = int(f"{rows[a]:0{s + 1}b}"[::-1], 2)
-        reads.append((a, rows[a], mirror, anti, (1 << (s + 1) // 2) - (1 << (a + 1))))
-    forms = []
+    anti = (anti ^ anti >> 1) & ((1 << (n - 2)) - 4)  # the anti-diagonal n-1
+    mirror = int(f"{rows[2]:0{n}b}"[::-1], 2)
+    window = (1 << n // 2) - 1 & -8
+    children = []
     for x in (0, 1):
-        terms = [_leading_mask(n)]
+        child, y = [*rows, 0], 0
         for i, c in enumerate(steps, 2):
             if x:
-                terms.append(1 << (i - 1) | 1 << (n - i))
+                child[i] |= 1 << (n + 1 - i)
+                y |= 1 << i | 1 << (n + 1 - i)
             x ^= c
         if n & 1 and x:  # the diagonal
             continue
-        y = sum(terms[1:]) << 1  # e^i^e^{n+1-i} sets bits i-1 and n-i
-        if not any(((row & y >> a) ^ (mirror & y) ^ (anti if y >> a & 1 else 0)) & window
-                   for a, row, mirror, anti, window in reads):
-            forms.append(Form(n, terms))
+        if not ((rows[2] & y >> 2) ^ (mirror & y) ^ (anti if y & 4 else 0)) & window:
+            children.append(_store(n + 1, child))
+    return children
+
+
+def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
+    """Every homogeneous degree-(n+1) 2-cocycle with the e^1^e^n term,
+    sorted by index tuples.
+
+    Each is d(e^{n+1}) of one child of ``_children``, read off its rows in
+    g's ambient as ``reduce`` reads it: extending g by omega makes
+    d(e^{n+1}) = omega, and ``_children`` keeps exactly the extensions by
+    cocycles (the proof is in its docstring).
+    """
+    n = g.n
+    forms = [Form(n, _image(h.rows, n + 1)) for h in _children(g)]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
 

@@ -42,16 +42,19 @@ with ``helpers.wedge``, independently of the mask-level Leibniz loop in
 ``Derivation.apply_masks``.  ``admissible_by_solve`` finds the admissible
 cocycles by an affine solve over the whole degree-(n+1) 2-form slice with
 ``gf2.solve_affine``, independently of the free-bit recurrence in
-``extensions.admissible_cocycles``, and ``admissible_by_expansion`` keeps
+``extensions._children``, and ``admissible_by_expansion`` keeps
 each of the two free-bit candidates of ``cocycle_candidates`` whose
 d_g(omega) vanishes under the built differential's ``apply_masks``,
-independently of ``admissible_cocycles``' read of d_g(omega) off the rows.
+independently of ``_children``' read of d_g(omega) off the rows.
 ``delta_by_strip`` reads δ off the
 built differential, stripping e^1^e^{k-1} from each d(e^k), independently
 of ``cohomology._delta_terms``' read of the c-table rows.
 ``violations_by_recount`` checks a Betti table's identities with the Euler
 side recounted from the graded buckets, independently of the product that
-``BettiTable.violations`` reads it from.
+``BettiTable.violations`` reads it from.  ``violation_by_e1_e2`` reads the
+first failing constraint of a table from its e^1-terms and its (2, b, c)
+triples alone, independently of the whole d(d(e^k)) = 0 check in
+``core._fill``; it is the reference for a row check that reads only those.
 """
 
 from __future__ import annotations
@@ -183,6 +186,40 @@ def jacobi_holds(c: Mapping[tuple[int, int], int], n: int) -> bool:
                 raise ValueError(f"constant c[{i},{j}] out of range for dimension {n}")
             table[(i, j)] = 1
     return jacobi_failure(table, n) is None
+
+
+def violation_by_e1_e2(n: int, rows: Sequence[int]) -> JacobiViolation | None:
+    """The first failing constraint of a c-table given as rows, read from
+    the e^1-terms and the (2, b, c) terms of d(d(e^k)) alone, in the order
+    ``core._violation`` reports (lexicographic on the index triple); None
+    when all of them vanish.
+
+    The coefficient of e^1^e^b^e^c in d(d(e^{1+b+c})) is the completion
+    identity c_{b,c} + c_{b+1,c} + c_{b,c+1}, the derived diagonal when
+    c = b + 1, and that of e^2^e^b^e^c is the Jacobi sum of (2, b, c).
+    Once every e^1-term vanishes, ad e_1 is a derivation, so
+    J(a+1, b, c) = J(a, b+1, c) + J(a, b, c+1) + [e_1, J(a, b, c)] and, by
+    induction on the degree and then on a, every J vanishes with the
+    J(2, b, c); so no term with a >= 3 can come first.
+    """
+    def c(i: int, j: int) -> int:  # symmetric, 0 on the diagonal and out of range
+        i, j = min(i, j), max(i, j)
+        return rows[i] >> j & 1 if 2 <= i < j and i + j <= n else 0
+
+    for b in range(2, n):
+        for k in range(b + 1, n - b):
+            if c(b, k) ^ c(b + 1, k) ^ c(b, k + 1):
+                if k == b + 1:
+                    return JacobiViolation(f"derived diagonal entry c[{k},{k}] is nonzero",
+                                           index=k)
+                return JacobiViolation(f"completion identity fails at c[{b},{k}]",
+                                       triple=(1, b, k))
+    for b in range(3, n):
+        for k in range(b + 1, n - 1 - b):
+            if c(b, k) & c(2, b + k) ^ c(2, k) & c(b, 2 + k) ^ c(2, b) & c(k, 2 + b):
+                return JacobiViolation(f"Jacobi identity fails on (e2, e{b}, e{k})",
+                                       triple=(2, b, k))
+    return None
 
 
 def all_rows(n: int):
@@ -521,8 +558,8 @@ def cocycle_candidates(g: VergneAlgebra) -> list[Form]:
 def admissible_by_expansion(g: VergneAlgebra) -> list[Form]:
     """The candidates whose whole d_g(omega) vanishes, expanded by Leibniz
     through ``differential(g).apply_masks``, sorted by index tuples: the
-    check ``extensions.admissible_cocycles`` made before it read d_g(omega)
-    off the rows."""
+    check the cocycle search made before ``extensions._children`` read
+    d_g(omega) off the rows."""
     d = differential(g)
     forms = [omega for omega in cocycle_candidates(g) if not d.apply_masks(omega.terms)]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))

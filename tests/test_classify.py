@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import classify, core
+from vergne import classify, core, extensions
 from vergne.classify import (
     _LABELS,
     dimension_json_dict,
@@ -19,8 +19,8 @@ from vergne.classify import (
     to_dot,
 )
 from vergne.core import JacobiViolation, RowVector, from_row, m0, m2
-from vergne.exterior import MAX_AMBIENT
-from vergne.extensions import admissible_cocycles, central_extension, partner, reduce
+from vergne.exterior import MAX_AMBIENT, Form, _indices
+from vergne.extensions import _children, admissible_cocycles, central_extension, partner, reduce
 
 from helpers import parse_dot
 from oracles import enumerate_rows
@@ -86,16 +86,18 @@ def test_every_enumerated_algebra_passes_full_validation():
 def test_enumeration_stores_its_children_without_validating_them(monkeypatch):
     # a fresh cache for the search, so it really runs (the monkeypatch puts
     # the cached one back): n = 6..20 store 216 children, with no _fill call
+    # and no Form built
     want = enumerate_algebras(20)
     fresh = lru_cache(maxsize=None, typed=True)(classify.enumerate_algebras.__wrapped__)
     monkeypatch.setattr(classify, "enumerate_algebras", fresh)
     fresh(5)
-    fills, stores = [], []
-    fill, store = core._fill, classify._store
+    fills, stores, forms = [], [], []
+    fill, store, form = core._fill, extensions._store, Form.__init__
     monkeypatch.setattr(core, "_fill", lambda g, n, rows: fills.append(n) or fill(g, n, rows))
-    monkeypatch.setattr(classify, "_store", lambda n, rows: stores.append(n) or store(n, rows))
+    monkeypatch.setattr(extensions, "_store", lambda n, rows: stores.append(n) or store(n, rows))
+    monkeypatch.setattr(Form, "__init__", lambda f, *args: forms.append(args) or form(f, *args))
     assert fresh(20) == want
-    assert fills == [] and len(stores) == sum(COUNTS_TO_64[1:16]) == 216
+    assert fills == [] and forms == [] and len(stores) == sum(COUNTS_TO_64[1:16]) == 216
 
 
 def test_the_unchecked_store_has_one_caller():
@@ -104,7 +106,48 @@ def test_the_unchecked_store_has_one_caller():
                for fn in ast.walk(ast.parse(path.read_text())) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "_store"}
-    assert callers == {("classify.py", "enumerate_algebras")}
+    assert callers == {("extensions.py", "_children")}
+
+
+def test_classify_leaves_building_and_storing_to_extensions():
+    # enumeration only orders the children: it imports neither the store
+    # nor the cocycle list, and writes no c-table row
+    tree = ast.parse(Path(classify.__file__).read_text())
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    assert imported.isdisjoint({"_store", "_set_slots", "admissible_cocycles"})
+    assert "_children" in imported
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Subscript)]
+
+
+def test_children_are_the_public_extensions_by_the_admissible_cocycles():
+    # every enumerated g with n <= 40: the stored children are exactly the
+    # validated central extensions by the forms admissible_cocycles lists
+    checked = 0
+    for n in range(5, 41):
+        for g in enumerate_algebras(n):
+            kids = _children(g)
+            built = [central_extension(g, omega) for omega in admissible_cocycles(g)]
+            assert sorted(kids, key=lambda h: h.rows) == sorted(built, key=lambda h: h.rows), g
+            checked += 1
+    assert checked == 1556
+    # at the representation limit the children have dimension 65, which
+    # central_extension refuses; their rows are g's with each form's pairs
+    for g in (m0(MAX_AMBIENT), m2(MAX_AMBIENT)):
+        kids, forms = _children(g), admissible_cocycles(g)
+        assert len(kids) == len(forms) == 2
+        want = []
+        for omega in forms:
+            with pytest.raises(ValueError, match=r"5\.\.64, got 65"):
+                central_extension(g, omega)
+            rows = [*g.rows, 0]
+            for i, j in (_indices(t) for t in omega.terms):
+                if i > 1:
+                    rows[i] |= 1 << j
+            want.append(tuple(rows))
+        assert sorted(h.rows for h in kids) == sorted(want), g
+        assert all(h.n == MAX_AMBIENT + 1 for h in kids)
 
 
 def test_enumerate_contains_models():

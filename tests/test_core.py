@@ -3,6 +3,7 @@
 import enum
 import random
 import re
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -43,6 +44,7 @@ from oracles import (
     partner_by_decomposition,
     raw_differential,
     tail_operator,
+    violation_by_e1_e2,
 )
 
 
@@ -152,10 +154,38 @@ def test_oversized_row_is_refused_before_completion(monkeypatch):
 
 
 def test_pair_range_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("structure constant c[1,3] out of range")):
         VergneAlgebra(6, [(1, 3)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("structure constant c[2,5] out of range")):
         VergneAlgebra(6, [(2, 5)])  # 2 + 5 > 6
+
+
+@pytest.mark.parametrize("pair, error, message", [
+    pytest.param((2, 3.0), TypeError, "structure constant index must be an int, got 3.0",
+                 id="float-second"),
+    pytest.param((2.0, 3), TypeError, "structure constant index must be an int, got 2.0",
+                 id="float-first"),
+    pytest.param(("2", 3), TypeError, "structure constant index must be an int, got '2'",
+                 id="str"),
+    pytest.param((True, 3), TypeError, "structure constant index must be an int, got True",
+                 id="bool"),
+    pytest.param((K.TWO, 3), TypeError,
+                 "structure constant index must be an int, got <K.TWO: 2>", id="IntEnum"),
+    pytest.param((2, 3, 4), ValueError,
+                 "structure constant pair must be two indices, got (2, 3, 4)", id="three"),
+    pytest.param((2,), ValueError, "structure constant pair must be two indices, got (2,)",
+                 id="one"),
+    pytest.param(5, ValueError, "structure constant pair must be two indices, got 5",
+                 id="not-a-pair"),
+])
+def test_a_malformed_pair_is_refused_by_name(monkeypatch, pair, error, message):
+    # refused by the pairs constructor itself, before the table is validated
+    def work(*args):
+        raise AssertionError("validation started")
+
+    monkeypatch.setattr(core, "_fill", work)
+    with pytest.raises(error, match=re.escape(message)):
+        VergneAlgebra(7, [(2, 5), pair])
 
 
 # ---------------------------------------------------------------- rows
@@ -643,6 +673,38 @@ def test_validation_matches_oracle_on_random_tables():
         want = jacobi_failure({p: 1 for p in pairs}, n)
         assert _same_violation(got, want), (n, sorted(pairs), got, want)
     assert "completion" in kinds
+
+
+def test_the_e1_and_e2_terms_decide_every_table():
+    # the first failing term of d(d(e^k)) over all k always has smallest
+    # index <= 2: the full validation and the e^1/e^2 oracle agree on the
+    # verdict, the message, the triple and the index, on every completed row
+    # with n <= 14 and on random pair sets and completed random rows
+    rng = random.Random(35)
+    tables = [(n, _complete_row(row)) for n in range(5, 15) for row in all_rows(n)]
+    for t in range(20000):
+        n = rng.randrange(5, 17)
+        if t % 2:
+            rows = [0] * (n + 1)
+            density = rng.random() / 2
+            for i in range(2, n):
+                for j in range(i + 1, n - i + 1):
+                    rows[i] |= (rng.random() < density) << j
+        else:
+            rows = _complete_row(RowVector([0, *(rng.randrange(2) for _ in range(n - 4)), 0, 0]))
+        tables.append((n, rows))
+    kinds = Counter()
+    for n, rows in tables:
+        try:
+            core._from_rows(n, rows)
+            got = None
+        except JacobiViolation as exc:
+            got = exc
+        want = violation_by_e1_e2(n, rows)
+        assert _same_violation(got, want), (n, rows, got, want)
+        kinds[_kind(got) if got else "valid"] += 1
+    assert len(tables) == 22046 and set(kinds) == {"valid", "index", "completion", "triple"}
+    assert kinds["triple"] >= 100 and kinds["index"] >= 100, kinds
 
 
 # ---------------------------------------------------------------- value semantics

@@ -227,7 +227,7 @@ def test_admissible_cocycles_match_brute_force():
 def test_admissible_cocycles_equal_the_affine_solve():
     # the same forms in the same order as the solve over the whole slice and
     # as the Leibniz expansion of each candidate, also at the representation
-    # limit, where no child row would fit
+    # limit, where the children the forms are read from have dimension 65
     family = [g for n in range(5, 41) for g in enumerate_algebras(n)] + [m0(64), m2(64)]
     for g in family:
         assert admissible_cocycles(g) == admissible_by_solve(g) == admissible_by_expansion(g), g
