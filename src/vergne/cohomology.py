@@ -74,33 +74,45 @@ class BettiTable(_Frozen):
         One pass over the graded entries: their sums per k must be b_k, and
         each degree m is a finite subcomplex, so sum_k (-1)^k dim H^k_m must
         be sum_k (-1)^k |C^k_m| (the Euler characteristic), which is read
-        off ``_chain_euler(n)``, not recounted from the buckets."""
+        off ``_chain_euler(n)``, not recounted from the buckets.  The Euler
+        side is a list indexed by degree, seeded with the negated product,
+        and the degree bounds of each k are read off ``_degree_bounds(n)``;
+        an entry whose k or m lies outside them is still reported, its
+        degree kept apart and its bounds from the formula."""
         out = []
-        n = self.n
-        if self.b[0] != 1:
-            out.append(f"b_0 = {self.b[0]} != 1")
-        if any(v < 0 for v in self.b):
+        n, b = self.n, self.b
+        if b[0] != 1:
+            out.append(f"b_0 = {b[0]} != 1")
+        if min(b) < 0:
             out.append("negative Betti number")
         totals = [0] * (n + 1)
-        euler: dict[int, int] = {}
+        euler = [-c for c in _chain_euler(n)]
+        top = len(euler) - 1
+        apart: dict[int, int] = {}  # the degrees outside 0..top
+        bounds = _degree_bounds(n)
         for (k, m), v in self.graded.items():
             if 0 <= k <= n:
                 totals[k] += v
-            euler[m] = euler.get(m, 0) + (-v if k & 1 else v)
+                lo, hi = bounds[k]
+            else:
+                lo = k * (k + 1) // 2
+                hi = lo + k * (n - k)
+            if 0 <= m <= top:
+                euler[m] += -v if k & 1 else v
+            else:
+                apart[m] = apart.get(m, 0) + (-v if k & 1 else v)
             if v < 0:
                 out.append(f"negative graded dimension at {(k, m)}")
-            lo = k * (k + 1) // 2
-            hi = lo + k * (n - k)
             if not lo <= m <= hi:
                 out.append(f"graded degree {m} outside [{lo}, {hi}] for k={k}")
         for k in range(n + 1):
-            if totals[k] != self.b[k]:
-                out.append(f"graded sum {totals[k]} != b_{k} = {self.b[k]}")
-        for m, c in enumerate(_chain_euler(n)):
-            euler[m] = euler.get(m, 0) - c
-        out.extend(f"Euler characteristic in degree {m} off by {e}"
-                   for m, e in sorted(euler.items()) if e)
-        alternating = sum(-bk if k & 1 else bk for k, bk in enumerate(self.b))
+            if totals[k] != b[k]:
+                out.append(f"graded sum {totals[k]} != b_{k} = {b[k]}")
+        apart_sorted = sorted(apart.items())
+        off = [*(p for p in apart_sorted if p[0] < 0), *enumerate(euler),
+               *(p for p in apart_sorted if p[0] > top)]
+        out.extend(f"Euler characteristic in degree {m} off by {e}" for m, e in off if e)
+        alternating = sum(b[::2]) - sum(b[1::2])
         if alternating != 0:
             out.append(f"alternating sum {alternating} != 0")
         return out
@@ -143,6 +155,13 @@ def _chain_euler(n: int) -> tuple[int, ...]:
         for m in range(top, i - 1, -1):
             coeffs[m] -= coeffs[m - i]
     return tuple(coeffs)
+
+
+@cache
+def _degree_bounds(n: int) -> tuple[tuple[int, int], ...]:
+    """(lo, hi) for k = 0..n: the least and the greatest degree of a
+    k-monomial of dimension n, 1 + ... + k and (n-k+1) + ... + n."""
+    return tuple((k * (k + 1) // 2, k * (k + 1) // 2 + k * (n - k)) for k in range(n + 1))
 
 
 def betti(g: VergneAlgebra) -> BettiTable:

@@ -281,7 +281,8 @@ def _store(n: int, rows: Sequence[int]) -> VergneAlgebra:
 
     ``rows`` is in the form ``_fill`` states.  The one caller is
     ``extensions._children``, which stores the extension of a held g by a
-    2-form omega only once it has read d_g(omega) = 0 off g's rows.  Proof
+    2-form omega only once ``extensions._child_rows`` has read
+    d_g(omega) = 0 off g's rows.  Proof
     that the table is valid.  The extension's d equals g's on e^1..e^n,
     and g is valid (every held instance is), so d(d(e^k)) = 0 at every
     k <= n.  It sends e^{n+1} to omega, so d(d(e^{n+1})) = d_g(omega) = 0.

@@ -110,7 +110,15 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
 
 def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
     """The extensions of g by its admissible cocycles, each stored through
-    ``core._store`` with no second validation.
+    ``core._store`` with no second validation: the rows of ``_child_rows``,
+    which proves each one valid.  ``enumerate_algebras`` calls it for
+    n <= 63 only, so each algebra it stores has a dimension in 6..64."""
+    return [_store(g.n + 1, rows) for rows in _child_rows(g)]
+
+
+def _child_rows(g: VergneAlgebra) -> list[list[int]]:
+    """The rows of the extensions of g by its admissible cocycles, in the
+    form ``core._fill`` states, with no algebra built.
 
     The candidates are omega_x = e^1^e^n + sum of x_i e^i^e^{n+1-i} over
     2 <= i <= n/2, with x_2 = x and x_{i+1} = x_i + c_{i,n-i} (bit n-i of
@@ -118,10 +126,10 @@ def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
     bit n+1-i of row i set for each x_i = 1, as ``central_extension`` sets
     them, so its c_{s,t} with s + t = n + 1 are the coefficients of omega.
     It is kept when d_g(omega_x) vanishes, read off ``g.rows`` as below,
-    with no Derivation or Form built, and then stored, since d_g(omega) = 0
-    is all that ``core._store`` needs.  At n = 64 the children have the
-    dimension 65, past ``MAX_AMBIENT``; only ``admissible_cocycles`` asks
-    for them there, and it reads nothing but their rows.
+    with no Derivation or Form built, since d_g(omega) = 0 is all that
+    ``core._store`` needs.  At n = 64 the rows have the dimension 65, past
+    ``MAX_AMBIENT``; ``admissible_cocycles`` reads its forms off them, and
+    no algebra of that dimension is built.
 
     d_g(omega) is a 3-form of degree n+1: Leibniz takes each term e^s^e^t
     of omega to d(e^s)^e^t + e^s^d(e^t), where d(e^1) = d(e^2) = 0 and
@@ -182,7 +190,7 @@ def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
     anti = (anti ^ anti >> 1) & ((1 << (n - 2)) - 4)  # the anti-diagonal n-1
     mirror = int(f"{rows[2]:0{n}b}"[::-1], 2)
     window = (1 << n // 2) - 1 & -8
-    children = []
+    kept = []
     for x in (0, 1):
         child, y = [*rows, 0], 0
         for i, c in enumerate(steps, 2):
@@ -193,21 +201,22 @@ def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
         if n & 1 and x:  # the diagonal
             continue
         if not ((rows[2] & y >> 2) ^ (mirror & y) ^ (anti if y & 4 else 0)) & window:
-            children.append(_store(n + 1, child))
-    return children
+            kept.append(child)
+    return kept
 
 
 def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     """Every homogeneous degree-(n+1) 2-cocycle with the e^1^e^n term,
     sorted by index tuples.
 
-    Each is d(e^{n+1}) of one child of ``_children``, read off its rows in
+    Each is d(e^{n+1}) of one child's rows from ``_child_rows``, read in
     g's ambient as ``reduce`` reads it: extending g by omega makes
-    d(e^{n+1}) = omega, and ``_children`` keeps exactly the extensions by
-    cocycles (the proof is in its docstring).
+    d(e^{n+1}) = omega, and ``_child_rows`` keeps exactly the extensions by
+    cocycles (the proof is in its docstring).  No algebra is built, so at
+    n = 64 none of dimension 65 exists.
     """
     n = g.n
-    forms = [Form(n, _image(h.rows, n + 1)) for h in _children(g)]
+    forms = [Form(n, _image(rows, n + 1)) for rows in _child_rows(g)]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
 

@@ -51,10 +51,13 @@ built differential, stripping e^1^e^{k-1} from each d(e^k), independently
 of ``cohomology._delta_terms``' read of the c-table rows.
 ``violations_by_recount`` checks a Betti table's identities with the Euler
 side recounted from the graded buckets, independently of the product that
-``BettiTable.violations`` reads it from.  ``violation_by_e1_e2`` reads the
-first failing constraint of a table from its e^1-terms and its (2, b, c)
-triples alone, independently of the whole d(d(e^k)) = 0 check in
-``core._fill``; it is the reference for a row check that reads only those.
+``BettiTable.violations`` reads it from.  ``graded_duality_by_lookup`` looks
+the mirror of each graded entry up, one at a time, independently of the
+one comparison with the mirrored mapping in ``cli._graded_dual``.
+``violation_by_e1_e2`` reads the first failing constraint of a table from
+its e^1-terms and its (2, b, c) triples alone, independently of the whole
+d(d(e^k)) = 0 check in ``core._fill``; it is the reference for a row check
+that reads only those.
 """
 
 from __future__ import annotations
@@ -615,3 +618,12 @@ def violations_by_recount(table: BettiTable) -> list[str]:
     if alternating != 0:
         out.append(f"alternating sum {alternating} != 0")
     return out
+
+
+def graded_duality_by_lookup(table: BettiTable) -> bool:
+    """Whether dim H^k_m = dim H^(n-k)_(n(n+1)/2-m) for every graded entry,
+    an absent one read as 0, by one lookup per entry: the check
+    ``verify``'s consistency suite made before ``cli._graded_dual``."""
+    n = table.n
+    top = n * (n + 1) // 2
+    return all(table.graded.get((n - k, top - m), 0) == v for (k, m), v in table.graded.items())

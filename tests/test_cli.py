@@ -482,6 +482,35 @@ def test_verify_ranks_each_enumerated_complex_once(capsys, monkeypatch):
     assert len(set(map(id, cold))) == 44
 
 
+def test_verify_reads_the_models_off_the_enumeration(capsys, monkeypatch):
+    # thm1, thm2's roots and the first pair of each n in diagrams are the
+    # enumerated instances, found by their rows, so no model is built
+    built = []
+    monkeypatch.setattr(cli, "m0", lambda n: built.append(("m0", n)) or m0(n))
+    monkeypatch.setattr(cli, "m2", lambda n: built.append(("m2", n)) or m2(n))
+    ref = Path(__file__).parents[1] / "perfbench" / "refs" / "verify_all_12.txt"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
+    assert (code, out, built) == (0, ref.read_text(), [])
+
+
+def test_verify_builds_a_model_the_enumeration_lacks(capsys, monkeypatch):
+    # an enumeration without m2(7): thm1 builds it and prints the same lines
+    def thm1_lines():
+        code, out, _ = run(capsys, "verify", "--suite", "thm1", "--max-dim", "8")
+        return code, [line for line in out.splitlines() if line.startswith("thm1 ")]
+
+    real = classify.enumerate_algebras
+    real(8)  # cached, so the search below n = 9 never reaches the patched lookup
+    code, want = thm1_lines()
+    assert code == 0 and len(want) == 4
+    built = []
+    monkeypatch.setattr(cli, "m2", lambda n: built.append(n) or m2(n))
+    monkeypatch.setattr(classify, "enumerate_algebras",
+                        lambda n: tuple(g for g in real(n) if g != m2(7)))
+    assert thm1_lines() == (0, want)
+    assert built == [7]
+
+
 def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
     # thm2 and diagrams share one sweep per command, which extends every
     # enumerated algebra of n = 6..12 once from its truncation's partner:

@@ -26,6 +26,7 @@ from oracles import (
     commuting_square_failures,
     commuting_square_holds,
     delta_by_strip,
+    graded_duality_by_lookup,
     rank_naive,
     violations_by_recount,
 )
@@ -682,6 +683,58 @@ def test_violations_match_the_bucket_recount():
         assert table.violations() == violations_by_recount(table), table
     assert all(not table.violations() for table in sound)
     assert sum(bool(table.violations()) for table in changed) > 250
+
+
+def _with_entries(table, entries):
+    """``table`` with the graded ``entries`` set, zeros and out-of-range
+    keys included."""
+    return cohomology.BettiTable(table.n, table.b, {**table.graded, **entries}, table.z)
+
+
+def test_graded_duality_matches_the_lookup():
+    # the one comparison with the mirrored mapping decides as the lookup of
+    # each entry's mirror does: on sound tables, seeded random changes,
+    # explicit zero entries and keys out of range
+    sound = [betti(g) for n in range(5, 13) for g in enumerate_algebras(n)]
+    rng = random.Random(36)
+    changed = [_changed(rng.choice(sound[:20]), rng) for _ in range(300)]
+    t = betti(m2(8))
+    n, top = t.n, 36
+    k, m = min(t.graded)
+    edited = [
+        _with_entries(t, {(3, 1): 0}),  # a zero whose mirror is absent
+        _with_entries(t, {(3, 1): 0, (5, 35): 0}),  # a zero and its zero mirror
+        _with_entries(t, {(n - k, top - m): 0}),  # a zero against a nonzero mirror
+        _with_entries(t, {(k, m): 0}),  # a zero against a nonzero mirror, other side
+        _with_entries(t, {(n + 1, -1): 2, (-1, top + 1): 2}),  # out of range, mirrored
+        _with_entries(t, {(n + 1, -1): 2}),  # out of range, alone
+        _with_entries(t, {(n + 1, -1): 0, (0, top + 2): 0}),  # out of range, zero
+    ]
+    verdicts = []
+    for table in sound + changed + edited:
+        verdicts.append(graded_duality_by_lookup(table))
+        assert cli._graded_dual(table) == verdicts[-1], table
+    assert all(verdicts[:len(sound)])
+    assert 0 < sum(verdicts[len(sound):-len(edited)]) < len(changed)
+    assert verdicts[-len(edited):] == [True, True, False, False, True, False, True]
+
+
+def test_model_tables_above_n16_are_pinned():
+    # the tables of m0(n) and m2(n) for n = 17..19, ranked in one batch per
+    # n, against the digests the rank path printed when they were pinned
+    want = {
+        17: "37d331b6da37721cbaba60ef5393ff5d834307c44b770b770735948e982227c5",
+        18: "70f6370862b8dc2773ec271938b59a7d0cfa8702f5dc04b5adf99563d04e2a7c",
+        19: "431531654de21c00c4330592c2adf09f6580095d41fe059655af3345eaeefa31",
+    }
+    for n, digest in want.items():
+        batch = (m0(n), m2(n))
+        tables = cohomology.betti_tables(batch)
+        assert tables[0].b == tables[1].b, n
+        hashed = hashlib.sha256()
+        for g, t in zip(batch, tables):
+            hashed.update(repr((n, g.rows, t.b, sorted(t.graded.items()), t.z)).encode())
+        assert hashed.hexdigest() == digest, n
 
 
 def test_b2_on_other_algebras_is_reported_not_assumed():

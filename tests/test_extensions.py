@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import exterior
+from vergne import exterior, extensions
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import betti
 from vergne.core import differential, from_row, m0, m2
@@ -227,12 +227,22 @@ def test_admissible_cocycles_match_brute_force():
 def test_admissible_cocycles_equal_the_affine_solve():
     # the same forms in the same order as the solve over the whole slice and
     # as the Leibniz expansion of each candidate, also at the representation
-    # limit, where the children the forms are read from have dimension 65
+    # limit, where the forms are read off child rows of dimension 65
     family = [g for n in range(5, 41) for g in enumerate_algebras(n)] + [m0(64), m2(64)]
     for g in family:
         assert admissible_cocycles(g) == admissible_by_solve(g) == admissible_by_expansion(g), g
     assert len(family) == 1558
     assert [len(admissible_cocycles(g)) for g in family[-2:]] == [2, 2]
+
+
+def test_admissible_cocycles_at_the_limit_store_no_algebra(monkeypatch):
+    # the forms at n = 64 come from child rows of dimension 65, past the
+    # representation limit, so no algebra is stored for them
+    stores = []
+    monkeypatch.setattr(extensions, "_store", lambda n, rows: stores.append(n))
+    for g in (m0(64), m2(64)):
+        assert admissible_cocycles(g) == admissible_by_expansion(g), g
+    assert stores == []
 
 
 def test_admissible_cocycles_satisfy_step_invariants():
