@@ -1,11 +1,10 @@
 """Enumeration per dimension, labels, and the extension tree.
 
 Every algebra of dimension n > 5 is a one-step central extension of its
-truncation, so enumeration is a forward search: start from the two
-dimension-5 models and collect the children of every algebra of
-dimension n-1, which ``extensions._children`` builds, checks and stores
-with no second validation.  The brute-force walk over all 2^(n-4) e_2 rows
-lives in the tests as an oracle for this search.
+truncation, so enumeration is a forward search from the two dimension-5
+models through ``extensions._children``; the proof that each child is
+valid is in ``extensions._child_rows``.  The brute-force walk over all
+2^(n-4) e_2 rows is a test oracle.
 """
 
 from __future__ import annotations

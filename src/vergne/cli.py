@@ -29,10 +29,8 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 EXIT_INTERNAL = 4
 
-# Bound on the size of one Betti table.  A cold `betti --dim 22 --algebra m2`
-# takes 13.9-22.7 s and 134.9-135.2 MB on a 2-core Intel Xeon VM with
-# CPython 3.11.7 (README's feasibility bound); each further n costs about
-# 4 times the time and twice the memory.
+# Bound on the size of one Betti table; its measured cost is README's
+# feasibility table.
 MAX_BETTI_DIM = 22
 
 
@@ -143,9 +141,7 @@ def _models(n: int, algebras: tuple[VergneAlgebra, ...]) -> tuple[VergneAlgebra,
     rows: all zero, and ``core._m2_rows(n)``.  A model missing there is
     built through its validating constructor."""
     by_rows = {g.rows: g for g in algebras}
-    g0 = by_rows.get((0,) * (n + 1))
-    g2 = by_rows.get(core._m2_rows(n))
-    return (m0(n) if g0 is None else g0), (m2(n) if g2 is None else g2)
+    return by_rows.get((0,) * (n + 1)) or m0(n), by_rows.get(core._m2_rows(n)) or m2(n)
 
 
 def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
@@ -168,39 +164,29 @@ def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
 
 
 @functools.cache
-def _partner_sweep(
-    max_dim: int,
-) -> tuple[tuple[tuple[VergneAlgebra, ...], ...], Mapping[VergneAlgebra, VergneAlgebra]]:
-    """The enumerated algebras of each n = 5..max_dim, and their partners
-    from one sweep (``extensions.partners``); read-only.
+def _partner_sweep(max_dim: int) -> Mapping[VergneAlgebra, VergneAlgebra]:
+    """The partner of each enumerated algebra of n = 5..max_dim, from one
+    ``extensions.partners`` sweep; read-only.
 
     Memoised for one ``verify`` command: ``_cmd_verify`` clears it on entry
     and on exit, so thm2 and diagrams share one sweep and no sweep outlives
     its command."""
-    enumerated = tuple(classify.enumerate_algebras(n) for n in range(MIN_DIMENSION, max_dim + 1))
-    return enumerated, MappingProxyType(partners(g for algebras in enumerated for g in algebras))
+    return MappingProxyType(partners(g for n in range(MIN_DIMENSION, max_dim + 1)
+                                     for g in classify.enumerate_algebras(n)))
 
 
 def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
     """Every enumerated g has a partner p with equal Betti numbers, another
-    row, and g as the partner of p.
-
-    The involution check is not vacuous.  The sweep records for each
-    algebra the partner built along that algebra's own reduce chain, and
-    never records g as the partner of its partner.  So the entry of p is
-    p's chain re-extended from the other root by f of each cocycle, and it
-    equals g only if reduce inverts central_extension along that chain,
-    f(f(omega)) = omega for each cocycle, and the root swap is an
-    involution.  A p outside the enumeration is not in the sweep, and
-    ``partner`` builds its partner the same way.
-    """
+    row, and g as the partner of p, read off p's own sweep entry, which
+    ``extensions.partners`` builds along p's own chain."""
     root0, root2 = _models(MIN_DIMENSION, classify.enumerate_algebras(MIN_DIMENSION))
     root_ok = has_codim1_abelian_ideal(root0) and not has_codim1_abelian_ideal(root2)
     lines.append(f"thm2 roots distinguished by abelian ideal: {'ok' if root_ok else 'FAIL'}")
     if not root_ok:
         failures.append("thm2: dimension-5 roots not distinguished")
-    enumerated, mate = _partner_sweep(max_dim)
-    for n, algebras in enumerate(enumerated, MIN_DIMENSION):
+    mate = _partner_sweep(max_dim)
+    for n in range(MIN_DIMENSION, max_dim + 1):
+        algebras = classify.enumerate_algebras(n)
         betti_tables(algebras)
         known = {g: g for g in algebras}
         for g in known:
@@ -222,8 +208,9 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
 
 
 def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> None:
-    enumerated, mate = _partner_sweep(max_dim)
-    for n, algebras in enumerate(enumerated, MIN_DIMENSION):
+    mate = _partner_sweep(max_dim)
+    for n in range(MIN_DIMENSION, max_dim + 1):
+        algebras = classify.enumerate_algebras(n)
         pair_list = [_models(n, algebras)] + [(g, mate[g]) for g in algebras]
         for g1, g2 in pair_list:
             if g2.n != n:
@@ -256,10 +243,8 @@ def _graded_dual(table: BettiTable) -> bool:
 
 def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> None:
     """Every enumerated table of n = 5..max_dim: its own identities
-    (``BettiTable.violations``, one pass over the graded entries), the
-    observed duality b_k = b_(n-k), then the graded duality
-    H^k_m = H^(n-k)_(top-m), decided by comparing the graded entries with
-    their mirror once, and b_1 = 2."""
+    (``BettiTable.violations``), the observed duality b_k = b_(n-k), then
+    the graded duality (``_graded_dual``), and b_1 = 2."""
     for n in range(MIN_DIMENSION, max_dim + 1):
         recorded = len(failures)
         top = n * (n + 1) // 2  # the degree of e^1^...^e^n

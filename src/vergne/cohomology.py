@@ -1,14 +1,9 @@
 """Cocycle dimensions, Betti numbers and conjugation-square checks.
 
 The differential preserves the degree grading, so the cochain complex
-splits into small blocks indexed by (topological degree k, degree m) and
-every rank is computed per block, straight from the monomial masks.  The
-blocks are ranked in one pass, degree by degree; each block skips the
-columns that the pivots of the block one level down clear, reads its
-e^1-columns off the δ-parts its factors stored one degree down, and the
-δ-parts of its e^2-columns off those stored two degrees down.  The
-algebras of one dimension n are ranked in one such pass, sharing the part
-of each column that comes from m0(n)'s differential (see ``betti``).
+splits into blocks (topological degree k, degree m), ranked in one pass
+per dimension; the proofs are in ``betti``, and those of the square in
+``square_failures``.
 """
 
 from __future__ import annotations
@@ -36,7 +31,8 @@ class BettiTable(_Frozen):
     ``graded`` maps (k, m) to dim H^k_m; zero entries are omitted.
     ``z`` holds the cocycle-space dimensions dim Z_0..Z_n.  The fields are
     stored as tuples and a read-only mapping, so a table handed out from
-    the per-algebra cache cannot be changed by its caller.
+    the per-algebra cache cannot be changed by its caller.  A ``b`` or
+    ``z`` whose length is not n + 1 is refused (ValueError).
     """
 
     __slots__ = ("n", "b", "graded", "z")
@@ -57,6 +53,8 @@ class BettiTable(_Frozen):
         object.__setattr__(self, "b", tuple(b))
         object.__setattr__(self, "graded", MappingProxyType(dict(graded)))
         object.__setattr__(self, "z", tuple(z))
+        if len(self.b) != n + 1 or len(self.z) != n + 1:
+            raise ValueError(f"b and z need {n + 1} entries, got {len(self.b)} and {len(self.z)}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BettiTable):
@@ -71,14 +69,11 @@ class BettiTable(_Frozen):
     def violations(self) -> list[str]:
         """Internal-consistency failures; empty when the table is sound.
 
-        One pass over the graded entries: their sums per k must be b_k, and
-        each degree m is a finite subcomplex, so sum_k (-1)^k dim H^k_m must
-        be sum_k (-1)^k |C^k_m| (the Euler characteristic), which is read
-        off ``_chain_euler(n)``, not recounted from the buckets.  The Euler
-        side is a list indexed by degree, seeded with the negated product,
-        and the degree bounds of each k are read off ``_degree_bounds(n)``;
-        an entry whose k or m lies outside them is still reported, its
-        degree kept apart and its bounds from the formula."""
+        One pass over the graded entries: each lies in its k's degree range
+        (``_degree_bounds``), their sums per k are b_k, and each degree m is
+        a finite subcomplex, so sum_k (-1)^k dim H^k_m is
+        sum_k (-1)^k |C^k_m| (``_chain_euler``).  An entry whose k or m
+        lies outside the table is still reported."""
         out = []
         n, b = self.n, self.b
         if b[0] != 1:
@@ -322,17 +317,8 @@ def betti_tables(algebras: Iterable[VergneAlgebra]) -> list[BettiTable]:
 
 
 def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
-    """The tables of distinct algebras of one dimension n, from one pass over
-    the graded blocks (k, m) with the degree m outer and k inner.  A block
-    is ranked when a member has a column left after clearing; a member with
-    none has rank 0 there (see ``betti``).  Block (k, m) reads the pivots
-    of block (k-1, m), ranked just before it, the δ-parts that block
-    (k-1, m-1) stored one degree down, and those that block (k-1, m-2)
-    stored two degrees down, dropping the last as it reads them: each
-    store lives two degrees.  The range lengths h(k, m) and |R3(k, m)| of
-    ``betti`` are read off the buckets of dimensions n-1 and n-2 that
-    ``graded_masks``' recursion has cached.  Each member's rank d_k is the
-    sum of its block ranks."""
+    """The tables of the distinct algebras ``batch``, all of one dimension n,
+    in order: one pass over the graded blocks, as ``betti`` proves it."""
     n = batch[0].n
     deltas = [_delta_terms(g) for g in batch]
     levels = [graded_masks(n, k) for k in range(n + 1)] + [{}]
@@ -382,11 +368,9 @@ def _rank(batch: tuple[VergneAlgebra, ...]) -> list[BettiTable]:
 def _delta_terms(g: VergneAlgebra) -> list[tuple[int, int, int]]:
     """δ = d + e^1^L of g as ``_block_pivots`` reads it: (low | t, low,
     low ^ t) for each term t of each δ(e^k), where low = 1 << (k-1) is the
-    bit of e^k.  Read off the rows: δ(e^k) sums the e^i^e^j with
-    c_{i,j} = 1, 1 < i < j and i + j = k, and bit j of ``g.rows[i]`` is
-    c_{i,j}, set only for such pairs.  So the set bits ``bit`` = 1 << j of
-    the rows are the terms, one each: low = 1 << (i+j-1) = bit << (i-1) and
-    t = e^i^e^j = 1 << (i-1) | 1 << (j-1) = 1 << (i-1) | bit >> 1."""
+    bit of e^k.  Each set bit ``bit`` = 1 << j of ``g.rows[i]`` is the term
+    t = e^i^e^j of δ(e^{i+j}) (``betti``), so low = bit << (i-1) and
+    t = 1 << (i-1) | bit >> 1."""
     terms = []
     for i, r in enumerate(g.rows):
         while r:
@@ -403,41 +387,23 @@ def _block_pivots(masks: Sequence[int], codomain: Sequence[int],
                   factors: Sequence[Mapping[int, int]], shift: int,
                   twos: int, seconds: Sequence[Mapping[int, int]],
                   lift: int, drop: int) -> tuple[list[int], list[dict[int, int]]]:
-    """Pivot positions of each member's differential e^1^L + δ from the span
-    of the ``masks`` at the positions outside its skip to the span of the
-    ``codomain`` masks, as bitmasks over codomain positions whose bit
-    counts are the GF(2) ranks; and each member's δ-parts for the blocks one
-    level up and one and two degrees up.
+    """Rank block (k, m) for every member of a batch, as ``betti`` proves it.
 
-    Member i has the δ terms ``deltas[i]`` (``_delta_terms``), the
-    cleared positions ``skips[i]``, and the δ-parts ``factors[i]`` and
-    ``seconds[i]`` stored one and two degrees down.  Each member walks only
-    its live positions, the bits of ``(1 << len(masks)) - 1`` outside its
-    skip, lowest first.  The masks fall in the four ranges of ``betti``:
-    the first ``ones`` hold e^1 (R1, R2), the next ``twos`` hold e^2 and
-    not e^1 (R3), and the rest hold neither (R4).  Only the R4 columns are
-    built in full:
-    - at an e^1-position r the column is read as ``factors[i].get(r, 0)``;
-    - at an R3 position r the δ-part is read as
-      v = ``seconds[i].get(r + lift, 0) >> drop``, the R4-part of the
-      δ-part of its factor x (``lift`` = |R3| of x's block - ``ones``,
-      ``drop`` = |R3| of x's codomain), and the column is v << ``shift``
-      plus its m0(n) column;
-    - at an R4 position a δ term (low | t, low, flip) of e^k adds the
-      Leibniz term (x - e^k) ^ t = x ^ flip of a mask x exactly when e^k
-      is in x and no other factor of x is in t, that is when
-      x & (low | t) == low, and then the m0(n) column is added.
-    A nonzero δ-part of an R3 or R4 column is kept at r - ``ones``, shifted
-    down by ``shift``, the length of the codomain's e^1-prefix (an R3
-    column keeps v itself).  The m0(n) column e^1^L is built the first
-    time a member reads its position (``_m0_column``); the block builds
-    the codomain position map once.  Each member's column is reduced
-    against its own pivots as soon as it is read or built, until its
-    leading bit is new; the pivots sit in a list indexed by leading bit
-    (``col.bit_length()``, 1 up to ``len(codomain)``, 0 where none has
-    landed), and each leading bit joins the member's pivot mask as its
-    pivot lands.  A δ term outside the codomain, always a grading bug,
-    raises ImageOutsideCodomain.
+    Returns each member's pivot positions, a bitmask over ``codomain``
+    positions whose bit count is the block's rank, and its δ-parts, keyed
+    by position minus ``ones`` and shifted down by ``shift``.  The inputs,
+    ``deltas``, ``skips``, ``factors`` and ``seconds`` one entry per member:
+    - ``masks``, ``codomain``: the buckets of blocks (k, m) and (k+1, m);
+    - ``deltas[i]``: the terms of ``_delta_terms``; an R4 mask x takes the
+      Leibniz term x ^ flip of (both, low, flip) exactly when e^k is in x
+      and no other factor of x is in t, that is when x & both == low;
+    - ``skips[i]``: the cleared positions, block (k-1, m)'s pivot mask;
+    - ``ones``, ``twos``: the lengths of R1 + R2 and of R3 in ``masks``;
+    - ``factors[i]``, ``seconds[i]``: the δ-parts stored by blocks
+      (k-1, m-1) and (k-1, m-2);
+    - ``shift``: the codomain's e^1-prefix length h(k+1, m);
+    - ``lift``, ``drop``: |R3(k-1, m-2)| - ``ones`` and |R3(k, m-2)|.
+    A δ term outside the codomain raises ImageOutsideCodomain.
     """
     row = {mask: 1 << r for r, mask in enumerate(codomain)}
     shared = [None] * len(masks)
@@ -529,13 +495,8 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     differ by m2(n)'s table {(2, j) : 3 <= j <= n-2}.  Bit j of row i is
     c_{i,j}, so the symmetric difference c1 △ c2 has the rows
     g1.rows[i] ^ g2.rows[i], and the test compares them with m2(n)'s rows
-    (``core._m2_rows``).  Work over GF(2), so there are no signs.  Each
-    differential is built as
-
-        d(e^1) = d(e^2) = 0,  d(e^k) = e^1^e^{k-1} + sum of e^i^e^j
-                              over (i, j) in c with i + j = k
-
-    (``core._differential``), so δ = d1 + d2 maps e^k to the sum of
+    (``core._m2_rows``).  Work over GF(2), so there are no signs.  By the
+    formula of ``core.differential``, δ = d1 + d2 maps e^k to the sum of
     e^i^e^j over the pairs (i, j) of c1 △ c2 with i + j = k.  Let L be the
     derivation with L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for
     i <= 2 (``core._LOWERING``), and let ι be contraction by e_1, so that

@@ -16,10 +16,7 @@ An algebra is validated once, on construction, by d(d(e^k)) = 0 for the
 Chevalley-Eilenberg differential d.  That single identity is the whole
 Jacobi identity: the e^1^e^i^e^j coefficients of d(d(e^k)) are the
 completion identities (the derived diagonal when j = i+1) and the other
-coefficients are the cyclic triples.  d(d(e^k)) is computed by applying d,
-term by term, to the stored image d(e^k): the Leibniz expansion of the
-lone generator e^k replaces its one factor by d(e^k), so it would only
-copy that image first.
+coefficients are the cyclic triples (``_fill``).
 """
 
 from __future__ import annotations
@@ -132,16 +129,16 @@ def parse_row(text: str) -> RowVector:
 
 
 def _image(rows: Sequence[int], k: int) -> list[int]:
-    """The terms of d(e^k), k >= 3, as masks: e^1^e^{k-1} and the e^i^e^j
-    with i < j, i + j = k and c_{i,j} = 1 (bit j of ``rows[i]``)."""
+    """The terms of d(e^k), k >= 3, as masks (``differential``), read off
+    ``rows`` (bit j of ``rows[i]`` is c_{i,j})."""
     return [1 | 1 << (k - 2)] + [1 << (i - 1) | 1 << (k - i - 1)
                                  for i in range(2, (k + 1) // 2) if rows[i] >> (k - i) & 1]
 
 
 def _differential(n: int, rows: Sequence[int]) -> Derivation:
-    """Chevalley-Eilenberg differential of the (unvalidated) table ``rows``:
-    each d(e^k) as ``_image`` gives it, filled from the set bits of the rows.
-    Rows i > (n-1)/2 hold no bit, since c_{i,j} needs i < j and i + j <= n."""
+    """``differential`` of the (unvalidated) table ``rows``, filled from
+    the set bits of the rows.  Rows i > (n-1)/2 hold no bit, since c_{i,j}
+    needs i < j and i + j <= n."""
     images = {k: [1 | 1 << (k - 2)] for k in range(3, n + 1)}
     for i in range(2, (n + 1) // 2):
         r = rows[i]
@@ -171,16 +168,13 @@ class VergneAlgebra(_Frozen):
     frozenset of pairs (i, j), i < j, built on each read.  No differential
     is kept: ``differential`` builds one per call.
 
-    Construction checks d(d(e^k)) = 0 for every generator, so any held
-    instance is a genuine Lie algebra.  d is applied term by term to the
-    stored image d(e^k), which is the expansion of e^k itself, so this is
-    the same check with no copy of the image.  A failure reports the
-    lexicographically smallest nonzero term of d(d(e^k)) over all k, which
-    is the first failing constraint in the order completion identities,
-    then cyclic triples.  Before that check, the pairs constructor refuses
-    a pair that is not two indices (ValueError), an index that is not
-    exactly an int, bool and ``IntEnum`` members included (TypeError), and
-    a pair out of range (ValueError).
+    Construction checks d(d(e^k)) = 0 for every generator (``_fill``), so
+    any held instance is a genuine Lie algebra; a failure raises
+    JacobiViolation with the first failing constraint, completion
+    identities before cyclic triples.  Before that check, the pairs
+    constructor refuses a pair that is not two indices (ValueError), an
+    index that is not exactly an int, bool and ``IntEnum`` members
+    included (TypeError), and a pair out of range (ValueError).
     """
 
     __slots__ = ("n", "rows", "_betti", "_row")
@@ -252,11 +246,14 @@ def _fill(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
     """Validate ``rows`` as an n-dimensional c-table and store them in g.
 
     The one validation of both constructors: build d, check d(d(e^k)) = 0
-    at every k, and drop d.  The terms of d(e^k) all have degree k, and d
-    keeps the degree, so the d(d(e^k)) of different k share no term and
-    one ``apply_masks`` over every term of d's stored images is their
-    union.  ``rows`` has n + 1 entries holding only the bits j of
-    ``rows[i]`` with 2 <= i < j and i + j <= n.
+    at every k, and drop d.  d is applied term by term to the stored image
+    d(e^k), since the Leibniz expansion of the lone generator e^k would
+    only copy it.  The terms of d(e^k) all have degree k, and d keeps the
+    degree, so the d(d(e^k)) of different k share no term and one
+    ``apply_masks`` over every term of d's stored images is their union;
+    a failure names its lexicographically smallest term (``_violation``).
+    ``rows`` has n + 1 entries holding only the bits j of ``rows[i]`` with
+    2 <= i < j and i + j <= n.
     """
     d = _differential(n, rows)
     bad = d.apply_masks([t for image in d._table.values() for t in image])
@@ -280,14 +277,7 @@ def _store(n: int, rows: Sequence[int]) -> VergneAlgebra:
     """The algebra of a c-table proven valid, stored with no check.
 
     ``rows`` is in the form ``_fill`` states.  The one caller is
-    ``extensions._children``, which stores the extension of a held g by a
-    2-form omega only once ``extensions._child_rows`` has read
-    d_g(omega) = 0 off g's rows.  Proof
-    that the table is valid.  The extension's d equals g's on e^1..e^n,
-    and g is valid (every held instance is), so d(d(e^k)) = 0 at every
-    k <= n.  It sends e^{n+1} to omega, so d(d(e^{n+1})) = d_g(omega) = 0.
-    That is the whole check ``_fill`` makes, which
-    ``extensions.central_extension`` still runs.
+    ``extensions._children``; the proof is in ``extensions._child_rows``.
     """
     return _set_slots(VergneAlgebra.__new__(VergneAlgebra), n, rows)
 

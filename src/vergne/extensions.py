@@ -81,11 +81,9 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     The checks run in one pass, in this order: omega's ambient is n
     (AmbientMismatch), it holds e^1^e^n (MissingLeadingTerm), and then
     each term is a 2-form of degree n+1 (NotHomogeneousTopDegree).
-
-    d_g(omega) = 0 is left to the extension's own check d(d(e^k)) = 0:
-    its d is g's on e^1..e^n and sends e^{n+1} to omega, so with g valid
-    the check holds at every k <= n and reads d_g(omega) = 0 at k = n+1.
-    Its JacobiViolation is raised as NotACocycle.
+    d_g(omega) = 0 is left to the extension's own validation, which checks
+    exactly that (the proof is in ``_child_rows``); its JacobiViolation is
+    raised as NotACocycle.
     """
     n = g.n
     if omega.ambient != n:
@@ -109,10 +107,9 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
 
 
 def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
-    """The extensions of g by its admissible cocycles, each stored through
-    ``core._store`` with no second validation: the rows of ``_child_rows``,
-    which proves each one valid.  ``enumerate_algebras`` calls it for
-    n <= 63 only, so each algebra it stores has a dimension in 6..64."""
+    """The extensions of g by its admissible cocycles, stored unchecked
+    through ``core._store``: ``_child_rows`` proves each valid.
+    ``enumerate_algebras`` calls it for n <= 63 only."""
     return [_store(g.n + 1, rows) for rows in _child_rows(g)]
 
 
@@ -126,14 +123,18 @@ def _child_rows(g: VergneAlgebra) -> list[list[int]]:
     bit n+1-i of row i set for each x_i = 1, as ``central_extension`` sets
     them, so its c_{s,t} with s + t = n + 1 are the coefficients of omega.
     It is kept when d_g(omega_x) vanishes, read off ``g.rows`` as below,
-    with no Derivation or Form built, since d_g(omega) = 0 is all that
-    ``core._store`` needs.  At n = 64 the rows have the dimension 65, past
-    ``MAX_AMBIENT``; ``admissible_cocycles`` reads its forms off them, and
-    no algebra of that dimension is built.
+    with no Derivation or Form built.  At n = 64 the rows have the
+    dimension 65, past ``MAX_AMBIENT``, and no algebra is built from them.
+
+    *The extension is valid exactly when d_g(omega) = 0.*  Its d equals
+    g's on e^1..e^n, and g is valid (every held instance is), so
+    d(d(e^k)) = 0 at every k <= n.  It sends e^{n+1} to omega, so
+    d(d(e^{n+1})) = d_g(omega).  That is the whole check ``core._fill``
+    makes, so ``core._store`` may keep the child unchecked.
 
     d_g(omega) is a 3-form of degree n+1: Leibniz takes each term e^s^e^t
-    of omega to d(e^s)^e^t + e^s^d(e^t), where d(e^1) = d(e^2) = 0 and
-    d(e^k) = e^1^e^{k-1} + the c_{p,q} e^p^e^q with p < q, p + q = k.
+    of omega to d(e^s)^e^t + e^s^d(e^t), with d as ``core.differential``
+    states it.
 
     *Terms with e^1.*  For 2 <= b < n/2 the coefficient of e^1^e^b^e^{n-b}
     is x_b + x_{b+1} + c_{b,n-b}: c_{b,n-b} from e^1^d(e^n), x_b and x_{b+1}
@@ -209,11 +210,9 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
     """Every homogeneous degree-(n+1) 2-cocycle with the e^1^e^n term,
     sorted by index tuples.
 
-    Each is d(e^{n+1}) of one child's rows from ``_child_rows``, read in
-    g's ambient as ``reduce`` reads it: extending g by omega makes
-    d(e^{n+1}) = omega, and ``_child_rows`` keeps exactly the extensions by
-    cocycles (the proof is in its docstring).  No algebra is built, so at
-    n = 64 none of dimension 65 exists.
+    Each is d(e^{n+1}) of one child's rows from ``_child_rows``, which
+    keeps exactly the extensions by cocycles, read in g's ambient as
+    ``reduce`` reads it.  No algebra is built.
     """
     n = g.n
     forms = [Form(n, _image(rows, n + 1)) for rows in _child_rows(g)]
@@ -281,8 +280,11 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     the way.  So the truncations that many members share are extended once,
     and a single algebra costs what its full decomposition does.  Every
     recorded partner is computed from that algebra's own chain: the sweep
-    never records g as the partner of its partner, so a caller that checks
-    involutivity on the partner's own entry checks the construction.
+    never records g as the partner of its partner.  So the entry of p =
+    partner(g) equals g only if ``reduce`` inverts ``central_extension``
+    along p's chain, f(f(omega)) = omega for each cocycle, and the root swap
+    is an involution, and a caller that checks involutivity on p's own
+    entry checks the construction.
     """
     family = tuple(family)
     root0, root2 = m0(MIN_DIMENSION), m2(MIN_DIMENSION)

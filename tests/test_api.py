@@ -3,7 +3,9 @@
 import ast
 import importlib
 import inspect
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -141,12 +143,21 @@ def test_no_library_module_imports_gf2(path):
 # `module.name` or ``module.name`` in prose, for the modules of the package
 CODE_REFERENCE = re.compile(r"`(classify|cohomology|core|exterior|extensions|gf2|cli)"
                             r"\.(\w+(?:\.\w+)*)")
+# tests/oracles.py::name and tests/helpers.py::name, for the test toolkit
+TEST_REFERENCE = re.compile(r"tests/(oracles|helpers)\.py::(\w+)")
+
+
+def _top_level_names(path):
+    """The functions and classes defined at the top level of ``path``."""
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_every_dotted_code_reference_in_the_docs_resolves():
     paths = [*sorted(SRC.glob("*.py")), SRC.parents[1] / "README.md", TESTS / "oracles.py"]
-    refs = [(path.name, m.group(1), m.group(2))
-            for path in paths for m in CODE_REFERENCE.finditer(path.read_text())]
+    texts = {path.name: path.read_text() for path in paths}
+    refs = [(where, m.group(1), m.group(2))
+            for where, text in texts.items() for m in CODE_REFERENCE.finditer(text)]
     dangling = []
     for where, module, dotted in refs:
         owner = importlib.import_module(f"vergne.{module}")
@@ -155,8 +166,43 @@ def test_every_dotted_code_reference_in_the_docs_resolves():
                 dangling.append(f"{where}: {module}.{dotted}")
                 break
             owner = getattr(owner, part)
-    assert len(refs) >= 20, refs  # the pattern still finds the references
+    toolkit = {name: _top_level_names(TESTS / f"{name}.py") for name in ("oracles", "helpers")}
+    test_refs = [(where, m.group(1), m.group(2))
+                 for where, text in texts.items() for m in TEST_REFERENCE.finditer(text)]
+    dangling += [f"{where}: tests/{module}.py::{name}" for where, module, name in test_refs
+                 if name not in toolkit[module]]
+    assert len(refs) >= 20, refs  # the patterns still find the references
+    assert {module for _, module, _ in test_refs} == {"oracles", "helpers"}, test_refs
     assert not dangling, dangling
+
+
+def test_the_readme_example_gives_the_results_its_comments_state():
+    # the python block of the README's Library section: a comment that is a
+    # Python literal, trailing a statement or on the line after it, states
+    # that statement's value; other comments are prose
+    library = (SRC.parents[1] / "README.md").read_text().split("\n## Library\n", 1)[1]
+    block = library.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    comments = {tok.start[0]: tok.string.lstrip("# ")
+                for tok in tokenize.generate_tokens(io.StringIO(block).readline)
+                if tok.type == tokenize.COMMENT}
+    namespace, checked = {}, []
+    for stmt in ast.parse(block).body:
+        end = stmt.end_lineno
+        text = comments.get(end)
+        if text is None and end < len(lines) and lines[end].lstrip().startswith("#"):
+            text = comments[end + 1]
+        try:
+            want = ast.literal_eval(text or "")
+        except (SyntaxError, ValueError):  # prose, or no comment
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), f"README line {end} states a value for a statement"
+        got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert got == want, (ast.get_source_segment(block, stmt), got)
+        checked.append(want)
+    assert (1, 2, 3, 6, 6, 3, 2, 1) in checked and "h(7,1)" in checked
+    assert ("m0(5)", ["e1^e5", "e1^e6 + e2^e5 + e3^e4"]) in checked
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -1078,6 +1078,17 @@ def test_result_records_keep_fields_equality_and_immutability():
     assert betti(m0(7)) == betti(m0(7))
 
 
+def test_a_table_of_the_wrong_length_is_refused():
+    # violations() reads b_k and z_k for k = 0..n, so any other length is
+    # refused on construction, with both lengths and n + 1 named
+    table = betti(m0(6))
+    for b, z, got in (([1, 2], [], "2 and 0"), (table.b, table.z[:-1], "7 and 6"),
+                      ((*table.b, 0), table.z, "8 and 7")):
+        with pytest.raises(ValueError, match=f"^b and z need 7 entries, got {got}$"):
+            cohomology.BettiTable(6, b, {}, z)
+    assert cohomology.BettiTable(6, table.b, table.graded, table.z) == table
+
+
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     # each costs about a megabyte of RSS in the benchmark's fresh workers
     src = Path(__file__).resolve().parents[1] / "src"
