@@ -20,6 +20,7 @@ from .core import (
     VergneAlgebra,
     _from_rows,
     _image,
+    _m2_rows,
     _store,
     involution,
     m0,
@@ -85,6 +86,16 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     exactly that (the proof is in ``_child_rows``); its JacobiViolation is
     raised as NotACocycle.
     """
+    rows = _extension_rows(g, omega)
+    try:
+        return _from_rows(g.n + 1, rows)
+    except JacobiViolation:
+        raise NotACocycle(f"d({omega}) != 0") from None
+
+
+def _extension_rows(g: VergneAlgebra, omega: Form) -> list[int]:
+    """The rows of g's extension along omega, after ``central_extension``'s
+    shape checks on omega and in their order; nothing is validated."""
     n = g.n
     if omega.ambient != n:
         raise AmbientMismatch(f"cocycle ambient {omega.ambient} != {n}")
@@ -100,10 +111,7 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
             raise NotHomogeneousTopDegree(f"term {_text(mask)} has degree != {n + 1}")
         if i != 1:  # the leading term is the new [e_1, e_n] = e_{n+1} relation
             rows[i] |= 1 << j
-    try:
-        return _from_rows(n + 1, rows)
-    except JacobiViolation:
-        raise NotACocycle(f"d({omega}) != 0") from None
+    return rows
 
 
 def _children(g: VergneAlgebra) -> list[VergneAlgebra]:
@@ -221,9 +229,16 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
 
 
 def _truncation(g: VergneAlgebra, m: int) -> VergneAlgebra:
-    """g cut at dimension m: the algebra that keeps the c_{i,j} with i+j <= m,
-    that is the bits j <= m - i of each row i <= m."""
-    return _from_rows(m, [r & ((1 << (m - i + 1)) - 1) for i, r in enumerate(g.rows[:m + 1])])
+    """g cut at dimension m, validated: the algebra of ``_truncation_rows``."""
+    return _from_rows(m, _truncation_rows(g, m))
+
+
+def _truncation_rows(g: VergneAlgebra, m: int) -> tuple[int, ...]:
+    """The rows of g cut at dimension m: the c_{i,j} with i+j <= m, that is
+    the bits j <= m - i of each row i <= m.  Refuses m > n (ValueError)."""
+    if m > g.n:
+        raise ValueError(f"cannot truncate at m = {m}: the algebra has dimension n = {g.n}")
+    return tuple([r & ((1 << (m - i + 1)) - 1) for i, r in enumerate(g.rows[:m + 1])])
 
 
 def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
@@ -252,6 +267,11 @@ def decompose(g: VergneAlgebra) -> Decomposition:
     return Decomposition(root=steps[0].base if steps else g, steps=steps)
 
 
+# The keys of the two dimension-5 roots in ``partners``' index.
+_M0_ROOT = (MIN_DIMENSION, (0,) * (MIN_DIMENSION + 1))
+_M2_ROOT = (MIN_DIMENSION, _m2_rows(MIN_DIMENSION))
+
+
 def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgebra]:
     """Each algebra of ``family`` mapped to its partner, in one sweep.
 
@@ -261,6 +281,8 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     distinguished by the codimension-1 abelian ideal, and the conjugation
     squares transport along the extensions, so the Betti numbers agree at
     every dimension.  Involutive: the partner of the partner is g.
+    A member that is not a ``VergneAlgebra`` is refused (TypeError) before
+    any work.
 
     Recursion: let (base, omega) = reduce(g).  The chain of g is its
     truncations with the cocycles d_g(e^{m+1}) (see ``decompose``), read
@@ -274,30 +296,61 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
         partner(g) = central_extension(partner(base), f(omega)).
 
     The sweep starts from the root swap {m0(5): m2(5), m2(5): m0(5)} (every
-    5-dimensional Vergne algebra is one of the two), walks ``reduce`` down
-    from each g only until it meets an algebra whose partner it already
-    holds, and extends back up, recording the partner of every algebra on
-    the way.  So the truncations that many members share are extended once,
-    and a single algebra costs what its full decomposition does.  Every
-    recorded partner is computed from that algebra's own chain: the sweep
-    never records g as the partner of its partner.  So the entry of p =
-    partner(g) equals g only if ``reduce`` inverts ``central_extension``
-    along p's chain, f(f(omega)) = omega for each cocycle, and the root swap
-    is an involution, and a caller that checks involutivity on p's own
-    entry checks the construction.
+    5-dimensional Vergne algebra is one of the two), walks down from each g
+    only until it meets an algebra whose partner it already holds, and
+    extends back up, recording the partner of every algebra on the way.
+    So the truncations that many members share are extended once, and a
+    single algebra costs what its full decomposition does.
+
+    *The family's own instances.*  The family is indexed by (n, rows).  A
+    step down computes the rows of _truncation(g, n-1)
+    (``_truncation_rows``) and reads omega = d_g(e^n) as ``reduce`` does; a
+    step up computes the rows of central_extension(p, f(omega)), with its
+    shape checks on f(omega) (``_extension_rows``).  The roots are looked
+    up by the rows of m0(5) and m2(5).  When the family holds those rows,
+    the step takes the family's instance; only on a miss does it build,
+    through ``reduce`` or the validated ``central_extension``.  A hit is
+    exactly what that build returns: two algebras with equal (n, rows) are
+    equal (``VergneAlgebra.__eq__``), and every held instance is valid, so
+    validating its rows passes (for an extension that is d_p(f(omega)) = 0,
+    see ``_child_rows``) and gives an equal algebra.  So a family that holds
+    every truncation and every partner it meets, such as all enumerated
+    algebras of n = 5..N, is swept with no algebra built or validated, and
+    each entry is the family's own instance.  A family of one is not
+    indexed: a hit only skips a build, so each step takes the build path
+    at once, with no row computed twice.
+
+    Every recorded partner is computed from that algebra's own chain: the
+    sweep never records g as the partner of its partner.  So the entry of
+    p = partner(g) equals g only if the truncation step inverts the
+    extension along p's chain, f(f(omega)) = omega for each cocycle, and
+    the root swap is an involution, and a caller that checks involutivity
+    on p's own entry checks the construction.
     """
     family = tuple(family)
-    root0, root2 = m0(MIN_DIMENSION), m2(MIN_DIMENSION)
+    for g in family:
+        if not isinstance(g, VergneAlgebra):
+            raise TypeError(f"not a VergneAlgebra: {g!r}")
+    held = {(g.n, g.rows): g for g in family} if len(family) > 1 else {}
+    root0 = held.get(_M0_ROOT) or m0(MIN_DIMENSION)
+    root2 = held.get(_M2_ROOT) or m2(MIN_DIMENSION)
     known = {root0: root2, root2: root0}
     for g in family:
         chain = []
         while g not in known:
-            base, omega = reduce(g)
+            n = g.n
+            base = held.get((n - 1, _truncation_rows(g, n - 1))) if held else None
+            if base is None:
+                base, omega = reduce(g)
+            else:
+                omega = Form(n - 1, _image(g.rows, n))
             chain.append((g, omega))
             g = base
         p = known[g]
         for h, omega in reversed(chain):
-            p = known[h] = central_extension(p, involution(omega))
+            f = involution(omega)
+            q = held.get((p.n + 1, tuple(_extension_rows(p, f)))) if held else None
+            p = known[h] = q or central_extension(p, f)
     return {g: known[g] for g in family}
 
 

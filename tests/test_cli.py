@@ -512,23 +512,30 @@ def test_verify_builds_a_model_the_enumeration_lacks(capsys, monkeypatch):
 
 
 def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
-    # thm2 and diagrams share one sweep per command, which extends every
-    # enumerated algebra of n = 6..12 once from its truncation's partner:
-    # 42 extensions, where a sweep per suite made 84 and one partner call
-    # per algebra and per partner rebuilt whole chains (618)
+    # thm2 and diagrams share one sweep per command, which reads every
+    # truncation and partner of n = 5..12 off the enumeration: no extension
+    # and no validated build, where the sweep once made 42 extensions, a
+    # sweep per suite 84 and one partner call per algebra and per partner 618
     for n in range(5, 13):
         classify.enumerate_algebras(n)
-    calls = []
-    real = extensions.central_extension
+    calls, sweeps = [], []
+    real_extension, real_fill, real_partners = extensions.central_extension, core._fill, cli.partners
 
-    def counting(g, omega):
-        calls.append(g.n)
-        return real(g, omega)
+    def extending(g, omega):
+        calls.append(("central_extension", g.n))
+        return real_extension(g, omega)
 
-    monkeypatch.setattr(extensions, "central_extension", counting)
+    def filling(g, n, rows):
+        calls.append(("_fill", n))
+        return real_fill(g, n, rows)
+
+    monkeypatch.setattr(extensions, "central_extension", extending)
+    monkeypatch.setattr(core, "_fill", filling)
+    monkeypatch.setattr(cli, "partners", lambda family: sweeps.append(1) or real_partners(family))
     code, _, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
     assert code == 0
-    assert len(calls) <= 42
+    assert len(calls) == 0
+    assert len(sweeps) == 1
 
 
 def test_each_verify_command_builds_its_own_sweep(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from vergne import exterior, extensions
+from vergne import core, exterior, extensions
 from vergne.classify import enumerate_algebras
 from vergne.cohomology import betti
 from vergne.core import differential, from_row, m0, m2
@@ -17,6 +17,8 @@ from vergne.extensions import (
     MissingLeadingTerm,
     NotACocycle,
     NotHomogeneousTopDegree,
+    _truncation,
+    _truncation_rows,
     admissible_cocycles,
     central_extension,
     decompose,
@@ -380,14 +382,97 @@ def test_partner_of_models():
 
 
 def test_partners_sweep_matches_the_decomposition_oracle():
-    family = [g for n in range(5, 15) for g in enumerate_algebras(n)]
+    # every truncation and partner of n <= 24 is enumerated, so each entry
+    # is the enumerated instance itself, equal to the oracle's build
+    family = [g for n in range(5, 25) for g in enumerate_algebras(n)]
     mate = partners(family)
     assert list(mate) == family
+    held = {g: g for g in family}
     for g in family:
+        assert mate[g] is held[mate[g]], g
         assert mate[g] == partner_by_decomposition(g), g
-        assert partner(g) == partners((g,))[g] == mate[g], g
-    # the sweep walks reduce down from each algebra, so the order is free
+        if g.n < 15:
+            assert partner(g) == partners((g,))[g] == mate[g], g
+    # the sweep walks down from each algebra, so the order is free
     assert partners(reversed(family)) == mate
+
+
+def fail_on_call(name):
+    def fail(*args):
+        raise AssertionError(f"{name} reached")
+    return fail
+
+
+def test_partners_sweep_over_the_enumeration_builds_nothing(monkeypatch):
+    family = [g for n in range(5, 17) for g in enumerate_algebras(n)]
+    for target, name in ((core, "_fill"), (extensions, "reduce"),
+                         (extensions, "central_extension"), (extensions, "m0"),
+                         (extensions, "m2")):
+        monkeypatch.setattr(target, name, fail_on_call(name))
+    mate = partners(family)
+    assert set(mate.values()) == set(family)
+
+
+def test_partners_validate_a_truncation_the_family_lacks(monkeypatch):
+    # the enumeration of n = 5..9 without g's truncation base at 8: the
+    # walk from base's partner extends up to base through central_extension,
+    # and the walk from g steps down to base through reduce, each validating
+    # base's rows; every other step reads the family
+    g = enumerate_algebras(9)[3]
+    base = _truncation(g, 8)
+    family = [h for n in range(5, 10) for h in enumerate_algebras(n) if h != base]
+    reduced = count_reduce_calls(monkeypatch)
+    validated = []
+    real = core._fill
+
+    def filling(a, n, rows):
+        validated.append((n, tuple(rows)))
+        return real(a, n, rows)
+
+    monkeypatch.setattr(core, "_fill", filling)
+    mate = partners(family)
+    assert reduced == [9]
+    assert validated == [(8, base.rows)] * 2
+    monkeypatch.undo()
+    assert mate[g] == partner_by_decomposition(g)
+
+
+def test_partners_validate_a_broken_cocycle_through_the_sweep(monkeypatch):
+    # an involution that toggles e^2^e^{n-1} makes every cocycle of a base
+    # with n >= 5 a non-cocycle (d(omega) = 0 fixes omega from x_2, and x_3
+    # flips with it), so the rows it extends to are held nowhere and their
+    # validation refuses them
+    real = extensions.involution
+
+    def broken(h):
+        return Form(h.ambient, set(real(h).terms) ^ {2 | 1 << (h.ambient - 2)})
+
+    monkeypatch.setattr(extensions, "involution", broken)
+    family = [g for n in range(5, 9) for g in enumerate_algebras(n)]
+    with pytest.raises(NotACocycle):
+        partners(family)
+    with pytest.raises(NotACocycle):
+        partner(family[-1])
+
+
+def test_partner_refuses_a_non_algebra_before_any_work(monkeypatch):
+    monkeypatch.setattr(extensions, "m0", fail_on_call("m0"))
+    with pytest.raises(TypeError, match="not a VergneAlgebra: None"):
+        partner(None)
+    with pytest.raises(TypeError, match="not a VergneAlgebra: 'x'"):
+        partners([m2(7), "x"])
+    with pytest.raises(TypeError, match="not a VergneAlgebra: 7"):
+        partners([7])
+
+
+def test_truncation_refuses_m_above_n():
+    for cut in (_truncation, _truncation_rows):
+        with pytest.raises(ValueError, match="m = 64: the algebra has dimension n = 9"):
+            cut(m2(9), 64)
+        with pytest.raises(ValueError, match="m = 10: the algebra has dimension n = 9"):
+            cut(m2(9), 10)
+    assert _truncation(m2(9), 9) == m2(9)
+    assert _truncation_rows(m2(9), 9) == m2(9).rows
 
 
 def test_partner_pairs_known_labels():
