@@ -19,6 +19,7 @@ from .core import (
     VergneAlgebra,
     _check_dimension,
     _m2_rows,
+    _not_an_algebra,
     m0,
     m2,
 )
@@ -88,20 +89,28 @@ enumerate_by_extension = enumerate_algebras
 
 
 def label(g: VergneAlgebra) -> str:
-    """m0(n)/m2(n), a table label for dimensions 7..12, else the row string."""
-    return _row_label(g.row())
+    """m0(n)/m2(n), a table label for dimensions 7..12, else the row string.
+
+    Read off g's dimension and e_2 row int; a g that is not a
+    ``VergneAlgebra`` is refused (TypeError naming it)."""
+    try:
+        n, r = g.n, g.rows[2]
+    except AttributeError:
+        raise _not_an_algebra(g) from None
+    return _row_label(n, r)
 
 
 @lru_cache(maxsize=None)
-def _row_label(row: RowVector) -> str:
-    # Keyed by the row, not the algebra, so the cache keeps no algebra (and
-    # its cached Betti table) alive; each label string is built once.
-    n, bits = row.n, row.bits
-    if not any(bits):
+def _row_label(n: int, r: int) -> str:
+    # Keyed by (n, e_2 row int), not the algebra, so the cache keeps no
+    # algebra (and its cached Betti table) alive; each label string is built
+    # once, and a RowVector only for a row the table does not label.
+    if r == 0:
         return f"m0({n})"
-    if sum([b << j for j, b in enumerate(bits, 2)]) == _m2_rows(n)[2]:
+    if r == _m2_rows(n)[2]:
         return f"m2({n})"
-    return _LABELS.get((n, bits), str(row))
+    bits = tuple([r >> j & 1 for j in range(2, n + 1)])
+    return _LABELS.get((n, bits)) or str(RowVector(bits))
 
 
 class ExtensionTree(NamedTuple):

@@ -193,8 +193,10 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
         for g in algebras:
             p = mate[g]
             same_betti = betti(g).b == betti(p).b
-            distinct = g.row() != p.row()
-            involutive = (mate[p] if p in mate else partner(p)) == g
+            # (n, e_2 row) decides the rows: the rest of the table completes from it
+            distinct = (g.n, g.rows[2]) != (p.n, p.rows[2])
+            q = mate.get(p)
+            involutive = (partner(p) if q is None else q) == g
             ok = same_betti and distinct and involutive
             lines.append(
                 f"thm2 n={n} {classify.label(g)} ~ {classify.label(p)} "

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
+from operator import xor
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import VergneAlgebra, _involution_masks, _m2_rows, differential
+from .core import VergneAlgebra, _involution_masks, _m2_rows, _not_an_algebra, differential
 from .exterior import Derivation, _check_ambient, _Frozen, _outside_codomain, graded_masks
 
 __all__ = [
@@ -162,7 +163,8 @@ def _degree_bounds(n: int) -> tuple[tuple[int, int], ...]:
 def betti(g: VergneAlgebra) -> BettiTable:
     """Full Betti table, from one pass over the graded blocks; cached.
 
-    ``betti_tables`` with a batch of one: the one rank path.  The blocks
+    ``betti_tables`` with a batch of one: the one rank path; a g that is
+    not a ``VergneAlgebra`` is refused (TypeError naming it).  The blocks
     (k, m) are ranked with the degree m outer and k inner.  The ranks add
     up to dim Z_k = C(n, k) - rank d_k and the graded entries
     dim H^k_m = |block (k, m)| - rank(k, m) - rank(k-1, m), while
@@ -288,9 +290,11 @@ def betti(g: VergneAlgebra) -> BettiTable:
     and dropped once the latter has read it, so the stores held at once
     span about two degrees.
     """
-    if g._betti is None:
-        betti_tables((g,))
-    return g._betti
+    try:
+        table = g._betti
+    except AttributeError:
+        raise _not_an_algebra(g) from None
+    return table if table is not None else betti_tables((g,))[0]
 
 
 def betti_tables(algebras: Iterable[VergneAlgebra]) -> list[BettiTable]:
@@ -299,10 +303,14 @@ def betti_tables(algebras: Iterable[VergneAlgebra]) -> list[BettiTable]:
     An algebra that holds a table, or equals one in the input that does,
     is not ranked.  The rest are ranked in one batch per dimension, each
     distinct table once, sharing the m0(n) columns (see ``betti``).  When
-    a batch raises, no algebra's cache is filled.
+    a batch raises, no algebra's cache is filled.  A member that is not a
+    ``VergneAlgebra`` is refused (TypeError naming it) before any work.
     """
     algebras = list(algebras)
-    tables = {g: g._betti for g in algebras if g._betti is not None}
+    try:
+        tables = {g: g._betti for g in algebras if g._betti is not None}
+    except AttributeError:
+        raise _not_an_algebra(*algebras) from None
     batches: dict[int, dict[VergneAlgebra, None]] = {}
     for g in algebras:
         if g not in tables:
@@ -479,10 +487,15 @@ def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> boo
 
 
 def _common_dimension(g1: VergneAlgebra, g2: VergneAlgebra) -> int:
-    """The dimension n of both algebras; refuse a mismatch."""
-    if g1.n != g2.n:
-        raise ValueError(f"dimension mismatch: {g1.n} != {g2.n}")
-    return g1.n
+    """The dimension n of both algebras; refuse a non-algebra (TypeError
+    naming it), then a mismatch."""
+    try:
+        n1, n2 = g1.n, g2.n
+    except AttributeError:
+        raise _not_an_algebra(g1, g2) from None
+    if n1 != n2:
+        raise ValueError(f"dimension mismatch: {n1} != {n2}")
+    return n1
 
 
 def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
@@ -494,16 +507,18 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     The square holds at every k exactly when the c-tables of g1 and g2
     differ by m2(n)'s table {(2, j) : 3 <= j <= n-2}.  Bit j of row i is
     c_{i,j}, so the symmetric difference c1 △ c2 has the rows
-    g1.rows[i] ^ g2.rows[i], and the test compares them with m2(n)'s rows
-    (``core._m2_rows``).  Work over GF(2), so there are no signs.  By the
-    formula of ``core.differential``, δ = d1 + d2 maps e^k to the sum of
-    e^i^e^j over the pairs (i, j) of c1 △ c2 with i + j = k.  Let L be the
-    derivation with L(e^i) = e^{i-1} for i >= 3 and L(e^i) = 0 for
-    i <= 2 (``core._LOWERING``), and let ι be contraction by e_1, so that
-    f = id + e^2^L∘ι, as ``core._involution_masks`` computes it.  The
-    e^1-part of each d on generators is e^1^L, so dι + ιd = L (both sides
-    are derivations and agree on every e^i), and with d∘d = 0 (checked on
-    construction) dL = dιd = Ld.  With d(e^2) = 0 this gives
+    g1.rows[i] ^ g2.rows[i], and it is m2(n)'s table exactly when every
+    g2.rows[i] equals g1.rows[i] ^ m2(n)'s rows[i] (``core._m2_rows``):
+    the test is that one comparison of g2's rows.  Work over GF(2), so
+    there are no signs.  By the formula of ``core.differential``,
+    δ = d1 + d2 maps e^k to the sum of e^i^e^j over the pairs (i, j) of
+    c1 △ c2 with i + j = k.  Let L be the derivation with L(e^i) = e^{i-1}
+    for i >= 3 and L(e^i) = 0 for i <= 2 (``core._LOWERING``), and let ι
+    be contraction by e_1, so that f = id + e^2^L∘ι, as
+    ``core._involution_masks`` computes it.  The e^1-part of each d on
+    generators is e^1^L, so dι + ιd = L (both sides are derivations and
+    agree on every e^i), and with d∘d = 0 (checked on construction)
+    dL = dιd = Ld.  With d(e^2) = 0 this gives
 
         d2 f + f d1 = δ + e^2^(d2 L ι + L ι d1) = δ + e^2^L(δι + L).
 
@@ -523,7 +538,7 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
       (``_square_holds``).
     """
     n = _common_dimension(g1, g2)
-    if tuple([r1 ^ r2 for r1, r2 in zip(g1.rows, g2.rows)]) == _m2_rows(n):
+    if g2.rows == tuple(map(xor, g1.rows, _m2_rows(n))):
         return ()
     d1, d2 = differential(g1), differential(g2)
     return tuple(k for k in range(2, n + 1) if not _square_holds(d1, d2, n, k))

@@ -231,6 +231,8 @@ class VergneAlgebra(_Frozen):
         return self._row
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, VergneAlgebra):
             return NotImplemented
         return self.n == other.n and self.rows == other.rows
@@ -240,6 +242,14 @@ class VergneAlgebra(_Frozen):
 
     def __repr__(self) -> str:
         return f"VergneAlgebra(n={self.n}, row={self.row()})"
+
+
+def _not_an_algebra(*args: object) -> TypeError:
+    """The refusal naming the first of ``args`` that is not a
+    ``VergneAlgebra``; built only after reading an attribute of them failed,
+    so the callers' paths that succeed pay nothing."""
+    bad = next((a for a in args if not isinstance(a, VergneAlgebra)), args[0])
+    return TypeError(f"not a VergneAlgebra: {bad!r}")
 
 
 def _fill(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
@@ -294,8 +304,10 @@ def m0(n: int) -> VergneAlgebra:
     return VergneAlgebra(n, ())
 
 
+@lru_cache(maxsize=None, typed=True)
 def _m2_rows(n: int) -> tuple[int, ...]:
-    """The c-table of m2(n) as rows: c_{2,j} = 1 exactly for 3 <= j <= n-2.
+    """The c-table of m2(n) as rows: c_{2,j} = 1 exactly for 3 <= j <= n-2;
+    built once per n, since ``square_failures`` reads it for every pair.
 
     The completion rule adds nothing to this row: c_{3,j} = c_{2,j} +
     c_{2,j+1} is 0 for 4 <= j <= n-3, and c_{3,n-2} is out of range.

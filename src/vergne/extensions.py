@@ -21,6 +21,7 @@ from .core import (
     _from_rows,
     _image,
     _m2_rows,
+    _not_an_algebra,
     _store,
     involution,
     m0,
@@ -330,7 +331,7 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     family = tuple(family)
     for g in family:
         if not isinstance(g, VergneAlgebra):
-            raise TypeError(f"not a VergneAlgebra: {g!r}")
+            raise _not_an_algebra(g)
     held = {(g.n, g.rows): g for g in family} if len(family) > 1 else {}
     root0 = held.get(_M0_ROOT) or m0(MIN_DIMENSION)
     root2 = held.get(_M2_ROOT) or m2(MIN_DIMENSION)

@@ -57,7 +57,9 @@ one comparison with the mirrored mapping in ``cli._graded_dual``.
 ``violation_by_e1_e2`` reads the first failing constraint of a table from
 its e^1-terms and its (2, b, c) triples alone, independently of the whole
 d(d(e^k)) = 0 check in ``core._fill``; it is the reference for a row check
-that reads only those.
+that reads only those.  ``label_by_row`` labels an algebra from its
+``RowVector``'s bits, with m2(n)'s row spelled out as bits, independently
+of ``classify.label``'s read of the e_2 row int.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from itertools import combinations, product
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from vergne.classify import _LABELS
 from vergne.cohomology import BettiTable
 from vergne.core import (
     MIN_DIMENSION,
@@ -238,6 +241,18 @@ def enumerate_rows(n: int) -> tuple:
         from_row(row) for row in all_rows(n)
         if jacobi_holds(dict.fromkeys(complete_row_pairs(row), 1), n)
     )
+
+
+def label_by_row(row: RowVector) -> str:
+    """The label of the algebra with e_2 row ``row``: m0(n) for the zero
+    row, m2(n) for the row with c_{2,j} = 1 exactly for 3 <= j <= n-2, the
+    listed ``classify._LABELS`` name, else the row string."""
+    n, bits = row.n, row.bits
+    if not any(bits):
+        return f"m0({n})"
+    if bits == (0,) + (1,) * (n - 4) + (0, 0):
+        return f"m2({n})"
+    return _LABELS.get((n, bits), str(row))
 
 
 def rank_naive(vectors: list[int]) -> int:

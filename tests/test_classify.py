@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import re
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -30,7 +31,7 @@ from vergne.extensions import (
 )
 
 from helpers import parse_dot
-from oracles import enumerate_rows
+from oracles import enumerate_rows, label_by_row
 
 COUNTS = {5: 2, 6: 2, 7: 4, 8: 4, 9: 6, 10: 6, 11: 10, 12: 10}
 
@@ -190,6 +191,23 @@ def test_labels():
     # beyond the table the label falls back to the row string
     g13 = from_row("[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]")
     assert label(g13) == "[0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0]"
+
+
+def test_label_agrees_with_the_row_oracle():
+    # label reads (n, e_2 row int); the oracle reads the RowVector's bits
+    classify._row_label.cache_clear()
+    for n in range(5, 41):
+        for g in enumerate_algebras(n):
+            assert label(g) == label_by_row(g.row()), g
+    for n in range(5, MAX_AMBIENT + 1):
+        for g in (m0(n), m2(n)):
+            assert label(g) == label_by_row(g.row()), g
+
+
+def test_label_refuses_a_non_algebra_by_name():
+    for junk in (None, "6", m2(7).row()):
+        with pytest.raises(TypeError, match=f"not a VergneAlgebra: {re.escape(repr(junk))}"):
+            label(junk)
 
 
 def test_forward_search_matches_row_enumeration():

@@ -538,6 +538,31 @@ def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
     assert len(sweeps) == 1
 
 
+def test_verify_labels_and_checks_pairs_from_the_row_ints(capsys, monkeypatch):
+    # each label and each thm2 check reads (n, e_2 row int): with the
+    # enumeration warm and the labels cold, the command builds no RowVector
+    # and formats no row, and the label cache holds no algebra
+    for n in range(5, 13):
+        classify.enumerate_algebras(n)
+    classify._row_label.cache_clear()
+    built, formatted, keys = [], [], []
+    real_init, real_text, real_label = core.RowVector.__init__, core._row_text, classify._row_label
+
+    def init(self, bits):
+        built.append(bits)
+        real_init(self, bits)
+
+    monkeypatch.setattr(core.RowVector, "__init__", init)
+    monkeypatch.setattr(core, "_row_text", lambda bits: formatted.append(bits) or real_text(bits))
+    monkeypatch.setattr(classify, "_row_label", lambda *key: keys.append(key) or real_label(*key))
+    ref = Path(__file__).parents[1] / "perfbench" / "refs" / "verify_all_12.txt"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
+    assert (code, out) == (0, ref.read_text())
+    assert (built, formatted) == ([], [])
+    assert keys and all(len(key) == 2 and all(type(x) is int for x in key) for key in keys)
+    assert real_label.cache_info().currsize == len(set(keys))
+
+
 def test_each_verify_command_builds_its_own_sweep(capsys, monkeypatch):
     # a sweep lasts one command: a second command in the same process, with
     # other partners, prints its own lines, and a third its own again
@@ -597,6 +622,9 @@ def test_verify_thm2_ranks_a_partner_outside_the_enumeration(capsys, monkeypatch
     assert code == cli.EXIT_VERIFY_FAILED
     assert "thm2 n=5 m0(5) ~ m0(6) FAIL" in out.splitlines()
     assert sum(line.startswith("thm2 n=") and line.endswith(" FAIL") for line in out.splitlines()) == 8
+    # m0(6) has m0(5)'s e_2 row int, so the distinct check reads the dimension too
+    assert m0(6).rows[2] == m0(5).rows[2]
+    assert "  thm2 n=5 [0, 0, 0, 0]: betti=False distinct=True involutive=False" in out.splitlines()
 
 
 def test_verify_thm2_involution_reads_the_partners_own_entry(capsys, monkeypatch):

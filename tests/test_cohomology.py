@@ -862,6 +862,24 @@ def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
         square_failures(m0(5), m0(6))
 
 
+def test_tables_and_the_square_refuse_a_non_algebra_by_name(monkeypatch):
+    # a non-algebra fails its first attribute read, which names it, before
+    # any block is ranked or any differential built
+    def work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cohomology, "_rank", work)
+    monkeypatch.setattr(cohomology, "differential", work)
+    for call, junk in ((lambda: betti(None), None),
+                       (lambda: cohomology.betti_tables(["6"]), "6"),
+                       (lambda: cohomology.betti_tables([m2(7), "x"]), "x"),
+                       (lambda: square_failures(None, m2(6)), None),
+                       (lambda: square_failures(m2(6), "x"), "x"),
+                       (lambda: verify_commuting_square(m0(6), None, 2), None)):
+        with pytest.raises(TypeError, match=f"^not a VergneAlgebra: {junk!r}$"):
+            call()
+
+
 def test_diagrams_decide_each_pair_once(monkeypatch, capsys):
     # 52 pairs at --max-dim 12: each is decided by one square_failures call,
     # and none reaches the per-monomial check
