@@ -18,7 +18,7 @@ from .core import (
     RowVector,
     VergneAlgebra,
     _check_dimension,
-    _m2_rows,
+    _m2_row,
     _not_an_algebra,
     m0,
     m2,
@@ -75,13 +75,15 @@ def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
 
     The two models at dimension 5; above it, the children of every
     algebra of dimension n-1, as ``extensions._children`` builds, checks
-    and stores them, sorted by e_2 row.
+    and stores them, sorted by e_2 row.  The key is the bits 0..n of
+    ``rows[2]``, lowest first, as text: the order of ``row().bits``, which
+    lists bits 2..n lowest first, as bits 0 and 1 are 0.
     """
     _check_dimension(n)
     if n == MIN_DIMENSION:
         return (m0(n), m2(n))
     level = [h for g in enumerate_algebras(n - 1) for h in _children(g)]
-    return tuple(sorted(level, key=lambda h: h.row().bits))
+    return tuple(sorted(level, key=lambda h: f"{h.rows[2]:0{n + 1}b}"[::-1]))
 
 
 # Former name of the forward search, kept while perfbench/ calls it (ROADMAP item 1).
@@ -107,7 +109,7 @@ def _row_label(n: int, r: int) -> str:
     # once, and a RowVector only for a row the table does not label.
     if r == 0:
         return f"m0({n})"
-    if r == _m2_rows(n)[2]:
+    if r == _m2_row(n):
         return f"m2({n})"
     bits = tuple([r >> j & 1 for j in range(2, n + 1)])
     return _LABELS.get((n, bits)) or str(RowVector(bits))
@@ -148,12 +150,17 @@ def extension_tree(n_max: int) -> ExtensionTree:
 
 
 def to_dot(tree: ExtensionTree) -> str:
-    """Deterministic DOT digraph; edges run parent -> child."""
+    """Deterministic DOT digraph; edges run parent -> child.  A tree that
+    is not an ``ExtensionTree`` is refused (TypeError naming it)."""
+    try:
+        nodes, edges, labels = tree.nodes, tree.edges, tree.labels
+    except AttributeError:
+        raise TypeError(f"not an ExtensionTree: {tree!r}") from None
     lines = ["digraph vergne_extensions {"]
-    for key in sorted(tree.nodes):
-        lines.append(f'  "{tree.labels[tree.nodes[key]]}";')
-    for child, parent in sorted(tree.edges):
-        lines.append(f'  "{tree.labels[parent]}" -> "{tree.labels[child]}";')
+    for key in sorted(nodes):
+        lines.append(f'  "{labels[nodes[key]]}";')
+    for child, parent in sorted(edges):
+        lines.append(f'  "{labels[parent]}" -> "{labels[child]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb
-from operator import xor
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .core import VergneAlgebra, _involution_masks, _m2_rows, _not_an_algebra, differential
+from .core import VergneAlgebra, _involution_masks, _m2_row, _not_an_algebra, differential
 from .exterior import Derivation, _check_ambient, _Frozen, _outside_codomain, graded_masks
 
 __all__ = [
@@ -507,9 +506,10 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
     The square holds at every k exactly when the c-tables of g1 and g2
     differ by m2(n)'s table {(2, j) : 3 <= j <= n-2}.  Bit j of row i is
     c_{i,j}, so the symmetric difference c1 △ c2 has the rows
-    g1.rows[i] ^ g2.rows[i], and it is m2(n)'s table exactly when every
-    g2.rows[i] equals g1.rows[i] ^ m2(n)'s rows[i] (``core._m2_rows``):
-    the test is that one comparison of g2's rows.  Work over GF(2), so
+    g1.rows[i] ^ g2.rows[i], and it is m2(n)'s table exactly when
+    g1.rows[2] ^ g2.rows[2] is m2(n)'s row 2 (``core._m2_row``), since
+    row 2 decides the rest, XOR-linearly (``core._complete_row``): the
+    test is that one comparison of ints.  Work over GF(2), so
     there are no signs.  By the formula of ``core.differential``,
     δ = d1 + d2 maps e^k to the sum of e^i^e^j over the pairs (i, j) of
     c1 △ c2 with i + j = k.  Let L be the derivation with L(e^i) = e^{i-1}
@@ -538,7 +538,7 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
       (``_square_holds``).
     """
     n = _common_dimension(g1, g2)
-    if g2.rows == tuple(map(xor, g1.rows, _m2_rows(n))):
+    if g1.rows[2] ^ g2.rows[2] == _m2_row(n):
         return ()
     d1, d2 = differential(g1), differential(g2)
     return tuple(k for k in range(2, n + 1) if not _square_holds(d1, d2, n, k))

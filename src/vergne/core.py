@@ -116,8 +116,12 @@ def _row_text(bits: tuple[int, ...]) -> str:
 
 
 def parse_row(text: str) -> RowVector:
-    """Parse ``[0, 1, 1, 0, 0, 0]``; brackets and whitespace optional."""
-    inner = text.strip()
+    """Parse ``[0, 1, 1, 0, 0, 0]``; brackets and whitespace optional.
+    A text that is not a string is refused (TypeError naming it)."""
+    try:
+        inner = text.strip()
+    except AttributeError:
+        raise TypeError(f"not a row string: {text!r}") from None
     if inner.startswith("["):
         if not inner.endswith("]"):
             raise ValueError(f"unbalanced brackets in {text!r}")
@@ -164,7 +168,9 @@ class VergneAlgebra(_Frozen):
 
     The c-table is held as ``rows``, one int per index i in 0..n: bit j of
     ``rows[i]`` is c_{i,j} for 2 <= i < j with i + j <= n, and every other
-    bit is 0, so equal tables have equal rows.  ``c`` is the same table as a
+    bit is 0, so equal tables have equal rows.  Row 2 decides the rest
+    (``_complete_row``), so (n, ``rows[2]``) is the identity that equality
+    and the hash read.  ``c`` is the same table as a
     frozenset of pairs (i, j), i < j, built on each read.  No differential
     is kept: ``differential`` builds one per call.
 
@@ -231,14 +237,15 @@ class VergneAlgebra(_Frozen):
         return self._row
 
     def __eq__(self, other: object) -> bool:
+        # (n, e_2 row) decides the whole table: see ``_complete_row``
         if self is other:
             return True
         if not isinstance(other, VergneAlgebra):
             return NotImplemented
-        return self.n == other.n and self.rows == other.rows
+        return self.n == other.n and self.rows[2] == other.rows[2]
 
     def __hash__(self) -> int:
-        return hash((self.n, self.rows))
+        return hash((self.n, self.rows[2]))
 
     def __repr__(self) -> str:
         return f"VergneAlgebra(n={self.n}, row={self.row()})"
@@ -304,16 +311,20 @@ def m0(n: int) -> VergneAlgebra:
     return VergneAlgebra(n, ())
 
 
-@lru_cache(maxsize=None, typed=True)
+def _m2_row(n: int) -> int:
+    """m2(n)'s e_2 row as an int: c_{2,j} = 1 exactly for 3 <= j <= n-2."""
+    return (1 << (n - 1)) - 8  # bits 3..n-2
+
+
 def _m2_rows(n: int) -> tuple[int, ...]:
-    """The c-table of m2(n) as rows: c_{2,j} = 1 exactly for 3 <= j <= n-2;
-    built once per n, since ``square_failures`` reads it for every pair.
+    """The c-table of m2(n) as rows: ``_m2_row(n)`` at index 2, and 0
+    elsewhere.
 
     The completion rule adds nothing to this row: c_{3,j} = c_{2,j} +
     c_{2,j+1} is 0 for 4 <= j <= n-3, and c_{3,n-2} is out of range.
     """
     rows = [0] * (n + 1)  # n >= 5, so row 2 exists: every caller holds a checked n
-    rows[2] = (1 << (n - 1)) - 8  # bits 3..n-2
+    rows[2] = _m2_row(n)
     return tuple(rows)
 
 
@@ -345,6 +356,18 @@ def _complete_row(row: RowVector) -> list[int]:
     result may still violate the diagonal or triple constraints.  Those are
     caught by validation (the completion identities for the off-diagonal
     pairs hold by construction).
+
+    *Row 2 decides the table, XOR-linearly.*  Each step is a shift, an XOR
+    and a fixed mask, so the rows of r ^ s are the rows of r XOR the rows
+    of s, row by row.  Every ``VergneAlgebra`` holds the completion of its
+    own row 2: construction validates d(d(e^k)) = 0, whose e^1-terms are
+    the completion identities for every pair in range (``_fill``), and
+    ``_store`` keeps only rows proven valid (``extensions._child_rows``).
+    So for two algebras g1, g2 of one n, g1.rows == g2.rows exactly when
+    g1.rows[2] == g2.rows[2], and, since m2(n)'s rows beyond 2 are 0
+    (``_m2_rows``), g2.rows == g1.rows ^ m2(n)'s rows, row by row, exactly
+    when g1.rows[2] ^ g2.rows[2] is m2(n)'s row 2 (``_m2_row``).
+    ``VergneAlgebra.__eq__`` and ``cohomology.square_failures`` read these.
     """
     n = row.n
     rows = [0] * (n + 1)
@@ -359,11 +382,16 @@ def from_row(row: RowVector | str) -> VergneAlgebra:
     """Build the algebra encoded by an e_2 row, completing via Jacobi.
 
     Raises JacobiViolation when the row does not encode a Lie algebra
-    (first failing diagonal index or triple attached).
+    (first failing diagonal index or triple attached); a row that is
+    neither a ``RowVector`` nor a string is refused (TypeError naming it).
     """
     if isinstance(row, str):
         row = parse_row(row)
-    return _from_rows(row.n, _complete_row(row))
+    try:
+        n = row.n
+    except AttributeError:
+        raise TypeError(f"not a RowVector or row string: {row!r}") from None
+    return _from_rows(n, _complete_row(row))
 
 
 def differential(g: VergneAlgebra) -> Derivation:
@@ -373,9 +401,14 @@ def differential(g: VergneAlgebra) -> Derivation:
 
     Maps each graded slice of k-forms into the same-degree slice of
     (k+1)-forms.  Built from ``g.rows`` on each call; the algebra keeps
-    no differential.
+    no differential.  A g that is not a ``VergneAlgebra`` is refused
+    (TypeError naming it).
     """
-    return _differential(g.n, g.rows)
+    try:
+        n, rows = g.n, g.rows
+    except AttributeError:
+        raise _not_an_algebra(g) from None
+    return _differential(n, rows)
 
 
 # L: e^i -> e^{i-1} for i >= 3, at the representation limit, so every n reads it.
@@ -396,12 +429,17 @@ def involution(h: Form) -> Form:
     f = id + e^2^L∘ι, where ι contracts by e_1 and L is the derivation
     lowering each index i >= 3 by one (L(e^1) = L(e^2) = 0).  Splitting
     h = e^1^x + y with x, y free of e^1, f(h) = h + e^2^L(x).  Applying it
-    twice gives h back: e^2^L(x) is free of e^1, so ι kills it.
+    twice gives h back: e^2^L(x) is free of e^1, so ι kills it.  An h that
+    is not a ``Form`` is refused (TypeError naming it).
     """
-    if not h.terms:
+    try:
+        terms = h.terms
+    except AttributeError:
+        raise TypeError(f"not a Form: {h!r}") from None
+    if not terms:
         return h
-    tds = {m.bit_count() for m in h.terms}
+    tds = {m.bit_count() for m in terms}
     if len(tds) != 1:
         raise ValueError("involution needs a homogeneous topological degree")
     _check_ambient(tds.pop(), "topological degree", 2, h.ambient)
-    return Form(h.ambient, _involution_masks(h.terms))
+    return Form(h.ambient, _involution_masks(terms))

@@ -85,7 +85,9 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     each term is a 2-form of degree n+1 (NotHomogeneousTopDegree).
     d_g(omega) = 0 is left to the extension's own validation, which checks
     exactly that (the proof is in ``_child_rows``); its JacobiViolation is
-    raised as NotACocycle.
+    raised as NotACocycle.  Before all of them, a g that is not a
+    ``VergneAlgebra`` or an omega that is not a ``Form`` is refused
+    (TypeError naming it).
     """
     rows = _extension_rows(g, omega)
     try:
@@ -97,13 +99,19 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
 def _extension_rows(g: VergneAlgebra, omega: Form) -> list[int]:
     """The rows of g's extension along omega, after ``central_extension``'s
     shape checks on omega and in their order; nothing is validated."""
-    n = g.n
-    if omega.ambient != n:
-        raise AmbientMismatch(f"cocycle ambient {omega.ambient} != {n}")
-    if 1 | 1 << (n - 1) not in omega.terms:  # e^1 ^ e^n
+    try:
+        n, rows = g.n, [*g.rows, 0]
+    except AttributeError:
+        raise _not_an_algebra(g) from None
+    try:
+        ambient, terms = omega.ambient, omega.terms
+    except AttributeError:
+        raise TypeError(f"not a Form: {omega!r}") from None
+    if ambient != n:
+        raise AmbientMismatch(f"cocycle ambient {ambient} != {n}")
+    if 1 | 1 << (n - 1) not in terms:  # e^1 ^ e^n
         raise MissingLeadingTerm("cocycle has no e^1^e^n component")
-    rows = [*g.rows, 0]
-    for mask in omega.terms:
+    for mask in terms:
         indices = _indices(mask)
         if len(indices) != 2:
             raise NotHomogeneousTopDegree(f"term {_text(mask)} is not a 2-form")
@@ -221,9 +229,13 @@ def admissible_cocycles(g: VergneAlgebra) -> list[Form]:
 
     Each is d(e^{n+1}) of one child's rows from ``_child_rows``, which
     keeps exactly the extensions by cocycles, read in g's ambient as
-    ``reduce`` reads it.  No algebra is built.
+    ``reduce`` reads it.  No algebra is built.  A g that is not a
+    ``VergneAlgebra`` is refused (TypeError naming it).
     """
-    n = g.n
+    try:
+        n = g.n
+    except AttributeError:
+        raise _not_an_algebra(g) from None
     forms = [Form(n, _image(rows, n + 1)) for rows in _child_rows(g)]
     forms.sort(key=lambda f: sorted(map(_indices, f.terms)))
     return forms
@@ -248,9 +260,13 @@ def reduce(g: VergneAlgebra) -> tuple[VergneAlgebra, Form]:
     The base is the truncation of g at n-1.  The cocycle is d(e^n),
     read in the base's ambient: e^1^e^{n-1} plus the c_{i,j} e^i^e^j with
     i+j = n, whose indices are all below n.  Extending the base by it gives
-    g back exactly.
+    g back exactly.  A g that is not a ``VergneAlgebra`` is refused
+    (TypeError naming it).
     """
-    n = g.n
+    try:
+        n = g.n
+    except AttributeError:
+        raise _not_an_algebra(g) from None
     if n <= MIN_DIMENSION:
         raise ValueError(f"cannot reduce below dimension {MIN_DIMENSION}")
     return _truncation(g, n - 1), Form(n - 1, _image(g.rows, n))
@@ -262,9 +278,14 @@ def decompose(g: VergneAlgebra) -> Decomposition:
     This is the chain that iterating ``reduce`` builds: every index in
     d_g(e^{m+1}) and in the kept c_{i,j} is <= m, so the cut at m+1 has g's
     d(e^{m+1}), and cutting it at m keeps what cutting g at m keeps.
+    A g that is not a ``VergneAlgebra`` is refused (TypeError naming it).
     """
-    steps = tuple([ExtensionStep(_truncation(g, m), Form(m, _image(g.rows, m + 1)))
-                   for m in range(MIN_DIMENSION, g.n)])
+    try:
+        n, rows = g.n, g.rows
+    except AttributeError:
+        raise _not_an_algebra(g) from None
+    steps = tuple([ExtensionStep(_truncation(g, m), Form(m, _image(rows, m + 1)))
+                   for m in range(MIN_DIMENSION, n)])
     return Decomposition(root=steps[0].base if steps else g, steps=steps)
 
 
@@ -321,6 +342,12 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     indexed: a hit only skips a build, so each step takes the build path
     at once, with no row computed twice.
 
+    The index keys by all the rows, not by (n, ``rows[2]``) as equality
+    does: its keys are rows computed before any validation.  A step up
+    whose f(omega) is not a cocycle has rows that no valid algebra holds,
+    yet their row 2 may be a member's; keyed by row 2, the step would hand
+    out that member where ``central_extension`` raises NotACocycle.
+
     Every recorded partner is computed from that algebra's own chain: the
     sweep never records g as the partner of its partner.  So the entry of
     p = partner(g) equals g only if the truncation step inverts the
@@ -370,5 +397,9 @@ def has_codim1_abelian_ideal(g: VergneAlgebra) -> bool:
     both contain e_4.  span(e_2..e_n) is abelian exactly when every
     c_{i,j} is 0, because [e_i, e_j] = c_{i,j} e_{i+j} for 2 <= i < j,
     that is when every int of ``g.rows`` (bit j of row i is c_{i,j}) is 0.
+    A g that is not a ``VergneAlgebra`` is refused (TypeError naming it).
     """
-    return not any(g.rows)
+    try:
+        return not any(g.rows)
+    except AttributeError:
+        raise _not_an_algebra(g) from None

@@ -194,16 +194,21 @@ class Derivation(_Frozen):
     (``1 << (i-1)``) -> frozenset of image masks of e^i, for the nonzero
     images in input order.  ``images`` is a read-only view of the same
     images keyed by generator index, built on each read.  A generator index
-    or image mask that is not an int, or out of range, is refused.
+    or image mask that is not an int, or out of range, is refused, and so
+    are images that are not a mapping (TypeError naming them).
     """
 
     __slots__ = ("ambient", "_table")
 
     def __init__(self, ambient: int, images: Mapping[int, Iterable[int]]):
         _check_ambient(ambient)
+        try:
+            items = images.items()
+        except AttributeError:
+            raise TypeError(f"not a mapping of generator images: {images!r}") from None
         limit = 1 << ambient
         table: dict[int, frozenset[int]] = {}
-        for i, masks in images.items():
+        for i, masks in items:
             if type(i) is not int:
                 raise TypeError(f"generator index must be an int, got {i!r}")
             if not 1 <= i <= ambient:

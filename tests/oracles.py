@@ -59,13 +59,16 @@ its e^1-terms and its (2, b, c) triples alone, independently of the whole
 d(d(e^k)) = 0 check in ``core._fill``; it is the reference for a row check
 that reads only those.  ``label_by_row`` labels an algebra from its
 ``RowVector``'s bits, with m2(n)'s row spelled out as bits, independently
-of ``classify.label``'s read of the e_2 row int.
+of ``classify.label``'s read of the e_2 row int.  ``square_by_rows``
+decides the square by comparing g2's whole rows with g1's XOR m2(n)'s, row
+by row, independently of the row-2 read in ``square_failures``.
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import combinations, product
+from operator import xor
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -328,6 +331,12 @@ def commuting_square_failures(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> l
         if d2(f(h)) != f(d1(h)):
             out.append(mono)
     return out
+
+
+def square_by_rows(g1: VergneAlgebra, g2: VergneAlgebra) -> bool:
+    """Whether the c-tables of two algebras of one n differ by m2(n)'s: every
+    row of g2 is g1's row XOR m2(n)'s, the whole-tuple comparison."""
+    return g2.rows == tuple(map(xor, g1.rows, m2(g1.n).rows))
 
 
 def commuting_square_holds(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:

@@ -75,6 +75,36 @@ def test_the_differential_has_one_representation():
         assert not hasattr(vergne.cohomology, name), name
 
 
+# Each public entry refuses an argument of another type by name, with the
+# TypeError of its first attribute read; one case per entry.
+REFUSALS = {
+    "from_row": (lambda: vergne.from_row(None), "not a RowVector or row string: None"),
+    "parse_row": (lambda: vergne.parse_row(None), "not a row string: None"),
+    "involution": (lambda: vergne.involution(None), "not a Form: None"),
+    "Derivation": (lambda: vergne.Derivation(0, None), "not a mapping of generator images: None"),
+    "differential": (lambda: vergne.differential(None), "not a VergneAlgebra: None"),
+    "central_extension-g": (lambda: vergne.central_extension(None, vergne.Form(6)),
+                            "not a VergneAlgebra: None"),
+    "central_extension-omega": (lambda: vergne.central_extension(vergne.m0(6), "x"),
+                                "not a Form: 'x'"),
+    "admissible_cocycles": (lambda: vergne.admissible_cocycles(6), "not a VergneAlgebra: 6"),
+    "reduce": (lambda: vergne.reduce(None), "not a VergneAlgebra: None"),
+    "decompose": (lambda: vergne.decompose("x"), "not a VergneAlgebra: 'x'"),
+    "has_codim1_abelian_ideal": (lambda: vergne.has_codim1_abelian_ideal(None),
+                                 "not a VergneAlgebra: None"),
+    "to_dot": (lambda: vergne.to_dot(None), "not an ExtensionTree: None"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REFUSALS))
+def test_an_argument_of_another_type_is_refused_by_name(entry):
+    call, message = REFUSALS[entry]
+    with pytest.raises(TypeError) as info:
+        call()
+    assert str(info.value) == message
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "vergne"
 TESTS = Path(__file__).resolve().parent
 

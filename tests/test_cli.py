@@ -1,6 +1,7 @@
 """Command line wiring: verbs, formats, exit codes, determinism."""
 
 import errno
+import functools
 import hashlib
 import io
 import json
@@ -561,6 +562,22 @@ def test_verify_labels_and_checks_pairs_from_the_row_ints(capsys, monkeypatch):
     assert (built, formatted) == ([], [])
     assert keys and all(len(key) == 2 and all(type(x) is int for x in key) for key in keys)
     assert real_label.cache_info().currsize == len(set(keys))
+
+
+def test_cold_verify_builds_no_row_vector(capsys, monkeypatch):
+    # enumeration sorts each level by a key read off rows[2]: with the
+    # enumeration and the labels cold, the command builds no RowVector
+    fresh = functools.lru_cache(maxsize=None, typed=True)(classify.enumerate_algebras.__wrapped__)
+    monkeypatch.setattr(classify, "enumerate_algebras", fresh)
+    classify._row_label.cache_clear()
+    built = []
+    real_init = core.RowVector.__init__
+    monkeypatch.setattr(core.RowVector, "__init__",
+                        lambda self, bits: built.append(bits) or real_init(self, bits))
+    ref = Path(__file__).parents[1] / "perfbench" / "refs" / "verify_all_12.txt"
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "12")
+    assert (code, out) == (0, ref.read_text())
+    assert fresh.cache_info().currsize == 8 and built == []
 
 
 def test_each_verify_command_builds_its_own_sweep(capsys, monkeypatch):

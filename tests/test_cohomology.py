@@ -28,6 +28,7 @@ from oracles import (
     delta_by_strip,
     graded_duality_by_lookup,
     rank_naive,
+    square_by_rows,
     violations_by_recount,
 )
 
@@ -860,6 +861,30 @@ def test_square_failures_equal_the_per_k_verdicts(monkeypatch):
                              if commuting_square_failures(g1, g2, k)], (g1, g2)
     with pytest.raises(ValueError, match="dimension mismatch"):
         square_failures(m0(5), m0(6))
+
+
+def test_square_failures_reads_row_two_as_the_whole_rows_decide(monkeypatch):
+    # the row-2 test against the whole-tuple oracle and the per-k oracle at
+    # k = 2, where every pair that is not partners fails, on every ordered
+    # same-n pair with n <= 14, and against the whole-tuple oracle on the
+    # model pairs up to n = 64; only the pairs the test rejects reach the
+    # per-k check, stubbed here to fail
+    reached = []
+    monkeypatch.setattr(cohomology, "_square_holds", lambda d1, d2, n, k: reached.append(k))
+    pairs = [(g1, g2, True) for n in range(5, 15) for g1 in enumerate_algebras(n)
+             for g2 in enumerate_algebras(n)]
+    pairs += [(a(n), b(n), False) for n in range(5, 65) for a in (m0, m2) for b in (m0, m2)]
+    held = 0
+    for g1, g2, by_forms in pairs:
+        reached.clear()
+        want = square_by_rows(g1, g2)
+        got = square_failures(g1, g2)
+        assert got == (() if want else tuple(range(2, g1.n + 1))), (g1, g2)
+        assert reached == ([] if want else list(range(2, g1.n + 1))), (g1, g2)
+        if by_forms:
+            assert commuting_square_holds(g1, g2, 2) == want, (g1, g2)
+        held += want
+    assert len(pairs) == 764 + 240 and held == 74 + 120
 
 
 def test_tables_and_the_square_refuse_a_non_algebra_by_name(monkeypatch):

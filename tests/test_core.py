@@ -4,7 +4,7 @@ import enum
 import random
 import re
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from vergne.core import (
     m2,
     parse_row,
 )
-from vergne.extensions import _truncation, admissible_cocycles, central_extension, partner
+from vergne.extensions import _truncation, admissible_cocycles, central_extension, partner, reduce
 from vergne.exterior import MAX_AMBIENT, Derivation, Form, Monomial, graded_masks
 
 from helpers import (
@@ -716,6 +716,26 @@ def test_equality_and_hash():
     assert m0(6) != m0(7)
     assert len({m0(6), m0(6), m2(6)}) == 2
     assert repr(m2(6)) == "VergneAlgebra(n=6, row=[0, 1, 1, 0, 0])"
+
+
+def test_identity_is_the_dimension_and_row_two():
+    # every enumerated algebra with n <= 20 equals, and hashes as, each
+    # instance rebuilt from it: from its row, its pairs, its reduction and
+    # its truncation at n, whose whole rows agree too; algebras with the
+    # same row 2 and different n compare unequal
+    by_row = {}
+    for n in range(5, 21):
+        for g in enumerate_algebras(n):
+            rebuilt = [from_row(g.row()), VergneAlgebra(n, g.c), _truncation(g, n)]
+            if n > 5:
+                rebuilt.append(central_extension(*reduce(g)))
+            for h in rebuilt:
+                assert h is not g and h == g and hash(h) == hash(g) and h.rows == g.rows, g
+            by_row.setdefault(g.rows[2], []).append(g)
+    across = [(g1, g2) for same in by_row.values() for g1, g2 in combinations(same, 2)]
+    for g1, g2 in across:
+        assert g1.n != g2.n and g1 != g2 and not g1 == g2, (g1, g2)
+    assert len(across) == 294
 
 
 def test_algebra_immutable():
