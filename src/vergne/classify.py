@@ -15,11 +15,11 @@ from typing import NamedTuple
 from .cohomology import betti_tables
 from .core import (
     MIN_DIMENSION,
-    RowVector,
     VergneAlgebra,
     _check_dimension,
     _m2_row,
     _not_an_algebra,
+    _row_text,
     m0,
     m2,
 )
@@ -106,13 +106,13 @@ def label(g: VergneAlgebra) -> str:
 def _row_label(n: int, r: int) -> str:
     # Keyed by (n, e_2 row int), not the algebra, so the cache keeps no
     # algebra (and its cached Betti table) alive; each label string is built
-    # once, and a RowVector only for a row the table does not label.
+    # once, and a row the table does not label reads as its row text.
     if r == 0:
         return f"m0({n})"
     if r == _m2_row(n):
         return f"m2({n})"
     bits = tuple([r >> j & 1 for j in range(2, n + 1)])
-    return _LABELS.get((n, bits)) or str(RowVector(bits))
+    return _LABELS.get((n, bits)) or _row_text(bits)
 
 
 class ExtensionTree(NamedTuple):

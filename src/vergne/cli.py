@@ -177,10 +177,24 @@ def _partner_sweep(max_dim: int) -> Mapping[VergneAlgebra, VergneAlgebra]:
 
 def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
     """Every enumerated g has a partner p with equal Betti numbers, another
-    row, and g as the partner of p, read off p's own sweep entry, which
-    ``extensions.partners`` builds along p's own chain.  The sweep hands
-    out the enumerated instances themselves, so p's table is the one ranked
-    in the batch of its n."""
+    dimension-5 root, and g as the partner of p, read off p's own sweep
+    entry, which ``extensions.partners`` builds along p's own chain.  The
+    sweep hands out the enumerated instances themselves, so p's table is the
+    one ranked in the batch of its n.
+
+    *Distinct roots, hence non-isomorphic.*  With g^1 = [g, g] and
+    g^{i+1} = [g, g^i], the lower central series of a Vergne-type g is
+    g^i = span(e_{i+2}..e_n): [e_1, e_j] = e_{j+1} reaches each index, and
+    [e_i, e_j] with i, j >= 2 lands at i + j, higher still.  Each g^i is
+    characteristic, so an isomorphism g ≅ p maps g^4 onto p^4, and g/g^4 is
+    an isomorphism invariant.  It is the truncation at 5
+    (``extensions._truncation``), the root of ``extensions.decompose``:
+    m0(5) when c_{2,3} = 0 and m2(5) when c_{2,3} = 1, bit 3 of
+    ``rows[2]``.  m0(5) and m2(5) are told apart by
+    ``extensions.has_codim1_abelian_ideal``, as the roots line checks.  So
+    g and p are not isomorphic when their c_{2,3} differ, at every n, and
+    ``distinct`` reads that bit; a partner of another dimension is distinct
+    by its dimension."""
     root0, root2 = _models(MIN_DIMENSION, classify.enumerate_algebras(MIN_DIMENSION))
     root_ok = has_codim1_abelian_ideal(root0) and not has_codim1_abelian_ideal(root2)
     lines.append(f"thm2 roots distinguished by abelian ideal: {'ok' if root_ok else 'FAIL'}")
@@ -193,8 +207,7 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
         for g in algebras:
             p = mate[g]
             same_betti = betti(g).b == betti(p).b
-            # (n, e_2 row) decides the rows: the rest of the table completes from it
-            distinct = (g.n, g.rows[2]) != (p.n, p.rows[2])
+            distinct = g.n != p.n or bool((g.rows[2] ^ p.rows[2]) & 8)  # the roots differ
             q = mate.get(p)
             involutive = (partner(p) if q is None else q) == g
             ok = same_betti and distinct and involutive

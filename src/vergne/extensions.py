@@ -12,7 +12,7 @@ involution yields a different algebra with the same Betti numbers.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     MIN_DIMENSION,
@@ -83,15 +83,20 @@ def central_extension(g: VergneAlgebra, omega: Form) -> VergneAlgebra:
     The checks run in one pass, in this order: omega's ambient is n
     (AmbientMismatch), it holds e^1^e^n (MissingLeadingTerm), and then
     each term is a 2-form of degree n+1 (NotHomogeneousTopDegree).
-    d_g(omega) = 0 is left to the extension's own validation, which checks
-    exactly that (the proof is in ``_child_rows``); its JacobiViolation is
-    raised as NotACocycle.  Before all of them, a g that is not a
-    ``VergneAlgebra`` or an omega that is not a ``Form`` is refused
-    (TypeError naming it).
+    d_g(omega) = 0 is left to the extension's own validation (``_extended``).
+    Before all of them, a g that is not a ``VergneAlgebra`` or an omega
+    that is not a ``Form`` is refused (TypeError naming it).
     """
-    rows = _extension_rows(g, omega)
+    return _extended(_extension_rows(g, omega), omega)
+
+
+def _extended(rows: Sequence[int], omega: Form) -> VergneAlgebra:
+    """The algebra of an extension's ``rows`` (``_extension_rows``) along
+    omega, validated.  Validation checks exactly d_g(omega) = 0 (the proof
+    is in ``_child_rows``), so its JacobiViolation is raised as NotACocycle,
+    here only: ``central_extension`` and ``partners`` both call it."""
     try:
-        return _from_rows(g.n + 1, rows)
+        return _from_rows(omega.ambient + 1, rows)
     except JacobiViolation:
         raise NotACocycle(f"d({omega}) != 0") from None
 
@@ -330,17 +335,15 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     step up computes the rows of central_extension(p, f(omega)), with its
     shape checks on f(omega) (``_extension_rows``).  The roots are looked
     up by the rows of m0(5) and m2(5).  When the family holds those rows,
-    the step takes the family's instance; only on a miss does it build,
-    through ``reduce`` or the validated ``central_extension``.  A hit is
-    exactly what that build returns: two algebras with equal (n, rows) are
-    equal (``VergneAlgebra.__eq__``), and every held instance is valid, so
-    validating its rows passes (for an extension that is d_p(f(omega)) = 0,
-    see ``_child_rows``) and gives an equal algebra.  So a family that holds
-    every truncation and every partner it meets, such as all enumerated
-    algebras of n = 5..N, is swept with no algebra built or validated, and
-    each entry is the family's own instance.  A family of one is not
-    indexed: a hit only skips a build, so each step takes the build path
-    at once, with no row computed twice.
+    the step takes the family's instance; on a miss it validates the rows
+    the step computed, as ``_truncation`` and ``central_extension`` do.  A
+    hit is exactly what that validation returns: two algebras with equal
+    (n, rows) are equal (``VergneAlgebra.__eq__``), and every held instance
+    is valid, so validating its rows passes (for an extension that is
+    d_p(f(omega)) = 0, see ``_child_rows``) and gives an equal algebra.  So
+    a family that holds every truncation and every partner it meets, such
+    as all enumerated algebras of n = 5..N, is swept with no algebra built
+    or validated, and each entry is the family's own instance.
 
     The index keys by all the rows, not by (n, ``rows[2]``) as equality
     does: its keys are rows computed before any validation.  A step up
@@ -359,7 +362,7 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
     for g in family:
         if not isinstance(g, VergneAlgebra):
             raise _not_an_algebra(g)
-    held = {(g.n, g.rows): g for g in family} if len(family) > 1 else {}
+    held = {(g.n, g.rows): g for g in family}
     root0 = held.get(_M0_ROOT) or m0(MIN_DIMENSION)
     root2 = held.get(_M2_ROOT) or m2(MIN_DIMENSION)
     known = {root0: root2, root2: root0}
@@ -367,18 +370,14 @@ def partners(family: Iterable[VergneAlgebra]) -> dict[VergneAlgebra, VergneAlgeb
         chain = []
         while g not in known:
             n = g.n
-            base = held.get((n - 1, _truncation_rows(g, n - 1))) if held else None
-            if base is None:
-                base, omega = reduce(g)
-            else:
-                omega = Form(n - 1, _image(g.rows, n))
-            chain.append((g, omega))
-            g = base
+            rows = _truncation_rows(g, n - 1)
+            chain.append((g, Form(n - 1, _image(g.rows, n))))
+            g = held.get((n - 1, rows)) or _from_rows(n - 1, rows)
         p = known[g]
         for h, omega in reversed(chain):
             f = involution(omega)
-            q = held.get((p.n + 1, tuple(_extension_rows(p, f)))) if held else None
-            p = known[h] = q or central_extension(p, f)
+            rows = tuple(_extension_rows(p, f))
+            p = known[h] = held.get((p.n + 1, rows)) or _extended(rows, f)
     return {g: known[g] for g in family}
 
 

@@ -195,6 +195,22 @@ def count_reduce_calls(monkeypatch) -> list[int]:
     return calls
 
 
+def count_validations(monkeypatch) -> list[tuple[int, tuple[int, ...]]]:
+    """Record, for the rest of the test, the dimension and rows of every
+    c-table that ``core._fill`` validates."""
+    from vergne import core
+
+    calls: list[tuple[int, tuple[int, ...]]] = []
+    original = core._fill
+
+    def counted(g, n, rows):
+        calls.append((n, tuple(rows)))
+        return original(g, n, rows)
+
+    monkeypatch.setattr(core, "_fill", counted)
+    return calls
+
+
 def count_batches(monkeypatch) -> list[tuple]:
     """Record, for the rest of the test, the algebras of each batch that
     ``cohomology.betti_tables`` ranks (each call of ``cohomology._rank``)."""

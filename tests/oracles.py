@@ -62,6 +62,12 @@ that reads only those.  ``label_by_row`` labels an algebra from its
 of ``classify.label``'s read of the e_2 row int.  ``square_by_rows``
 decides the square by comparing g2's whole rows with g1's XOR m2(n)'s, row
 by row, independently of the row-2 read in ``square_failures``.
+``lower_central_series`` computes g^1 = [g, g], g^{i+1} = [g, g^i] from
+``bracket_index`` alone, the filtration behind ``verify``'s root
+certificate in ``cli._verify_thm2``.  ``betti_by_blocks`` builds every
+graded block of d by brute force from ``g.c`` and ranks it by plain
+elimination, independently of the clearing, reads and batches of
+``cohomology._rank``.
 """
 
 from __future__ import annotations
@@ -651,3 +657,98 @@ def graded_duality_by_lookup(table: BettiTable) -> bool:
     n = table.n
     top = n * (n + 1) // 2
     return all(table.graded.get((n - k, top - m), 0) == v for (k, m), v in table.graded.items())
+
+
+def lower_central_series(g: VergneAlgebra) -> list[frozenset[int]]:
+    """g^1 = [g, g], g^{i+1} = [g, g^i], ... up to the last nonzero term,
+    each as its reduced echelon basis over e_1..e_n (bit i-1 is e_i), from
+    ``bracket_index`` alone: [g, V] is spanned by [e_a, v] for every a and
+    every basis vector v of V."""
+    n = g.n
+    ad = [[0] * (n + 1) for _ in range(n + 1)]  # ad[a][j] = [e_a, e_j] as a mask
+    for a in range(1, n + 1):
+        for j in range(1, n + 1):
+            c, k = g.bracket_index(a, j)
+            ad[a][j] = c << (k - 1) if c else 0
+    series, term = [], frozenset(1 << (j - 1) for j in range(1, n + 1))
+    while True:
+        brackets = []
+        for v in term:
+            indices = [j for j in range(1, n + 1) if v >> (j - 1) & 1]
+            for a in range(1, n + 1):
+                w = 0
+                for j in indices:
+                    w ^= ad[a][j]
+                brackets.append(w)
+        term = _reduced_span(brackets)
+        if not term:
+            return series
+        series.append(term)
+
+
+def _reduced_span(vectors: list[int]) -> frozenset[int]:
+    """The reduced echelon basis of the GF(2) span of ``vectors``: each
+    basis vector's leading bit is set in no other basis vector, so equal
+    spans give equal sets."""
+    pivots: dict[int, int] = {}  # leading bit, as a mask -> basis vector
+    leading = 0  # the union of the leading bits
+    for v in vectors:
+        hit = v & leading
+        while hit:
+            low = hit & -hit
+            v ^= pivots[low]
+            hit ^= low
+        if v:
+            top = 1 << (v.bit_length() - 1)
+            for bit, b in pivots.items():
+                if b & top:
+                    pivots[bit] = b ^ v
+            pivots[top] = v
+            leading |= top
+    return frozenset(pivots.values())
+
+
+def betti_by_blocks(g: VergneAlgebra) -> BettiTable:
+    """g's Betti table from every graded block of d, by brute force.
+
+    All 2^n masks are bucketed by degree k and weight m (the sum of their
+    indices); every column of d is expanded by the Leibniz rule from
+    d(e^k) = e^1^e^{k-1} + the c_{i,j} e^i^e^j with i + j = k, read off the
+    pairs of ``g.c``; and each block (k, m) -> (k+1, m) is ranked by plain
+    elimination.  Then dim H^k_m = |C^k_m| - rank d_{k,m} - rank d_{k-1,m}.
+    No clearing, reads or batches, and none of ``graded_masks``,
+    ``_delta_terms`` or ``g.rows``.
+    """
+    n = g.n
+    image = {k: [1 | 1 << (k - 2)] for k in range(3, n + 1)}
+    for i, j in g.c:
+        image[i + j].append(1 << (i - 1) | 1 << (j - 1))
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for mask in range(1 << n):
+        indices = [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
+        buckets.setdefault((len(indices), sum(indices)), []).append(mask)
+    rank = {}
+    for (k, m), masks in buckets.items():
+        row = {t: r for r, t in enumerate(buckets.get((k + 1, m), ()))}
+        pivots: dict[int, int] = {}  # leading bit -> reduced column
+        for mask in masks:
+            column = 0
+            for i in range(3, n + 1):
+                if mask >> (i - 1) & 1:
+                    rest = mask ^ 1 << (i - 1)
+                    for t in image[i]:
+                        if not t & rest:
+                            column ^= 1 << row[rest | t]
+            while column and column.bit_length() in pivots:
+                column ^= pivots[column.bit_length()]
+            if column:
+                pivots[column.bit_length()] = column
+        rank[k, m] = len(pivots)
+    graded, z = {}, [0] * (n + 1)
+    for (k, m), masks in buckets.items():
+        z[k] += len(masks) - rank[k, m]
+        h = len(masks) - rank[k, m] - rank.get((k - 1, m), 0)
+        if h:
+            graded[k, m] = h
+    b = [sum(v for (kk, _), v in graded.items() if kk == k) for k in range(n + 1)]
+    return BettiTable(n, b, graded, z)

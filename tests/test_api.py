@@ -268,3 +268,18 @@ def test_names_the_benchmark_reaches_still_resolve():
             f"perfbench/worker.py wraps cli._verify_{suite}(max_dim, lines, failures), "
             f"which now takes {params}"
         )
+
+
+def test_every_mutant_still_applies_and_names_its_tests():
+    # tests/mutants.py runs outside this suite; this keeps it from going
+    # stale: each snippet occurs exactly once in its file, and each killing
+    # test is a test function of the file it names
+    import mutants
+
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (SRC / m.path).read_text().count(m.snippet) == 1, m.name
+        assert m.replacement != m.snippet, m.name
+        for test in m.tests:
+            path, name = test.split("::")
+            assert name in _top_level_names(SRC.parents[1] / path), (m.name, test)

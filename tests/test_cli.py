@@ -19,7 +19,7 @@ from vergne.cohomology import betti
 from vergne.core import m0, m2
 from vergne.exterior import AmbientMismatch, ImageOutsideCodomain
 
-from helpers import count_batches, count_reduce_calls, parse_dot
+from helpers import count_batches, count_reduce_calls, count_validations, parse_dot
 
 
 def run(capsys, *argv):
@@ -439,13 +439,17 @@ def test_transcript_is_pinned(capsys, argv, digest):
 
 
 def test_pair_reduces_only_in_the_partner_walk(capsys, monkeypatch):
-    # partner(g) peels g(12,1) down to dimension 5 (7 reduce calls); each
-    # printed root is the 5-dimensional truncation, read with no reduce call
+    # partner(g) builds both roots, then peels g(12,1) down to dimension 5
+    # and back up with no reduce call, validating the rows of each truncation
+    # on the way down and of each extension on the way up; the input row and
+    # the two printed roots, 5-dimensional truncations, are the command's own
     calls = count_reduce_calls(monkeypatch)
+    validated = count_validations(monkeypatch)
     code, out, _ = run(capsys, "pair", "--dim", "12", "--row", "[0,0,0,1,0,0,1,0,0,0,0]")
     assert code == 0
     assert "root m0(5)" in out and "root m2(5)" in out
-    assert calls == [12, 11, 10, 9, 8, 7, 6]
+    assert calls == []
+    assert [n for n, _ in validated] == [12, 5, 5, *range(11, 4, -1), *range(6, 13), 5, 5]
 
 
 def test_tree_makes_no_reduce_calls(capsys, monkeypatch):
@@ -642,6 +646,27 @@ def test_verify_thm2_ranks_a_partner_outside_the_enumeration(capsys, monkeypatch
     # m0(6) has m0(5)'s e_2 row int, so the distinct check reads the dimension too
     assert m0(6).rows[2] == m0(5).rows[2]
     assert "  thm2 n=5 [0, 0, 0, 0]: betti=False distinct=True involutive=False" in out.splitlines()
+
+
+def test_verify_thm2_fails_a_partner_with_the_same_root(capsys, monkeypatch):
+    # g(7,1) is m0(7)'s row with c_{2,5} flipped: another row, but the same
+    # root m0(5), so the pair is not certified non-isomorphic
+    real = cli.partners
+    g71 = core.from_row("[0, 0, 0, 1, 0, 0]")
+
+    def same_root(family):
+        mate = real(family)
+        mate[m0(7)], mate[g71] = g71, m0(7)
+        return mate
+
+    monkeypatch.setattr(cli, "partners", same_root)
+    code, out, _ = run(capsys, "verify", "--suite", "thm2", "--max-dim", "7")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert g71.rows[2] ^ m0(7).rows[2] == 1 << 5
+    lines = out.splitlines()
+    assert "thm2 n=7 m0(7) ~ g(7,1) FAIL" in lines
+    same_betti = betti(m0(7)).b == betti(g71).b
+    assert f"  thm2 n=7 [0, 0, 0, 0, 0, 0]: betti={same_betti} distinct=False involutive=True" in lines
 
 
 def test_verify_thm2_involution_reads_the_partners_own_entry(capsys, monkeypatch):

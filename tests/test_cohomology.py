@@ -20,6 +20,7 @@ from vergne.extensions import Decomposition, _truncation, decompose, partner, pa
 
 from helpers import count_batches, monomials, parse_form
 from oracles import (
+    betti_by_blocks,
     betti_cone,
     betti_m0_cone,
     cocycle_dim_full,
@@ -87,6 +88,16 @@ def test_betti_tables_by_the_general_mapping_cone():
     assert len(family) == 44
     for g in family:
         assert betti_cone(g) == (betti(g).b, dict(betti(g).graded)), g
+
+
+def test_betti_tables_by_brute_force_blocks():
+    # every block of d built from g.c by the Leibniz rule and ranked by plain
+    # elimination, with none of the kernel's clearing, reads or batches: the
+    # whole table, the cocycle dimensions and the graded entries included
+    family = [g for n in range(5, 14) for g in enumerate_algebras(n)]
+    assert len(family) == 60
+    for g, table in zip(family, cohomology.betti_tables(family)):
+        assert betti_by_blocks(g) == table, g
 
 
 def test_general_mapping_cone_oracle_sees_a_flipped_constant():

@@ -29,13 +29,14 @@ from vergne.extensions import (
 )
 
 import oracles
-from helpers import count_reduce_calls, parse_form, rebuilds
+from helpers import count_reduce_calls, count_validations, parse_form, rebuilds
 from oracles import (
     admissible_by_expansion,
     admissible_by_solve,
     cocycle_candidates,
     codim1_abelian_ideal_brute,
     decompose_by_reduce,
+    lower_central_series,
     partner_by_decomposition,
 )
 
@@ -415,23 +416,17 @@ def test_partners_sweep_over_the_enumeration_builds_nothing(monkeypatch):
 
 def test_partners_validate_a_truncation_the_family_lacks(monkeypatch):
     # the enumeration of n = 5..9 without g's truncation base at 8: the
-    # walk from base's partner extends up to base through central_extension,
-    # and the walk from g steps down to base through reduce, each validating
-    # base's rows; every other step reads the family
+    # walk from base's partner extends up to base, and the walk from g steps
+    # down to base, each validating the rows of base it computed, with no
+    # reduce or central_extension call; every other step reads the family
     g = enumerate_algebras(9)[3]
     base = _truncation(g, 8)
     family = [h for n in range(5, 10) for h in enumerate_algebras(n) if h != base]
     reduced = count_reduce_calls(monkeypatch)
-    validated = []
-    real = core._fill
-
-    def filling(a, n, rows):
-        validated.append((n, tuple(rows)))
-        return real(a, n, rows)
-
-    monkeypatch.setattr(core, "_fill", filling)
+    monkeypatch.setattr(extensions, "central_extension", fail_on_call("central_extension"))
+    validated = count_validations(monkeypatch)
     mate = partners(family)
-    assert reduced == [9]
+    assert reduced == []
     assert validated == [(8, base.rows)] * 2
     monkeypatch.undo()
     assert mate[g] == partner_by_decomposition(g)
@@ -534,6 +529,29 @@ def test_codim1_abelian_ideal_only_on_m0():
     for n in range(5, 21):
         for g in enumerate_algebras(n):
             assert has_codim1_abelian_ideal(g) == (g == m0(n)), g
+
+
+def test_lower_central_series_is_the_index_filtration():
+    # g^i = span(e_{i+2}..e_n) for i = 1..n-2, from bracket_index alone: the
+    # fact that makes the truncation at 5, g/g^4, an isomorphism invariant
+    count = 0
+    for n in range(5, 25):
+        want = [frozenset(1 << (j - 1) for j in range(i + 2, n + 1)) for i in range(1, n - 1)]
+        for g in enumerate_algebras(n):
+            assert lower_central_series(g) == want, g
+            count += 1
+    assert count == 370
+
+
+def test_the_root_is_bit_3_of_row_two():
+    # verify's thm2 tells the roots apart by c_{2,3}: m2(5) exactly when set;
+    # every enumerated algebra with n <= 40 and its partner differ there
+    family = [g for n in range(5, 41) for g in enumerate_algebras(n)]
+    assert len(family) == 1556
+    mate = partners(family)
+    for g in family + [model(n) for n in range(5, 65) for model in (m0, m2)]:
+        assert bool(g.rows[2] & 8) == (not has_codim1_abelian_ideal(_truncation(g, 5))), g
+    assert all((g.rows[2] ^ mate[g].rows[2]) & 8 for g in family)
 
 
 def test_extension_step_fields():
