@@ -19,6 +19,7 @@ from .core import (
     _check_dimension,
     _m2_row,
     _not_an_algebra,
+    _row_bits,
     _row_text,
     m0,
     m2,
@@ -71,13 +72,23 @@ _LABELS: dict[tuple[int, tuple[int, ...]], str] = {
 
 @lru_cache(maxsize=None, typed=True)  # typed, so 7.0 misses the entry of 7 and is refused
 def enumerate_algebras(n: int) -> tuple[VergneAlgebra, ...]:
-    """All Vergne-type algebras of dimension n, rows ascending.
+    """All Vergne-type algebras of dimension n, rows ascending: m0(n)
+    first and m2(n) last.
 
     The two models at dimension 5; above it, the children of every
     algebra of dimension n-1, as ``extensions._children`` builds, checks
     and stores them, sorted by e_2 row.  The key is the bits 0..n of
     ``rows[2]``, lowest first, as text: the order of ``row().bits``, which
     lists bits 2..n lowest first, as bits 0 and 1 are 0.
+
+    *The models are the ends.*  The listing is complete: every algebra of
+    dimension n > 5 extends its truncation at n-1 by a cocycle of it, and
+    ``extensions._child_rows`` misses no cocycle.  So m0(n) and m2(n) are
+    members.  Keys of one length compare at their first differing
+    position.  m0(n)'s row is all zeros, so it sorts first; m2(n)'s sets
+    every free bit 3..n-2 (``core._m2_row``) and any row holds 0 at the
+    padding, so it sorts last.  ``cli``'s ``verify`` suites read them as
+    ``algebras[0]`` and ``algebras[-1]``.
     """
     _check_dimension(n)
     if n == MIN_DIMENSION:
@@ -111,7 +122,7 @@ def _row_label(n: int, r: int) -> str:
         return f"m0({n})"
     if r == _m2_row(n):
         return f"m2({n})"
-    bits = tuple([r >> j & 1 for j in range(2, n + 1)])
+    bits = _row_bits(n, r)
     return _LABELS.get((n, bits)) or _row_text(bits)
 
 
@@ -131,9 +142,10 @@ class ExtensionTree(NamedTuple):
 def extension_tree(n_max: int) -> ExtensionTree:
     """The extension tree of the enumerated algebras of dimension 5..n_max.
 
-    The parent of g (dimension n > 5) is keyed by g's own row, building
-    nothing, as (n - 1, g.row().bits[:-3] + (0, 0)): the truncation at n-1
-    keeps c_{2,j} for j <= n-3, and positions n-2 and n-1 become padding.
+    Each node is keyed by (n, ``core._row_bits`` of its ``rows[2]``).  The
+    parent of g (dimension n > 5) is keyed by g's own bits, building
+    nothing, as (n - 1, bits[:-3] + (0, 0)): the truncation at n-1 keeps
+    c_{2,j} for j <= n-3, and positions n-2 and n-1 become padding.
     """
     _check_dimension(n_max, "n_max")
     nodes: dict[tuple[int, tuple[int, ...]], int] = {}
@@ -142,10 +154,11 @@ def extension_tree(n_max: int) -> ExtensionTree:
     for n in range(MIN_DIMENSION, n_max + 1):
         for g in enumerate_algebras(n):
             node_id = len(nodes)
-            nodes[(n, g.row().bits)] = node_id
+            bits = _row_bits(n, g.rows[2])
+            nodes[(n, bits)] = node_id
             labels[node_id] = label(g)
             if n > MIN_DIMENSION:
-                edges.append((node_id, nodes[(n - 1, g.row().bits[:-3] + (0, 0))]))
+                edges.append((node_id, nodes[(n - 1, bits[:-3] + (0, 0))]))
     return ExtensionTree(nodes=nodes, edges=tuple(edges), labels=labels)
 
 

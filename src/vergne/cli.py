@@ -136,23 +136,13 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _models(n: int, algebras: tuple[VergneAlgebra, ...]) -> tuple[VergneAlgebra, VergneAlgebra]:
-    """m0(n) and m2(n) as the instances among ``algebras``, found by their
-    rows: all zero, and ``core._m2_rows(n)``.  A model missing there is
-    built through its validating constructor."""
-    by_rows = {g.rows: g for g in algebras}
-    return by_rows.get((0,) * (n + 1)) or m0(n), by_rows.get(core._m2_rows(n)) or m2(n)
-
-
 def _verify_thm1(max_dim: int, lines: list[str], failures: list[str]) -> None:
     for n in range(MIN_DIMENSION, max_dim + 1):
-        # every table of n in one batch, and the models read off the
-        # enumerated instances, whose tables the other suites read too, so
-        # each table is ranked once per run
-        algebras = classify.enumerate_algebras(n)
-        betti_tables(algebras)
-        g0, g2 = _models(n, algebras)
-        b0, b2_ = list(betti(g0).b), list(betti(g2).b)
+        # one batch ranks every table of n, which the other suites read too,
+        # so each table is ranked once per run; m0(n) and m2(n) are the
+        # enumeration's ends (``classify.enumerate_algebras``)
+        tables = betti_tables(classify.enumerate_algebras(n))
+        b0, b2_ = list(tables[0].b), list(tables[-1].b)
         ok = b0 == b2_
         lines.append(f"thm1 n={n} {'ok' if ok else 'FAIL'} b={b0}")
         if not ok:
@@ -195,8 +185,8 @@ def _verify_thm2(max_dim: int, lines: list[str], failures: list[str]) -> None:
     g and p are not isomorphic when their c_{2,3} differ, at every n, and
     ``distinct`` reads that bit; a partner of another dimension is distinct
     by its dimension."""
-    root0, root2 = _models(MIN_DIMENSION, classify.enumerate_algebras(MIN_DIMENSION))
-    root_ok = has_codim1_abelian_ideal(root0) and not has_codim1_abelian_ideal(root2)
+    roots = classify.enumerate_algebras(MIN_DIMENSION)  # m0(5), m2(5)
+    root_ok = has_codim1_abelian_ideal(roots[0]) and not has_codim1_abelian_ideal(roots[-1])
     lines.append(f"thm2 roots distinguished by abelian ideal: {'ok' if root_ok else 'FAIL'}")
     if not root_ok:
         failures.append("thm2: dimension-5 roots not distinguished")
@@ -226,7 +216,7 @@ def _verify_diagrams(max_dim: int, lines: list[str], failures: list[str]) -> Non
     mate = _partner_sweep(max_dim)
     for n in range(MIN_DIMENSION, max_dim + 1):
         algebras = classify.enumerate_algebras(n)
-        pair_list = [_models(n, algebras)] + [(g, mate[g]) for g in algebras]
+        pair_list = [(algebras[0], algebras[-1])] + [(g, mate[g]) for g in algebras]
         for g1, g2 in pair_list:
             if g2.n != n:
                 # a wrong partner fails the check; the square would refuse it as bad input
@@ -264,9 +254,7 @@ def _verify_consistency(max_dim: int, lines: list[str], failures: list[str]) -> 
         recorded = len(failures)
         top = n * (n + 1) // 2  # the degree of e^1^...^e^n
         algebras = classify.enumerate_algebras(n)
-        betti_tables(algebras)
-        for g in algebras:
-            table = betti(g)
+        for g, table in zip(algebras, betti_tables(algebras)):
             bad = table.violations()
             if bad:
                 failures.append(f"consistency n={n} {g.row()}: {bad}")

@@ -479,22 +479,9 @@ def _m0_column(mask: int, row: Mapping[int, int]) -> int:
 
 def verify_commuting_square(g1: VergneAlgebra, g2: VergneAlgebra, k: int) -> bool:
     """Whether d2(f(h)) = f(d1(h)) for every basis k-monomial h, k in 2..n;
-    read off ``square_failures``.  A dimension mismatch is refused first,
-    then k, both before any work."""
-    _check_ambient(k, "topological degree", 2, _common_dimension(g1, g2))
-    return k not in square_failures(g1, g2)
-
-
-def _common_dimension(g1: VergneAlgebra, g2: VergneAlgebra) -> int:
-    """The dimension n of both algebras; refuse a non-algebra (TypeError
-    naming it), then a mismatch."""
-    try:
-        n1, n2 = g1.n, g2.n
-    except AttributeError:
-        raise _not_an_algebra(g1, g2) from None
-    if n1 != n2:
-        raise ValueError(f"dimension mismatch: {n1} != {n2}")
-    return n1
+    decided at k alone, as ``square_failures`` decides each k.  A dimension
+    mismatch is refused first, then k, both before any work."""
+    return not _failures(g1, g2, k)
 
 
 def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
@@ -537,11 +524,28 @@ def square_failures(g1: VergneAlgebra, g2: VergneAlgebra) -> tuple[int, ...]:
       at other k, so then each k is decided from the definition
       (``_square_holds``).
     """
-    n = _common_dimension(g1, g2)
+    return _failures(g1, g2, None)
+
+
+def _failures(g1: VergneAlgebra, g2: VergneAlgebra, k: int | None) -> tuple[int, ...]:
+    """The degrees where the square fails: k alone, or every k in 2..n
+    when k is None.  Refuses a non-algebra (TypeError naming it), then a
+    dimension mismatch, then k, before any work.  None fail when the rows
+    differ by m2(n)'s; otherwise each degree is checked by its definition
+    (proof in ``square_failures``)."""
+    try:
+        n, n2 = g1.n, g2.n
+    except AttributeError:
+        raise _not_an_algebra(g1, g2) from None
+    if n != n2:
+        raise ValueError(f"dimension mismatch: {n} != {n2}")
+    if k is not None:
+        _check_ambient(k, "topological degree", 2, n)
     if g1.rows[2] ^ g2.rows[2] == _m2_row(n):
         return ()
     d1, d2 = differential(g1), differential(g2)
-    return tuple(k for k in range(2, n + 1) if not _square_holds(d1, d2, n, k))
+    return tuple(j for j in (range(2, n + 1) if k is None else (k,))
+                 if not _square_holds(d1, d2, n, j))
 
 
 def _square_holds(d1: Derivation, d2: Derivation, n: int, k: int) -> bool:

@@ -108,6 +108,12 @@ class RowVector(_Frozen):
         return f"RowVector({self})"
 
 
+def _row_bits(n: int, r: int) -> tuple[int, ...]:
+    """``RowVector.bits`` of the e_2 row int r of dimension n: bit j of r
+    at position j - 2, for j = 2..n.  The one decoding of a row-2 int."""
+    return tuple([r >> j & 1 for j in range(2, n + 1)])
+
+
 @lru_cache(maxsize=None)
 def _row_text(bits: tuple[int, ...]) -> str:
     # Rows are printed and compared as text over and over (labels, JSON,
@@ -183,7 +189,7 @@ class VergneAlgebra(_Frozen):
     included (TypeError), and a pair out of range (ValueError).
     """
 
-    __slots__ = ("n", "rows", "_betti", "_row")
+    __slots__ = ("n", "rows", "_betti")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         _check_dimension(n)
@@ -229,12 +235,8 @@ class VergneAlgebra(_Frozen):
         return (0, 0)
 
     def row(self) -> RowVector:
-        """The e_2 row; built on the first call, then read from its slot."""
-        if self._row is None:
-            r = self.rows[2]
-            row = RowVector([r >> j & 1 for j in range(2, self.n + 1)])
-            object.__setattr__(self, "_row", row)
-        return self._row
+        """The e_2 row, built on each call from ``rows[2]``."""
+        return RowVector(_row_bits(self.n, self.rows[2]))
 
     def __eq__(self, other: object) -> bool:
         # (n, e_2 row) decides the whole table: see ``_complete_row``
@@ -280,13 +282,12 @@ def _fill(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
 
 
 def _set_slots(g: VergneAlgebra, n: int, rows: Sequence[int]) -> VergneAlgebra:
-    """Set every slot of g: n, the rows as a tuple, and the empty caches.
+    """Set every slot of g: n, the rows as a tuple, and the empty cache.
     The one initializer, which ``_fill`` and ``_store`` both call, so a new
     slot is given its first value here."""
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "rows", tuple(rows))
     object.__setattr__(g, "_betti", None)
-    object.__setattr__(g, "_row", None)
     return g
 
 

@@ -94,6 +94,73 @@ MUTANTS = (
         "mirror = {(n - k, m): v for (k, m), v in graded.items()}",
         ("tests/test_cohomology.py::test_graded_duality_matches_the_lookup",),
     ),
+    Mutant(
+        "graded-dual-without-the-zero-entries",
+        "cli.py",
+        "return mirror == graded or not any(v for _, v in mirror.items() ^ graded.items())",
+        "return mirror == graded",
+        ("tests/test_cohomology.py::test_graded_duality_matches_the_lookup",),
+    ),
+    Mutant(
+        "violations-without-the-side-dict",
+        "cohomology.py",
+        "apart[m] = apart.get(m, 0) + (-v if k & 1 else v)",
+        "pass",
+        ("tests/test_cohomology.py::test_violations_match_the_bucket_recount",),
+    ),
+    Mutant(
+        "models-not-at-the-ends",
+        "classify.py",
+        'key=lambda h: f"{h.rows[2]:0{n + 1}b}"[::-1])',
+        'key=lambda h: f"{h.rows[2]:0{n + 1}b}"[::-1], reverse=True)',
+        ("tests/test_cli.py::test_verify_reads_the_models_at_the_enumerations_ends",
+         "tests/test_cli.py::test_verify_all_transcript_is_byte_identical"),
+    ),
+    Mutant(
+        "child-rows-store-without-the-triples",
+        "extensions.py",
+        "window = (1 << n // 2) - 1 & -8",
+        "window = 0",
+        ("tests/test_classify.py::test_forward_search_matches_row_enumeration",),
+    ),
+    Mutant(
+        "child-rows-without-the-diagonal",
+        "extensions.py",
+        "if n & 1 and x:  # the diagonal",
+        "if False:",
+        ("tests/test_classify.py::test_forward_search_matches_row_enumeration",),
+    ),
+    Mutant(
+        "complete-row-window-one-wider",
+        "core.py",
+        "& ((1 << (n - i)) - (1 << (i + 2)))",
+        "& ((1 << (n - i + 1)) - (1 << (i + 2)))",
+        ("tests/test_core.py::test_bitwise_completion_matches_pair_by_pair_oracle",),
+    ),
+    Mutant(
+        "e1-read-one-position-off",
+        "cohomology.py",
+        "col = factor.get(r, 0)",
+        "col = factor.get(r - 1, 0)",
+        ("tests/test_cohomology.py::test_betti_tables_by_brute_force_blocks",
+         "tests/test_cohomology.py::test_betti_tables_by_the_general_mapping_cone"),
+    ),
+    Mutant(
+        "e2-read-without-the-drop",
+        "cohomology.py",
+        "col = second.get(r + lift, 0) >> drop",
+        "col = second.get(r + lift, 0)",
+        ("tests/test_cohomology.py::test_betti_tables_by_brute_force_blocks",
+         "tests/test_cohomology.py::test_betti_tables_by_the_general_mapping_cone"),
+    ),
+    Mutant(
+        "clearing-skips-one-more",
+        "cohomology.py",
+        "live = every ^ skip",
+        "live = (every ^ skip) & (every ^ skip) - 1",
+        ("tests/test_cohomology.py::test_betti_tables_by_brute_force_blocks",
+         "tests/test_cohomology.py::test_betti_tables_by_the_general_mapping_cone"),
+    ),
 )
 
 

@@ -111,7 +111,7 @@ TESTS = Path(__file__).resolve().parent
 
 def test_the_betti_path_reads_delta_off_the_rows():
     # _delta_terms reads δ off g.rows, so cohomology builds a differential
-    # only for square_failures' per-monomial fallback, and never reads a
+    # only for the square's per-monomial fallback, and never reads a
     # Derivation's private table
     tree = ast.parse((SRC / "cohomology.py").read_text())
     assert not [node.lineno for node in ast.walk(tree)
@@ -119,7 +119,7 @@ def test_the_betti_path_reads_delta_off_the_rows():
     callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                for node in ast.walk(fn) if isinstance(node, ast.Call)
                and getattr(node.func, "id", None) == "differential"}
-    assert callers == {"square_failures"}
+    assert callers == {"_failures"}
     # and a topological degree is range-checked by exterior._check_ambient alone
     assert not hasattr(vergne.core, "_check_involution_degree")
 
@@ -283,3 +283,32 @@ def test_every_mutant_still_applies_and_names_its_tests():
         for test in m.tests:
             path, name = test.split("::")
             assert name in _top_level_names(SRC.parents[1] / path), (m.name, test)
+
+
+def test_code_lines_counts_a_fixed_snippet():
+    # tests/code_lines.py counts a line holding a token other than a comment,
+    # a docstring or layout as code, each line of a multi-line token included,
+    # and the lines a docstring spans as docstring lines
+    import code_lines
+
+    source = '''"""A module docstring,
+on two lines."""
+
+import os  # a comment
+
+
+# a comment alone
+def f(x):
+    """One line."""
+    text = """not a
+docstring"""
+    return (x +
+            1)
+
+
+class C:
+    "A docstring in plain quotes."
+    y = os.sep
+'''
+    assert code_lines.count(source) == (8, 4)
+    assert code_lines.count("") == (0, 0)

@@ -270,21 +270,22 @@ def test_tree_edges_are_truncations():
 
 
 def test_tree_builds_no_algebra(monkeypatch):
-    # each parent is read off the child's own e_2 row; with the enumeration
-    # cached, no algebra is built or validated
+    # each parent is read off the child's own e_2 row int; with the
+    # enumeration cached, no algebra is built or validated, and no RowVector
     for n in range(5, 41):
         enumerate_algebras(n)
-    builds = []
-    fill = core._fill
+    builds, rows = [], []
+    fill, init = core._fill, RowVector.__init__
 
     def counted(g, n, rows):
         builds.append(n)
         return fill(g, n, rows)
 
     monkeypatch.setattr(core, "_fill", counted)
+    monkeypatch.setattr(RowVector, "__init__", lambda self, bits: rows.append(bits) or init(self, bits))
     for n_max in (20, 40):
         tree = extension_tree(n_max)
-        assert builds == [] and len(tree.edges) == len(tree.nodes) - 2
+        assert builds == rows == [] and len(tree.edges) == len(tree.nodes) - 2
 
 
 def test_tree_counts_through_twelve():

@@ -498,22 +498,12 @@ def test_verify_reads_the_models_off_the_enumeration(capsys, monkeypatch):
     assert (code, out, built) == (0, ref.read_text(), [])
 
 
-def test_verify_builds_a_model_the_enumeration_lacks(capsys, monkeypatch):
-    # an enumeration without m2(7): thm1 builds it and prints the same lines
-    def thm1_lines():
-        code, out, _ = run(capsys, "verify", "--suite", "thm1", "--max-dim", "8")
-        return code, [line for line in out.splitlines() if line.startswith("thm1 ")]
-
-    real = classify.enumerate_algebras
-    real(8)  # cached, so the search below n = 9 never reaches the patched lookup
-    code, want = thm1_lines()
-    assert code == 0 and len(want) == 4
-    built = []
-    monkeypatch.setattr(cli, "m2", lambda n: built.append(n) or m2(n))
-    monkeypatch.setattr(classify, "enumerate_algebras",
-                        lambda n: tuple(g for g in real(n) if g != m2(7)))
-    assert thm1_lines() == (0, want)
-    assert built == [7]
+def test_verify_reads_the_models_at_the_enumerations_ends():
+    # thm1, thm2's roots and diagrams read m0(n) and m2(n) as the first and
+    # last enumerated members (proof in classify.enumerate_algebras)
+    for n in range(5, 65):
+        algebras = classify.enumerate_algebras(n)
+        assert (algebras[0], algebras[-1]) == (m0(n), m2(n)), n
 
 
 def test_verify_builds_each_suites_partners_in_one_sweep(capsys, monkeypatch):
@@ -720,11 +710,11 @@ def test_verify_diagrams_fails_an_algebra_paired_with_itself(capsys, monkeypatch
 
 def test_verify_consistency_reports_broken_graded_duality(capsys, monkeypatch):
     # one unit of dim H^1_1 moved to degree 3 keeps every b_k and every sum
-    # per k, so only the Euler identity and the graded duality can see it
-    real = cli.betti
+    # per k, so only the Euler identity and the graded duality can see it;
+    # consistency reads the tables off the batch
+    real = cli.betti_tables
 
-    def moved(g):
-        table = real(g)
+    def moved(g, table):
         if g != m0(6):
             return table
         graded = dict(table.graded)
@@ -732,7 +722,8 @@ def test_verify_consistency_reports_broken_graded_duality(capsys, monkeypatch):
         graded[(1, 3)] = 1
         return cohomology.BettiTable(table.n, table.b, graded, table.z)
 
-    monkeypatch.setattr(cli, "betti", moved)
+    monkeypatch.setattr(cli, "betti_tables",
+                        lambda algebras: [moved(g, t) for g, t in zip(algebras, real(algebras))])
     code, out, err = run(capsys, "verify", "--suite", "all", "--max-dim", "6")
     assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
     lines = out.splitlines()
@@ -755,8 +746,9 @@ def test_verify_consistency_line_reports_recorded_failures(capsys, monkeypatch):
         def violations(self):
             return []
 
-    real = cli.betti
-    monkeypatch.setattr(cli, "betti", lambda g: Broken(real(g)) if g.n == 6 else real(g))
+    real = cli.betti_tables  # consistency reads the tables off the batch
+    monkeypatch.setattr(cli, "betti_tables", lambda algebras: [
+        Broken(t) if g.n == 6 else t for g, t in zip(algebras, real(algebras))])
     code, out, _ = run(capsys, "verify", "--suite", "all", "--max-dim", "7")
     assert code == cli.EXIT_VERIFY_FAILED
     lines = out.splitlines()

@@ -898,6 +898,29 @@ def test_square_failures_reads_row_two_as_the_whole_rows_decide(monkeypatch):
     assert len(pairs) == 764 + 240 and held == 74 + 120
 
 
+def test_commuting_square_decides_only_its_k(monkeypatch):
+    # a pair that is not a partner pair reaches the per-monomial check at the
+    # asked k alone, and a partner pair not at all
+    reached = []
+    square_holds = cohomology._square_holds
+
+    def counted(d1, d2, n, k):
+        reached.append(k)
+        return square_holds(d1, d2, n, k)
+
+    g71 = from_row("[0, 0, 0, 1, 0, 0]")
+    pairs = [(m0(8), m0(8)), (g71, m0(7)), (g71, partner(g71)), (m0(9), m2(9))]
+    every_k = [square_failures(g1, g2) for g1, g2 in pairs]
+    monkeypatch.setattr(cohomology, "_square_holds", counted)
+    for (g1, g2), failures in zip(pairs, every_k):
+        mates = g2 == partner(g1)
+        assert (failures == ()) == mates
+        for k in range(2, g1.n + 1):
+            reached.clear()
+            assert verify_commuting_square(g1, g2, k) == (k not in failures), (g1, g2, k)
+            assert reached == ([] if mates else [k]), (g1, g2, k)
+
+
 def test_tables_and_the_square_refuse_a_non_algebra_by_name(monkeypatch):
     # a non-algebra fails its first attribute read, which names it, before
     # any block is ranked or any differential built
@@ -968,6 +991,7 @@ def test_commuting_square_refuses_a_dimension_mismatch_before_k(monkeypatch):
         raise AssertionError("square checked")
 
     monkeypatch.setattr(cohomology, "square_failures", work)
+    monkeypatch.setattr(cohomology, "_m2_row", work)  # the row-2 test, the square's first look
     for k in (2, 6, 1, 2.5):
         with pytest.raises(ValueError, match="^dimension mismatch: 5 != 6$"):
             verify_commuting_square(m0(5), m0(6), k)
@@ -1088,9 +1112,8 @@ def test_cached_differential_and_values_refuse_changes():
         with pytest.raises(AttributeError):
             delattr(d, name)
     row = g.row()
-    assert g._row is row
     for value, name in ((parse_form("e1^e2", 7), "terms"), (row, "bits"), (g, "c"),
-                        (g, "rows"), (g, "_betti"), (g, "_row")):
+                        (g, "rows"), (g, "_betti")):
         with pytest.raises(AttributeError):
             delattr(value, name)
     for name in ("c", "rows"):
